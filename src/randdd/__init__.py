@@ -37,7 +37,6 @@ from .pulsegen import (
     generate_regular,
     load_schedule,
     save_schedule,
-    segment_edges,
 )
 from .riccati import (
     QState,

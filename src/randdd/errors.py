@@ -51,6 +51,9 @@ class DegenerateDiscriminantError(NumericalError):
 
 
 # Violation codes used by model.validate
+SYSTEM_NOT_FINITE = "system-param-not-finite"
+PULSE_PARAM_NOT_FINITE = "pulse-param-not-finite"
+SIM_NOT_FINITE = "sim-param-not-finite"
 OMEGA_NOT_POSITIVE = "omega-not-positive"
 GAMMA_COUPLING_NOT_POSITIVE = "coupling-not-positive"
 GAMMA_MEMORY_NOT_POSITIVE = "memory-rate-not-positive"
@@ -73,3 +76,9 @@ CURVE_BELOW_THRESHOLD = "curve-starts-below-threshold"
 HORIZON_SHORT = "horizon-short"
 UNKNOWN_KEY = "unknown-config-key"
 BAD_VALUE = "bad-config-value"
+
+# Violation codes used by pulsegen.PulseSchedule.check and load_schedule
+SCHEDULE_PULSE_DEGENERATE = "schedule-pulse-degenerate"
+SCHEDULE_PULSE_OVERLAP = "schedule-pulse-overlap"
+SCHEDULE_PULSE_OUTSIDE = "schedule-pulse-outside-horizon"
+SCHEDULE_MALFORMED = "schedule-file-malformed"

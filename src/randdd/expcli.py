@@ -110,7 +110,7 @@ def fmt(x) -> str:
 def parse_config_file(path) -> dict:
     """Flat key = value file; '#' starts a comment."""
     out = {}
-    with open(path) as f:
+    with open(path, errors="replace") as f:  # undecodable bytes fail as a bad line
         for ln, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -678,7 +678,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors and --help/--version
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else 2
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an unreadable --config
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -696,6 +696,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # an unreadable --replay file or an unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for path in files:
         print(f"wrote {path}")
     return 0

@@ -185,11 +185,14 @@ def threshold_time(curve: FidelityCurve, theta: float) -> ThresholdResult:
     curve never drops below theta.
     """
     v = np.asarray(curve.values)
-    g = np.asarray(curve.grid)
     if not v[0] > theta:
         raise ValidationError(
             errors.CURVE_BELOW_THRESHOLD, f"values[0] = {v[0]} <= theta = {theta}"
         )
+    return _first_crossing(np.asarray(curve.grid), v, theta)
+
+
+def _first_crossing(g: np.ndarray, v: np.ndarray, theta: float) -> ThresholdResult:
     hits = np.nonzero((v[:-1] >= theta) & (v[1:] < theta))[0]
     if len(hits) == 0:
         return ThresholdResult(float(g[-1]), theta, (float(g[-1]), float(g[-1])), False)
@@ -199,20 +202,11 @@ def threshold_time(curve: FidelityCurve, theta: float) -> ThresholdResult:
     return ThresholdResult(float(t), theta, (float(g[i]), float(g[i + 1])), True)
 
 
-def _threshold_of_values(grid: np.ndarray, vals: np.ndarray, theta: float) -> tuple[float, bool]:
-    hits = np.nonzero((vals[:-1] >= theta) & (vals[1:] < theta))[0]
-    if len(hits) == 0:
-        return float(grid[-1]), False
-    i = int(hits[0])
-    frac = (vals[i] - theta) / (vals[i] - vals[i + 1])
-    return float(grid[i] + frac * (grid[i + 1] - grid[i])), True
-
-
 def mean_crossing_time(factors: EnsembleFactors, theta: float, mu2: float | None = None) -> float:
     """Mean of per-sample first-crossing times (sensitivity alternative to
     crossing the mean curve; samples that never cross count at the horizon)."""
     curves = factors.sample_curves(mu2)
-    return float(np.mean([_threshold_of_values(factors.grid, row, theta)[0] for row in curves]))
+    return float(np.mean([_first_crossing(factors.grid, row, theta).time for row in curves]))
 
 
 def bootstrap_threshold_ci(
@@ -235,6 +229,6 @@ def bootstrap_threshold_ci(
     ts = np.empty(n_boot)
     for b in range(n_boot):
         mean = curves[idx[b]].mean(axis=0)
-        ts[b], _ = _threshold_of_values(factors.grid, mean, theta)
+        ts[b] = _first_crossing(factors.grid, mean, theta).time
     alpha = 0.5 * (1.0 - level)
     return float(np.quantile(ts, alpha)), float(np.quantile(ts, 1.0 - alpha))

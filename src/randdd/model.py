@@ -24,6 +24,13 @@ from . import errors
 from .errors import ValidationError
 
 
+def _require_finite(obj, names: tuple[str, ...], code: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValidationError(code, f"{name} = {value}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Qubit and bath constants, in omega = 1 units.
@@ -38,6 +45,7 @@ class SystemParams:
     gamma: float = 0.2
 
     def check(self) -> "SystemParams":
+        _require_finite(self, ("omega", "Gamma", "gamma"), errors.SYSTEM_NOT_FINITE)
         if not (self.omega > 0):
             raise ValidationError(errors.OMEGA_NOT_POSITIVE, f"omega = {self.omega}")
         if not (self.Gamma > 0):
@@ -94,6 +102,8 @@ class PulseParams:
     d_phi: float = 0.0
 
     def check(self, allow_overlap: bool = False) -> "PulseParams":
+        _require_finite(self, ("tau", "delta", "phi", "d_tau", "d_delta", "d_phi"),
+                        errors.PULSE_PARAM_NOT_FINITE)
         if not (self.tau > 0):
             raise ValidationError(errors.TAU_NOT_POSITIVE, f"tau = {self.tau}")
         if not (self.delta > 0):
@@ -149,6 +159,7 @@ class SimConfig:
     integrator: str = "exact"  # "exact" (per-segment closed form) or "rk4"
 
     def check(self) -> "SimConfig":
+        _require_finite(self, ("t_max", "step", "grid_dt", "ensemble_n", "threshold"), errors.SIM_NOT_FINITE)
         if not (self.t_max > 0):
             raise ValidationError(errors.TMAX_NOT_POSITIVE, f"t_max = {self.t_max}")
         if not (self.step > 0):

@@ -1,7 +1,8 @@
 """Rectangular pulse trains, regular and randomized, and the control field.
 
 A schedule is an ordered, non-overlapping train of rectangular pulses on
-[0, horizon]. The control field is
+[0, horizon], held as three read-only float64 arrays: starts, widths and
+areas. The control field is
 
     c(t) = area_i / width_i   for t in [start_i, start_i + width_i),
     c(t) = 0                  otherwise (half-open "on" intervals),
@@ -22,17 +23,21 @@ instantaneous strength is preserved.
 """
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
+from . import errors
 from .model import PulseParams
 
-# Relative tolerance used when comparing times assembled from sums of
-# products of user inputs.
+# Relative tolerance for comparing times assembled from sums of products of inputs.
 _REL_TOL = 1e-12
+
+# Triples drawn per block beyond the mean-gap count of the pulses left.
+_BLOCK_MARGIN = 16
 
 # stream_index lanes; keeps schedule, bootstrap, and state-sampling draws
 # on provably disjoint Philox keys for one master seed.
@@ -87,47 +92,69 @@ class Pulse:
         return self.start + self.width
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSchedule:
-    pulses: tuple[Pulse, ...]
+    """Pulse i is [starts[i], starts[i] + widths[i]) carrying areas[i]."""
+
+    starts: np.ndarray
+    widths: np.ndarray
+    areas: np.ndarray
     horizon: float
-    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_starts", tuple(p.start for p in self.pulses))
+        for name in ("starts", "widths", "areas"):  # private read-only copies
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).setflags(write=False)
+        if not (self.starts.ndim == 1 and self.starts.shape == self.widths.shape == self.areas.shape):
+            raise ValueError("starts, widths and areas must be 1-d arrays of one length")
 
     def __len__(self) -> int:
-        return len(self.pulses)
+        return len(self.starts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PulseSchedule):
+            return NotImplemented
+        return self.horizon == other.horizon and all(map(
+            np.array_equal, (self.starts, self.widths, self.areas), (other.starts, other.widths, other.areas)))
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.starts + self.widths
+
+    @property
+    def strengths(self) -> np.ndarray:
+        return self.areas / self.widths
+
+    @cached_property
+    def pulses(self) -> tuple[Pulse, ...]:
+        """The pulses as records, built on first use (for inspection, not hot paths)."""
+        return tuple(map(Pulse, self.starts.tolist(), self.widths.tolist(), self.areas.tolist()))
 
     def check(self) -> "PulseSchedule":
-        """Assert the schedule invariants; returns self."""
-        prev_end = -np.inf
-        for p in self.pulses:
-            if not (p.width > 0 and np.isfinite(p.strength)):
-                raise ValueError(f"degenerate pulse {p}")
-            if p.start < prev_end - _REL_TOL * max(1.0, self.horizon):
-                raise ValueError(f"overlapping pulse {p}")
-            if p.start < -0.0 or p.end > self.horizon * (1 + _REL_TOL) + 1e-300:
-                raise ValueError(f"pulse {p} outside [0, {self.horizon}]")
-            prev_end = p.end
+        """Raise ValidationError at a degenerate, overlapping or out-of-range pulse; returns self."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            degenerate = ~((self.widths > 0) & np.isfinite(self.strengths))
+        overlap = np.append(False, self.starts[1:] < self.ends[:-1] - _REL_TOL * max(1.0, self.horizon))
+        outside = ~(self.starts >= 0.0) | (self.ends > self.horizon * (1 + _REL_TOL) + 1e-300)
+        for code, bad in ((errors.SCHEDULE_PULSE_DEGENERATE, degenerate),
+                          (errors.SCHEDULE_PULSE_OVERLAP, overlap), (errors.SCHEDULE_PULSE_OUTSIDE, outside)):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise errors.ValidationError(code, f"pulse {i} {self.pulses[i]} on [0, {self.horizon}]")
         return self
 
 
 def generate_regular(params: PulseParams, horizon: float) -> PulseSchedule:
     """Evenly spaced train: starts i*tau, width delta, area phi."""
-    pulses = []
-    tol = _REL_TOL * max(1.0, horizon)
-    i = 0
-    while i * params.tau < horizon - tol:
-        start = i * params.tau
-        width = params.delta
-        area = params.phi
-        if start + width > horizon:  # truncate, keep strength
-            frac = (horizon - start) / width
-            width, area = horizon - start, area * frac
-        pulses.append(Pulse(start, width, area))
-        i += 1
-    return PulseSchedule(tuple(pulses), horizon).check()
+    cut = horizon - _REL_TOL * max(1.0, horizon)
+    starts = np.arange(math.ceil(cut / params.tau) + 2) * params.tau
+    starts = starts[: np.searchsorted(starts, cut)]
+    widths = np.full(len(starts), params.delta, dtype=float)
+    areas = np.full(len(starts), params.phi, dtype=float)
+    over = starts + params.delta > horizon  # truncate, keep strength
+    widths[over] = horizon - starts[over]
+    areas[over] = params.phi * (widths[over] / params.delta)
+    return PulseSchedule(starts, widths, areas, horizon).check()
 
 
 def generate_random(params: PulseParams, horizon: float, stream: RandomStream) -> PulseSchedule:
@@ -141,57 +168,39 @@ def generate_random(params: PulseParams, horizon: float, stream: RandomStream) -
     if params.d_tau == 0.0 and params.d_delta == 0.0 and params.d_phi == 0.0:
         return generate_regular(params, horizon)
     rng = stream.generator()
-    pulses = []
-    tol = _REL_TOL * max(1.0, horizon)
-    start = 0.0
-    while start < horizon - tol:
-        u, v, w = rng.uniform(-1.0, 1.0, 3)
-        gap = float(params.tau + params.d_tau * u)
-        width = float(params.delta + params.d_delta * v)
-        area = float(params.phi + params.d_phi * w)
-        limit = min(gap, horizon - start)
-        if width > limit:
-            area *= limit / width
-            width = limit
-        pulses.append(Pulse(start, width, area))
-        start += gap
-    return PulseSchedule(tuple(pulses), horizon).check()
+    cut = horizon - _REL_TOL * max(1.0, horizon)
+    # pulse i uses triple i: draw blocks until the start after the last drawn
+    # pulse reaches the horizon (cumsum adds in order, as a running start would)
+    draws, starts = np.empty((0, 3)), np.zeros(1)
+    while starts[-1] < cut:
+        n = math.ceil((cut - starts[-1]) / params.tau) + _BLOCK_MARGIN
+        draws = np.concatenate([draws, rng.uniform(-1.0, 1.0, (n, 3))])
+        starts = np.concatenate([[0.0], np.cumsum(params.tau + params.d_tau * draws[:, 0])])
+    n = np.searchsorted(starts, cut)
+    starts, gaps = starts[:n], params.tau + params.d_tau * draws[:n, 0]
+    widths = params.delta + params.d_delta * draws[:n, 1]
+    areas = params.phi + params.d_phi * draws[:n, 2]
+    limit = np.minimum(gaps, horizon - starts)
+    over = widths > limit
+    areas[over] *= limit[over] / widths[over]
+    widths[over] = limit[over]
+    return PulseSchedule(starts, widths, areas, horizon).check()
 
 
 def field_at(schedule: PulseSchedule, t: float) -> float:
     """Control field c(t); raises for queries outside [0, horizon]."""
     if not (0.0 <= t <= schedule.horizon):
         raise ValueError(f"t = {t} outside schedule horizon [0, {schedule.horizon}]")
-    i = bisect.bisect_right(schedule._starts, t) - 1
-    if i >= 0:
-        p = schedule.pulses[i]
-        if p.start <= t < p.end:
-            return p.strength
+    i = int(np.searchsorted(schedule.starts, t, side="right")) - 1
+    if i >= 0 and schedule.starts[i] <= t < schedule.starts[i] + schedule.widths[i]:
+        return float(schedule.areas[i] / schedule.widths[i])
     return 0.0
-
-
-def segment_edges(schedule: PulseSchedule) -> np.ndarray:
-    """Sorted times where c(t) can jump: 0, every on/off edge, horizon.
-
-    c(t) is constant on every open interval between consecutive edges.
-    """
-    edges = [0.0, schedule.horizon]
-    for p in schedule.pulses:
-        edges.append(p.start)
-        if p.end < schedule.horizon:
-            edges.append(p.end)
-    return merge_times(np.array(edges), tol=_REL_TOL * max(1.0, schedule.horizon))
 
 
 def merge_times(times: np.ndarray, tol: float) -> np.ndarray:
     """Sort and collapse near-duplicate times (keeps the first of a cluster)."""
     t = np.sort(np.asarray(times, dtype=float))
-    if len(t) == 0:
-        return t
-    keep = np.empty(len(t), dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(t), tol, out=keep[1:])
-    return t[keep]
+    return t[np.append(True, np.diff(t) > tol)] if len(t) else t
 
 
 def control_integral(schedule: PulseSchedule, t) -> np.ndarray | float:
@@ -201,13 +210,11 @@ def control_integral(schedule: PulseSchedule, t) -> np.ndarray | float:
     area of a pulse in progress.
     """
     tq = np.atleast_1d(np.asarray(t, dtype=float))
-    starts = np.array([p.start for p in schedule.pulses])
-    ends = np.array([p.end for p in schedule.pulses])
-    areas = np.array([p.area for p in schedule.pulses])
+    starts, ends, areas = schedule.starts, schedule.ends, schedule.areas
     cum = np.concatenate([[0.0], np.cumsum(areas)])
     idx = np.searchsorted(starts, tq, side="right")  # pulses started by time t
     out = cum[idx]
-    if len(schedule.pulses):
+    if len(schedule):
         last = np.clip(idx - 1, 0, None)
         inside = (idx > 0) & (tq < ends[last])
         li = last[inside]
@@ -215,26 +222,24 @@ def control_integral(schedule: PulseSchedule, t) -> np.ndarray | float:
     return out if np.ndim(t) else float(out[0])
 
 
-def segment_table(schedule: PulseSchedule, extra_times: Iterable[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+def segment_table(schedule: PulseSchedule, extra_times: Sequence[float] | np.ndarray = ()) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints covering [0, horizon] and the constant c on each interval.
 
-    extra_times (for example output-grid points) are merged into the
-    breakpoint set so integrators can land on them exactly.
+    The breakpoints are 0, the horizon and every on/off edge of c(t), merged
+    with extra_times (for example output-grid points) so integrators land on them.
     """
-    tol = _REL_TOL * max(1.0, schedule.horizon)
-    pts = merge_times(np.concatenate([segment_edges(schedule), np.asarray(list(extra_times), dtype=float)]), tol)
-    pts = pts[(pts >= -tol) & (pts <= schedule.horizon * (1 + _REL_TOL))]
+    h = schedule.horizon
+    tol = _REL_TOL * max(1.0, h)
+    starts, ends = schedule.starts, schedule.ends
+    edges = merge_times(np.concatenate([[0.0, h], starts, ends[ends < h]]), tol)
+    pts = merge_times(np.concatenate([edges, np.asarray(extra_times, dtype=float)]), tol)
+    pts = pts[(pts >= -tol) & (pts <= h * (1 + _REL_TOL))]
     mids = 0.5 * (pts[:-1] + pts[1:])
     c = np.zeros(len(mids))
-    if schedule.pulses:
-        starts = np.array(schedule._starts)
+    if len(schedule):
         idx = np.searchsorted(starts, mids, side="right") - 1
-        ok = idx >= 0
-        ii = np.clip(idx, 0, None)
-        ends = np.array([p.end for p in schedule.pulses])[ii]
-        strengths = np.array([p.strength for p in schedule.pulses])[ii]
-        on = ok & (mids < ends)
-        c[on] = strengths[on]
+        on = (idx >= 0) & (mids < ends[idx])
+        c[on] = schedule.strengths[idx[on]]
     return pts, c
 
 
@@ -242,57 +247,50 @@ def segment_table(schedule: PulseSchedule, extra_times: Iterable[float] = ()) ->
 # CSV serialization (inspection and replay)
 
 def save_schedule(schedule: PulseSchedule, path) -> None:
+    rows = zip(schedule.starts.tolist(), schedule.widths.tolist(), schedule.areas.tolist())
     with open(path, "w", newline="\n") as f:
-        f.write(f"# horizon={float(schedule.horizon)!r}\n")
-        f.write("index,start,width,area\n")
-        for i, p in enumerate(schedule.pulses):
-            f.write(f"{i},{float(p.start)!r},{float(p.width)!r},{float(p.area)!r}\n")
+        f.write(f"# horizon={float(schedule.horizon)!r}\nindex,start,width,area\n")
+        f.writelines(f"{i},{s!r},{w!r},{a!r}\n" for i, (s, w, a) in enumerate(rows))
 
 
 def load_schedule(path, horizon: float | None = None) -> PulseSchedule:
-    """Load a schedule written by save_schedule (replayable in place of generation)."""
-    pulses = []
-    file_horizon = None
-    with open(path) as f:
-        for line in f:
+    """Load a schedule written by save_schedule (replayable in place of generation).
+
+    Malformed rows and schedules that fail check raise ValidationError.
+    """
+    rows, file_horizon = [], None
+    with open(path, errors="replace") as f:  # undecodable bytes fail as a malformed row
+        for ln, line in enumerate(f, 1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line.lstrip("# ").partition("=")
-                if key.strip() == "horizon":
+            key, _, val = line.lstrip("# ").partition("=")
+            try:
+                if line.startswith("#") and key.strip() == "horizon":
                     file_horizon = float(val)
-                continue
-            if line.startswith("index,"):
-                continue
-            _, start, width, area = line.split(",")
-            pulses.append(Pulse(float(start), float(width), float(area)))
+                elif line and not line.startswith(("#", "index,")):
+                    _, start, width, area = line.split(",")
+                    rows.append((float(start), float(width), float(area)))
+            except ValueError as exc:
+                raise errors.ValidationError(errors.SCHEDULE_MALFORMED, f"{path}:{ln}: {line!r}: {exc}") from exc
     h = horizon if horizon is not None else file_horizon
     if h is None:
-        raise ValueError(f"{path}: no horizon header and none supplied")
-    return PulseSchedule(tuple(pulses), h).check()
+        raise errors.ValidationError(errors.SCHEDULE_MALFORMED, f"{path}: no horizon header and none supplied")
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    return PulseSchedule(table[:, 0], table[:, 1], table[:, 2], h).check()
 
 
 def empty_schedule(horizon: float) -> PulseSchedule:
     """No control: c(t) = 0 on [0, horizon]."""
-    return PulseSchedule((), horizon)
+    return PulseSchedule(np.empty(0), np.empty(0), np.empty(0), horizon)
 
 
 def realized_stats(schedules: Sequence[PulseSchedule]) -> dict:
     """Sample means of realized (gap, width, area) pooled over schedules."""
-    gaps, widths, areas = [], [], []
-    for s in schedules:
-        st = np.array([p.start for p in s.pulses])
-        gaps.append(np.diff(st))
-        widths.append([p.width for p in s.pulses])
-        areas.append([p.area for p in s.pulses])
-    gaps = np.concatenate(gaps) if gaps else np.array([])
-    widths = np.concatenate([np.asarray(w) for w in widths]) if widths else np.array([])
-    areas = np.concatenate([np.asarray(a) for a in areas]) if areas else np.array([])
-    return {
-        "n_pulses": int(widths.size),
-        "n_gaps": int(gaps.size),
-        "mean_gap": float(gaps.mean()) if gaps.size else float("nan"),
-        "mean_width": float(widths.mean()) if widths.size else float("nan"),
-        "mean_area": float(areas.mean()) if areas.size else float("nan"),
-    }
+    gaps = np.concatenate([np.empty(0)] + [np.diff(s.starts) for s in schedules])
+    widths = np.concatenate([np.empty(0)] + [s.widths for s in schedules])
+    areas = np.concatenate([np.empty(0)] + [s.areas for s in schedules])
+
+    def mean(x):
+        return float(x.mean()) if x.size else float("nan")
+
+    return {"n_pulses": int(widths.size), "n_gaps": int(gaps.size),
+            "mean_gap": mean(gaps), "mean_width": mean(widths), "mean_area": mean(areas)}

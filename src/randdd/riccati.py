@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BlowUpError, DegenerateDiscriminantError, ValidationError, HORIZON_SHORT
 from .model import SimConfig, SystemParams
-from .pulsegen import PulseSchedule, merge_times, segment_table
+from .pulsegen import PulseSchedule, segment_table
 
 DEFAULT_BLOWUP = 1e6
 

@@ -217,3 +217,43 @@ def test_oracle_check_cli(tmp_path):
     report = json.loads((tmp_path / "oracle_report.json").read_text())
     for key in ("max_nocontrol_dev", "max_pop_dev", "max_cohmod_dev", "max_cohphase_dev"):
         assert report[key] < 1e-6
+
+
+@pytest.mark.parametrize("setting,code", [
+    ("pulses.phi=nan", "pulse-param-not-finite"),
+    ("pulses.tau=inf", "pulse-param-not-finite"),
+    ("sim.t_max=inf", "sim-param-not-finite"),
+    ("system.gamma=inf", "system-param-not-finite"),
+])
+def test_non_finite_settings_exit_3(tmp_path, capsys, setting, code):
+    assert run_cli(["run", "--regular", "--set", setting, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert code in err and "Traceback" not in err
+
+
+def test_replay_missing_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    assert run_cli(["run", "--replay", str(missing), "--tmax", "1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "nope.csv" in err and "Traceback" not in err
+
+
+def test_config_missing_or_binary_file_exits_2(tmp_path, capsys):
+    assert run_cli(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
+    assert "nope.cfg" in capsys.readouterr().err
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00bad\n")
+    assert run_cli(["validate", "--config", str(binary)]) == 2
+    assert "bad-config-value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows,code", [
+    ("0,0.0,0.008\n", "schedule-file-malformed"),
+    ("0,0.0,0.008,0.2\n1,0.005,0.008,0.2\n", "schedule-pulse-overlap"),
+])
+def test_replay_bad_schedule_exits_3(tmp_path, capsys, rows, code):
+    path = tmp_path / "schedule.csv"
+    path.write_text("# horizon=1.0\nindex,start,width,area\n" + rows)
+    assert run_cli(["run", "--replay", str(path), "--tmax", "1", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert code in err and "Traceback" not in err

@@ -3,6 +3,7 @@ import pytest
 
 from randdd.errors import CURVE_BELOW_THRESHOLD, ValidationError
 from randdd.fidelity import (
+    EnsembleFactors,
     FidelityCurve,
     bootstrap_threshold_ci,
     ensemble_functionals,
@@ -184,6 +185,15 @@ def test_mean_crossing_time_agrees_for_degenerate_ensemble():
     t_curve = threshold_time(factors.mean_curve(), 0.95).time
     t_mean = mean_crossing_time(factors, 0.95)
     assert t_mean == pytest.approx(t_curve, rel=1e-12)
+
+
+def test_mean_crossing_time_is_mean_of_per_sample_thresholds():
+    grid = np.linspace(0.0, 4.0, 81)
+    rates = np.array([[0.1], [0.3], [0.02], [0.5]])  # the 0.02 row never reaches 0.95
+    factors = EnsembleFactors(grid, np.exp(-rates * grid), np.exp(-rates * grid), {})
+    per_sample = [threshold_time(FidelityCurve(grid, row), 0.95) for row in factors.sample_curves()]
+    assert [r.crossed for r in per_sample] == [True, True, False, True]
+    assert mean_crossing_time(factors, 0.95) == np.mean([r.time for r in per_sample])
 
 
 def test_bootstrap_ci_brackets_estimate():

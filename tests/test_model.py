@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from randdd.errors import (
     PULSE_OVERLAP_POSSIBLE,
+    PULSE_PARAM_NOT_FINITE,
+    SIM_NOT_FINITE,
+    SYSTEM_NOT_FINITE,
     STEP_ORDERING,
     THRESHOLD_OUT_OF_RANGE,
     UNKNOWN_KEY,
@@ -79,6 +82,21 @@ def test_sim_config_invariants(sim, code, standard_pulses):
     with pytest.raises(ValidationError) as err:
         validate(SystemParams(), standard_pulses, sim)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(bad, standard_pulses):
+    cases = [
+        (SystemParams(gamma=bad), standard_pulses, SimConfig(), SYSTEM_NOT_FINITE),
+        (SystemParams(), PulseParams(tau=0.02, delta=0.008, phi=bad), SimConfig(), PULSE_PARAM_NOT_FINITE),
+        (SystemParams(), PulseParams(tau=bad, delta=0.008, phi=0.2), SimConfig(), PULSE_PARAM_NOT_FINITE),
+        (SystemParams(), standard_pulses, SimConfig(t_max=bad), SIM_NOT_FINITE),
+        (SystemParams(), standard_pulses, SimConfig(grid_dt=bad), SIM_NOT_FINITE),
+    ]
+    for system, pulses, sim, code in cases:
+        with pytest.raises(ValidationError) as err:
+            validate(system, pulses, sim)
+        assert err.value.code == code
 
 
 def test_initial_state_normalization():

@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randdd.errors import (
+    SCHEDULE_MALFORMED,
+    SCHEDULE_PULSE_DEGENERATE,
+    SCHEDULE_PULSE_OUTSIDE,
+    SCHEDULE_PULSE_OVERLAP,
+    ValidationError,
+)
 from randdd.model import PulseParams
 from randdd.pulsegen import (
+    _BLOCK_MARGIN,
+    _REL_TOL,
+    PulseSchedule,
     RandomStream,
     control_integral,
     empty_schedule,
@@ -16,7 +26,7 @@ from randdd.pulsegen import (
     load_schedule,
     realized_stats,
     save_schedule,
-    segment_edges,
+    segment_table,
 )
 
 
@@ -58,13 +68,15 @@ def test_field_values(standard_pulses):
 
 def test_segment_edges_regular(standard_pulses):
     s = generate_regular(standard_pulses, 0.05)
-    np.testing.assert_allclose(
-        segment_edges(s), [0.0, 0.008, 0.02, 0.028, 0.04, 0.048, 0.05], atol=1e-15
-    )
+    pts, c = segment_table(s)
+    np.testing.assert_allclose(pts, [0.0, 0.008, 0.02, 0.028, 0.04, 0.048, 0.05], atol=1e-15)
+    np.testing.assert_allclose(c, [25.0, 0.0, 25.0, 0.0, 25.0, 0.0], rtol=1e-12)
 
 
 def test_segment_edges_empty():
-    np.testing.assert_array_equal(segment_edges(empty_schedule(1.0)), [0.0, 1.0])
+    pts, c = segment_table(empty_schedule(1.0))
+    np.testing.assert_array_equal(pts, [0.0, 1.0])
+    np.testing.assert_array_equal(c, [0.0])
 
 
 def test_random_determinism(standard_pulses):
@@ -125,7 +137,7 @@ def test_random_schedule_invariants(params, seed, k):
     full = [p for p in s.pulses[:-1]]  # last may be horizon-truncated
     if full:
         assert max(p.width for p in full) <= params.delta + params.d_delta + 1e-12
-    edges = segment_edges(s)
+    edges, _ = segment_table(s)
     assert np.all(np.diff(edges) > 0)
 
 
@@ -175,3 +187,143 @@ def test_load_schedule_horizon_override(tmp_path, standard_pulses):
     path = tmp_path / "sched.csv"
     save_schedule(s, path)
     assert load_schedule(path, horizon=0.2).horizon == 0.2
+
+
+# ---------------------------------------------------------------------------
+# array schedules against the per-pulse reference loop
+
+def loop_generate_regular(params, horizon):
+    """Per-pulse reference for generate_regular."""
+    starts, widths, areas = [], [], []
+    tol = _REL_TOL * max(1.0, horizon)
+    i = 0
+    while i * params.tau < horizon - tol:
+        start, width, area = i * params.tau, params.delta, params.phi
+        if start + width > horizon:
+            frac = (horizon - start) / width
+            width, area = horizon - start, area * frac
+        starts.append(start)
+        widths.append(width)
+        areas.append(area)
+        i += 1
+    return np.array(starts), np.array(widths), np.array(areas)
+
+
+@pytest.mark.parametrize("tau", [0.02, 0.03, 0.007])
+@pytest.mark.parametrize("horizon", [0.0, 0.021, 0.045, 1.0, 3.3, 20.0, 90.0])
+def test_array_regular_matches_per_pulse_loop(tau, horizon):
+    params = PulseParams(tau, 0.006, 0.2)
+    s = generate_regular(params, horizon)
+    starts, widths, areas = loop_generate_regular(params, horizon)
+    assert np.array_equal(s.starts, starts)
+    assert np.array_equal(s.widths, widths)
+    assert np.array_equal(s.areas, areas)
+
+
+def loop_generate_random(params, horizon, stream):
+    """Per-pulse reference for generate_random: one triple per pulse, running start."""
+    rng = stream.generator()
+    starts, widths, areas = [], [], []
+    tol = _REL_TOL * max(1.0, horizon)
+    start = 0.0
+    while start < horizon - tol:
+        u, v, w = rng.uniform(-1.0, 1.0, 3)
+        gap = float(params.tau + params.d_tau * u)
+        width = float(params.delta + params.d_delta * v)
+        area = float(params.phi + params.d_phi * w)
+        limit = min(gap, horizon - start)
+        if width > limit:
+            area *= limit / width
+            width = limit
+        starts.append(start)
+        widths.append(width)
+        areas.append(area)
+        start += gap
+    return np.array(starts), np.array(widths), np.array(areas)
+
+
+def _first_block(params, horizon):
+    return math.ceil((horizon - _REL_TOL * max(1.0, horizon)) / params.tau) + _BLOCK_MARGIN
+
+
+@pytest.mark.parametrize("params,horizon", [
+    (PulseParams(0.02, 0.008, 0.2, d_tau=0.004, d_delta=0.003, d_phi=0.15), 3.7),   # mixed
+    (PulseParams(0.02, 0.015, 0.2, d_tau=0.004, d_delta=0.004), 3.0),              # clamped widths
+    (PulseParams(0.02, 0.0008, 0.2, d_tau=0.95 * 0.02, d_phi=0.05), 20.0),         # several blocks
+])
+def test_array_generator_matches_per_pulse_loop(params, horizon):
+    clamped = blocks = 0
+    for k in range(20):
+        stream = RandomStream.for_schedule(2024, k)
+        s = generate_random(params, horizon, stream)
+        starts, widths, areas = loop_generate_random(params, horizon, stream)
+        assert np.array_equal(s.starts, starts)
+        assert np.array_equal(s.widths, widths)
+        assert np.array_equal(s.areas, areas)
+        clamped += int(np.sum(s.ends[:-1] >= s.starts[1:]))
+        blocks += len(s) > _first_block(params, horizon)
+    if params.delta + params.d_delta >= params.tau - params.d_tau:
+        assert clamped > 0
+    if params.d_tau == 0.95 * params.tau:
+        assert blocks > 0  # some streams ran past the first draw block
+
+
+def test_pulses_view_matches_arrays():
+    params = PulseParams(0.02, 0.008, 0.2, d_tau=0.004, d_delta=0.002, d_phi=0.05)
+    s = generate_random(params, 1.0, RandomStream.for_schedule(3, 1))
+    assert len(s.pulses) == len(s) > 0
+    assert [p.start for p in s.pulses] == s.starts.tolist()
+    assert [p.width for p in s.pulses] == s.widths.tolist()
+    assert [p.area for p in s.pulses] == s.areas.tolist()
+    assert [p.end for p in s.pulses] == s.ends.tolist()
+    assert s.pulses is s.pulses  # built once
+
+
+def test_schedule_arrays_are_read_only():
+    starts = np.array([0.0, 0.5])
+    s = PulseSchedule(starts, [0.1, 0.1], [0.2, 0.2], 1.0)
+    for a in (s.starts, s.widths, s.areas):
+        with pytest.raises(ValueError):
+            a[0] = 9.0
+    starts[0] = 0.25  # the schedule holds its own copy
+    assert s.starts[0] == 0.0
+    with pytest.raises(ValueError):
+        PulseSchedule([0.0, 0.5], [0.1], [0.2, 0.2], 1.0)
+
+
+def test_schedule_equality():
+    params = PulseParams(0.02, 0.008, 0.2, d_tau=0.004)
+    a = generate_random(params, 1.0, RandomStream.for_schedule(8, 0))
+    assert a == generate_random(params, 1.0, RandomStream.for_schedule(8, 0))
+    assert a != generate_random(params, 1.0, RandomStream.for_schedule(8, 1))
+    assert a != PulseSchedule(a.starts, a.widths, a.areas, 2.0)
+    assert a != "schedule"
+    assert empty_schedule(1.0) == empty_schedule(1.0)
+
+
+@pytest.mark.parametrize("starts,widths,areas,code", [
+    ([0.0, 0.5], [0.1, 0.0], [0.2, 0.2], SCHEDULE_PULSE_DEGENERATE),
+    ([0.0, 0.5], [0.1, 0.1], [0.2, np.inf], SCHEDULE_PULSE_DEGENERATE),
+    ([0.0, 0.05], [0.1, 0.1], [0.2, 0.2], SCHEDULE_PULSE_OVERLAP),
+    ([0.0, 0.95], [0.1, 0.1], [0.2, 0.2], SCHEDULE_PULSE_OUTSIDE),
+    ([-0.1, 0.5], [0.1, 0.1], [0.2, 0.2], SCHEDULE_PULSE_OUTSIDE),
+    ([np.nan, 0.5], [0.1, 0.1], [0.2, 0.2], SCHEDULE_PULSE_OUTSIDE),
+])
+def test_check_reports_first_bad_pulse(starts, widths, areas, code):
+    with pytest.raises(ValidationError) as err:
+        PulseSchedule(starts, widths, areas, 1.0).check()
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize("body", [
+    "index,start,width,area\n0,0.0,0.008\n",
+    "index,start,width,area\n0,0.0,0.008,0.2,1\n",
+    "index,start,width,area\n0,zero,0.008,0.2\n",
+    "# horizon=one\n",
+])
+def test_load_schedule_rejects_malformed_rows(tmp_path, body):
+    path = tmp_path / "sched.csv"
+    path.write_text(body)
+    with pytest.raises(ValidationError) as err:
+        load_schedule(path, horizon=1.0)
+    assert err.value.code == SCHEDULE_MALFORMED
