@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ import numpy as np
 from . import __version__, errors
 from .errors import NumericalError, ValidationError
 from .fidelity import (
-    EnsembleFactors,
     bootstrap_threshold_ci,
     ensemble_functionals,
     fidelity_avg,
@@ -57,6 +57,8 @@ EXPERIMENT_NAMES = (
     # ad-hoc single runs, beyond the fixed experiment set
     "run-curve",
     "threshold-control",
+    # checks the configuration only: main() prints it and runs nothing
+    "validate",
 )
 
 CONFIG_KEYS = {
@@ -246,7 +248,7 @@ def _write_plot_script(out_dir: Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# experiment implementations
+# experiments as point lists
 
 SWEEP_GRIDS = {
     "sweep-phi": ("d_phi", "phi", np.round(np.arange(0.0, 1.0 + 1e-9, 0.1), 10)),
@@ -254,192 +256,139 @@ SWEEP_GRIDS = {
     "sweep-delta": ("d_delta", "delta", np.round(np.arange(0.0, 0.9 + 1e-9, 0.1), 10)),
 }
 SWEEP_GAMMAS = (0.2, 0.5, 0.9)
+ROW_HEADER = "label,gamma,d_over_x,T,crossed,ci_low,ci_high"
 
 
 def _sweep_tmax(gamma: float) -> float:
-    # covers the regular-control survival time (about 10/gamma) with headroom
-    return round(18.0 / gamma, 6)
+    # covers the regular-control survival time (about 10/gamma) with headroom;
+    # gamma = 0 is left to fail validation
+    return round(18.0 / gamma, 6) if gamma else 0.0
 
 
-def _ensemble(bundle: ValidatedBundle, executor) -> EnsembleFactors:
-    return ensemble_functionals(bundle.system, bundle.pulses, bundle.sim, executor=executor)
+@dataclass(frozen=True)
+class Point:
+    """One configuration of an experiment and the outputs it feeds.
+
+    control: "none", "regular" or "replay" integrate one trajectory;
+    "random" integrates the ensemble. row = (csv name, label, gamma,
+    d_over_x) adds a T row to that table; boot is its bootstrap stream
+    index (None: an ensemble row's interval collapses to T). curves lists
+    (file name, mu2) pairs, mu2 None for the state average.
+    """
+
+    overrides: dict
+    control: str = "random"
+    allow_overlap: bool = False
+    row: tuple | None = None
+    boot: int | None = None
+    curves: tuple = ()
 
 
-def _run_sweep(spec: ExperimentSpec, out_dir: Path, executor) -> tuple[list[Path], dict]:
-    d_field, mean_field, default_grid = SWEEP_GRIDS[spec.name]
-    gammas = spec.options.get("gammas") or list(SWEEP_GAMMAS)
-    ratios = spec.options.get("grid")
-    ratios = default_grid if ratios is None else np.asarray(ratios, dtype=float)
-    rows = []
-    base = build_bundle(spec.overrides)
-    for gi, gamma in enumerate(gammas):
-        ov = dict(spec.overrides)
-        ov["system.gamma"] = gamma
-        if "sim.t_max" not in ov:
-            ov["sim.t_max"] = _sweep_tmax(gamma)
-        if "sim.grid_dt" not in ov:
-            ov["sim.grid_dt"] = 0.02
-        for ri, ratio in enumerate(ratios):
-            ov_point = dict(ov)
-            mean_val = getattr(base.pulses, mean_field)
-            ov_point[f"pulses.{d_field}"] = float(ratio) * abs(mean_val)
-            bundle = build_bundle(ov_point)
-            factors = _ensemble(bundle, executor)
-            curve = factors.mean_curve()
-            res = threshold_time(curve, bundle.sim.threshold)
-            if bundle.pulses.d_tau or bundle.pulses.d_delta or bundle.pulses.d_phi:
-                stream = RandomStream.for_bootstrap(bundle.sim.master_seed, gi * 10_000 + ri)
-                lo, hi = bootstrap_threshold_ci(factors, bundle.sim.threshold, stream, N_BOOT)
-            else:
-                lo = hi = res.time
-            rows.append((spec.name, gamma, float(ratio), res.time, res.crossed, lo, hi))
-    path = out_dir / f"{spec.name.replace('-', '_')}.csv"
-    _write_csv(path, "label,gamma,d_over_x,T,crossed,ci_low,ci_high", rows)
-    return [path], {"gammas": list(gammas), "grid": [float(r) for r in ratios]}
-
-
-def _threshold_rows(spec: ExperimentSpec, out_dir: Path, executor, control: str) -> tuple[list[Path], dict]:
-    gammas = spec.options.get("gammas") or list(SWEEP_GAMMAS)
-    label = "nocontrol" if control == "none" else control
-    rows = []
-    for gi, gamma in enumerate(gammas):
-        ov = dict(spec.overrides)
-        ov["system.gamma"] = gamma
-        if "sim.t_max" not in ov:
-            ov["sim.t_max"] = 3.0 if control == "none" else _sweep_tmax(gamma)
-        if "sim.grid_dt" not in ov and control == "none":
-            ov["sim.grid_dt"] = 0.002
-        bundle = build_bundle(ov)
+def expand(spec: ExperimentSpec) -> list[Point]:
+    """The experiment's points, in evaluation and output order."""
+    name, opt, ov = spec.name, spec.options, dict(spec.overrides)
+    gammas = opt.get("gammas") or list(SWEEP_GAMMAS)
+    if name in SWEEP_GRIDS:
+        d_field, mean_field, ratios = SWEEP_GRIDS[name]
+        ratios = ratios if opt.get("grid") is None else np.asarray(opt["grid"], dtype=float)
+        base = build_bundle(ov).pulses
+        points = []
+        for gi, gamma in enumerate(gammas):
+            for ri, ratio in enumerate(ratios):
+                dev = replace(base, **{d_field: float(ratio) * abs(getattr(base, mean_field))})
+                points.append(Point(
+                    {"sim.t_max": _sweep_tmax(gamma), "sim.grid_dt": 0.02, **ov,
+                     "system.gamma": gamma, f"pulses.{d_field}": getattr(dev, d_field)},
+                    row=(f"{name.replace('-', '_')}.csv", name, gamma, float(ratio)),
+                    boot=gi * 10_000 + ri if dev.d_tau or dev.d_delta or dev.d_phi else None))
+        return points
+    if name in ("baseline-nocontrol", "threshold-control"):
+        control = "none" if name == "baseline-nocontrol" else opt.get("control", "regular")
         if control == "none":
-            traj = integrate_with(empty_schedule(bundle.sim.t_max), bundle.system, bundle.sim)
-            curve = fidelity_avg(traj)
-            res = threshold_time(curve, bundle.sim.threshold)
-            rows.append((label, gamma, 0.0, res.time, res.crossed, None, None))
-        elif control == "regular":
-            schedule = generate_regular(bundle.pulses, bundle.sim.t_max)
-            traj = integrate_with(schedule, bundle.system, bundle.sim)
-            res = threshold_time(fidelity_avg(traj), bundle.sim.threshold)
-            rows.append((label, gamma, 0.0, res.time, res.crossed, None, None))
-        else:  # random ensemble with the configured deviations
-            factors = _ensemble(bundle, executor)
-            if spec.options.get("t_mode") == "mean-crossings":
-                t_val = mean_crossing_time(factors, bundle.sim.threshold)
-                crossed = t_val < bundle.sim.t_max
-            else:
-                res = threshold_time(factors.mean_curve(), bundle.sim.threshold)
-                t_val, crossed = res.time, res.crossed
-            stream = RandomStream.for_bootstrap(bundle.sim.master_seed, gi)
-            lo, hi = bootstrap_threshold_ci(factors, bundle.sim.threshold, stream, N_BOOT)
-            rows.append((label, gamma, 0.0, t_val, crossed, lo, hi))
-    name = "baseline_nocontrol" if control == "none" else f"threshold_{control}"
-    path = out_dir / f"{name}.csv"
-    _write_csv(path, "label,gamma,d_over_x,T,crossed,ci_low,ci_high", rows)
-    return [path], {"gammas": list(gammas), "control": control}
-
-
-def _run_curves(spec: ExperimentSpec, out_dir: Path, executor) -> tuple[list[Path], dict]:
-    files = []
-    ov = dict(spec.overrides)
+            csv, label, defaults = "baseline_nocontrol.csv", "nocontrol", {"sim.t_max": 3.0, "sim.grid_dt": 0.002}
+        else:
+            csv, label, defaults = f"threshold_{control}.csv", control, {}
+        return [Point({"sim.t_max": _sweep_tmax(gamma), **defaults, **ov, "system.gamma": gamma}, control,
+                      row=(csv, label, gamma, 0.0), boot=gi if control == "random" else None)
+                for gi, gamma in enumerate(gammas)]
+    if name == "run-curve":
+        return [Point(ov, opt.get("control", "random"), curves=(("curve.csv", opt.get("mu2")),))]
     ov.setdefault("system.gamma", 0.3)
     tau = float(ov.get("pulses.tau", 0.02))
-    settings: dict = {}
-
-    if spec.name == "curves-delta":
-        ratios = (0.3, 0.4, 0.5, 0.75)
-        settings["delta_over_tau"] = list(ratios)
-        for ratio in ratios:
-            ov_r = dict(ov)
-            ov_r["pulses.delta"] = ratio * tau
-            reg = build_bundle(ov_r)
-            schedule = generate_regular(reg.pulses, reg.sim.t_max)
-            traj = integrate_with(schedule, reg.system, reg.sim)
-            curve = fidelity_avg(traj)
-            p = out_dir / f"curves_delta_r{ratio}_regular.csv"
-            curve.save(p)
-            files.append(p)
-
-            ov_rr = dict(ov_r)
-            ov_rr["pulses.d_delta"] = 0.2 * tau
-            ov_rr["pulses.d_tau"] = 0.2 * tau
-            rnd = build_bundle(ov_rr, allow_overlap=True)
-            factors = ensemble_functionals(rnd.system, rnd.pulses, rnd.sim, executor=executor)
-            p = out_dir / f"curves_delta_r{ratio}_random.csv"
-            factors.mean_curve().save(p)
-            files.append(p)
-
-    elif spec.name == "curves-deltatau":
-        combos = ((0.2, 0.0), (0.0, 0.2), (0.2, 0.2))
-        settings["dd_dt_over_tau"] = [list(c) for c in combos]
-        reg = build_bundle(ov)
-        schedule = generate_regular(reg.pulses, reg.sim.t_max)
-        p = out_dir / "curves_deltatau_regular.csv"
-        fidelity_avg(integrate_with(schedule, reg.system, reg.sim)).save(p)
-        files.append(p)
-        for dd, dt in combos:
-            ov_c = dict(ov)
-            ov_c["pulses.d_delta"] = dd * tau
-            ov_c["pulses.d_tau"] = dt * tau
-            bundle = build_bundle(ov_c)
-            factors = _ensemble(bundle, executor)
-            p = out_dir / f"curves_deltatau_dd{dd}_dt{dt}.csv"
-            factors.mean_curve().save(p)
-            files.append(p)
-
-    else:  # curves-mu
-        mu2s = tuple(np.round(np.arange(0.1, 0.9 + 1e-9, 0.1), 10))
-        settings["mu2"] = [float(m) for m in mu2s]
-        ov_c = dict(ov)
-        ov_c.setdefault("pulses.d_delta", 0.2 * tau)
-        ov_c.setdefault("pulses.d_tau", 0.2 * tau)
-        bundle = build_bundle(ov_c)
-        factors = _ensemble(bundle, executor)
-        for m2 in mu2s:
-            p = out_dir / f"curves_mu_{float(m2)}.csv"
-            factors.mean_curve(mu2=float(m2)).save(p)
-            files.append(p)
-    return files, settings
+    if name == "curves-delta":
+        points = []
+        for ratio in (0.3, 0.4, 0.5, 0.75):
+            reg = {**ov, "pulses.delta": ratio * tau}
+            points += [
+                Point(reg, "regular", curves=((f"curves_delta_r{ratio}_regular.csv", None),)),
+                Point({**reg, "pulses.d_delta": 0.2 * tau, "pulses.d_tau": 0.2 * tau}, allow_overlap=True,
+                      curves=((f"curves_delta_r{ratio}_random.csv", None),)),
+            ]
+        return points
+    if name == "curves-deltatau":
+        return [Point(ov, "regular", curves=(("curves_deltatau_regular.csv", None),))] + [
+            Point({**ov, "pulses.d_delta": dd * tau, "pulses.d_tau": dt * tau},
+                  curves=((f"curves_deltatau_dd{dd}_dt{dt}.csv", None),))
+            for dd, dt in ((0.2, 0.0), (0.0, 0.2), (0.2, 0.2))]
+    if name == "curves-mu":
+        mu2s = [float(m) for m in np.round(np.arange(0.1, 0.9 + 1e-9, 0.1), 10)]
+        return [Point({"pulses.d_delta": 0.2 * tau, "pulses.d_tau": 0.2 * tau, **ov},
+                      curves=tuple((f"curves_mu_{m2}.csv", m2) for m2 in mu2s))]
+    raise ValidationError(errors.UNKNOWN_KEY, f"{name!r} has no point list")
 
 
-def _run_single_curve(spec: ExperimentSpec, out_dir: Path, executor) -> tuple[list[Path], dict]:
-    control = spec.options.get("control", "random")
-    mu2 = spec.options.get("mu2")
-    bundle = build_bundle(spec.overrides)
+def evaluate(point: Point, options: dict, out_dir: Path, executor) -> tuple[list[Path], tuple | None]:
+    """Integrate one point and write its curves (plus trajectory.csv and
+    schedule.csv when asked); returns the written files and its T row."""
+    bundle = build_bundle(point.overrides, allow_overlap=point.allow_overlap)
+    system, pulses, sim = bundle.system, bundle.pulses, bundle.sim
+    # every mu2 is checked before any integration, whatever the control
+    states = {mu2: InitialState.from_population(mu2) for _, mu2 in point.curves if mu2 is not None}
     files: list[Path] = []
-    settings = {"control": control}
-    if mu2 is not None:
-        settings["mu2"] = mu2
 
-    if control in ("none", "regular", "replay"):
-        if control == "none":
-            schedule = empty_schedule(bundle.sim.t_max)
-        elif control == "regular":
-            schedule = generate_regular(bundle.pulses, bundle.sim.t_max)
-        else:
-            schedule = load_schedule(spec.options["replay"], horizon=bundle.sim.t_max)
-            settings["replay"] = str(spec.options["replay"])
-        traj = integrate_with(schedule, bundle.system, bundle.sim)
-        curve = fidelity_avg(traj) if mu2 is None else fidelity_pure(traj, InitialState.from_population(mu2))
-        if spec.options.get("dump_traj"):
-            p = out_dir / "trajectory.csv"
-            traj.save(p)
-            files.append(p)
-        if spec.options.get("save_schedule"):
-            p = out_dir / "schedule.csv"
-            save_schedule(schedule, p)
-            files.append(p)
+    def written(name: str) -> Path:
+        files.append(out_dir / name)
+        return files[-1]
+
+    if point.control == "random":
+        factors = ensemble_functionals(system, pulses, sim, executor=executor)
+        curve_of = factors.mean_curve  # reduces with mu2 as given, not the normalized state's
+        if options.get("save_schedule"):
+            schedule = generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, 0))
     else:
-        factors = _ensemble(bundle, executor)
-        curve = factors.mean_curve(mu2=mu2)
-        if spec.options.get("save_schedule"):
-            p = out_dir / "schedule.csv"
-            save_schedule(
-                generate_random(bundle.pulses, bundle.sim.t_max,
-                                RandomStream.for_schedule(bundle.sim.master_seed, 0)), p)
-            files.append(p)
-    p = out_dir / "curve.csv"
-    curve.save(p)
-    files.append(p)
-    return files, settings
+        if point.control == "none":
+            schedule = empty_schedule(sim.t_max)
+        elif point.control == "regular":
+            schedule = generate_regular(pulses, sim.t_max)
+        else:
+            schedule = load_schedule(options["replay"], horizon=sim.t_max)
+        traj = integrate_with(schedule, system, sim)
+
+        def curve_of(mu2=None):
+            return fidelity_avg(traj) if mu2 is None else fidelity_pure(traj, states[mu2])
+
+        if options.get("dump_traj"):
+            traj.save(written("trajectory.csv"))
+    if options.get("save_schedule"):
+        save_schedule(schedule, written("schedule.csv"))
+    for name, mu2 in point.curves:
+        curve_of(mu2).save(written(name))
+    if point.row is None:
+        return files, None
+    if point.control == "random" and options.get("t_mode") == "mean-crossings":
+        t_val = mean_crossing_time(factors, sim.threshold)
+        crossed = t_val < sim.t_max
+    else:
+        res = threshold_time(curve_of(), sim.threshold)
+        t_val, crossed = res.time, res.crossed
+    if point.control != "random":
+        ci = (None, None)
+    elif point.boot is None:
+        ci = (t_val, t_val)
+    else:
+        stream = RandomStream.for_bootstrap(sim.master_seed, point.boot)
+        ci = bootstrap_threshold_ci(factors, sim.threshold, stream, N_BOOT)
+    return files, (*point.row[1:], t_val, crossed, *ci)
 
 
 def run_experiment(spec: ExperimentSpec, *, workers: int = 1) -> list[Path]:
@@ -447,39 +396,32 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1) -> list[Path]:
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    executor = None
-    try:
-        if workers > 1:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        if spec.name in SWEEP_GRIDS:
-            files, settings = _run_sweep(spec, out_dir, executor)
-        elif spec.name == "baseline-nocontrol":
-            files, settings = _threshold_rows(spec, out_dir, executor, "none")
-        elif spec.name == "threshold-control":
-            files, settings = _threshold_rows(spec, out_dir, executor, spec.options.get("control", "regular"))
-        elif spec.name.startswith("curves-"):
-            files, settings = _run_curves(spec, out_dir, executor)
-        elif spec.name == "run-curve":
-            files, settings = _run_single_curve(spec, out_dir, executor)
-        elif spec.name == "oracle-check":
-            seed = int(spec.overrides.get("sim.master_seed", 12345))
-            step = float(spec.overrides.get("sim.step", 1e-4))
-            report = run_oracle_check(step=step, seed=seed)
-            path = out_dir / "oracle_report.json"
-            with open(path, "w", newline="\n") as f:
-                json.dump(report, f, indent=1, sort_keys=True)
-                f.write("\n")
-            files, settings = [path], {}
-        else:  # pragma: no cover - ExperimentSpec already validates the name
-            raise ValidationError(errors.UNKNOWN_KEY, spec.name)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    if spec.name == "oracle-check":
+        seed = int(spec.overrides.get("sim.master_seed", 12345))
+        report = run_oracle_check(step=float(spec.overrides.get("sim.step", 1e-4)), seed=seed)
+        path = out_dir / "oracle_report.json"
+        with open(path, "w", newline="\n") as f:
+            json.dump(report, f, indent=1, sort_keys=True)
+            f.write("\n")
+        files, snapshot = [path], {"sim.master_seed": seed}
+    else:
+        files, tables = [], {}
+        executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+        try:
+            for point in expand(spec):
+                written, row = evaluate(point, spec.options, out_dir, executor)
+                files += written
+                if row is not None:
+                    tables.setdefault(point.row[0], []).append(row)
+        finally:
+            if executor is not None:
+                executor.shutdown()
+        for name, rows in tables.items():
+            _write_csv(out_dir / name, ROW_HEADER, rows)
+            files.append(out_dir / name)
+        snapshot = _snapshot(build_bundle(spec.overrides))
 
     files.append(_write_plot_script(out_dir))
-    snapshot = _snapshot(build_bundle(spec.overrides)) if spec.name != "oracle-check" else {
-        "sim.master_seed": int(spec.overrides.get("sim.master_seed", 12345))
-    }
     spec = ExperimentSpec(spec.name, spec.overrides, spec.output_dir,
                           {**spec.options, "workers": workers})
     manifest = _write_manifest(out_dir, spec, snapshot, files, time.perf_counter() - t0)
@@ -622,54 +564,25 @@ def parse_cli(argv) -> tuple[ExperimentSpec, int]:
     """Turn an argv list into an ExperimentSpec plus a worker count."""
     args = build_parser().parse_args(argv)
     overrides = _collect_overrides(args)
-    if args.threads == "auto":
-        import os
-
-        workers = os.cpu_count() or 1
-    else:
-        workers = args.threads
-
-    options: dict = {}
-    if args.command == "validate":
-        return ExperimentSpec("run-curve", overrides, args.out, {"validate_only": True}), workers
-    if args.command == "run":
-        if args.no_control:
-            options["control"] = "none"
-        elif args.regular:
-            options["control"] = "regular"
-        elif args.replay:
-            options["control"] = "replay"
-            options["replay"] = str(args.replay)
-        else:
-            options["control"] = "random"
-        if args.mu2 is not None:
-            options["mu2"] = args.mu2
-        if args.dump_traj:
-            options["dump_traj"] = True
-        if args.save_schedule:
-            options["save_schedule"] = True
-        return ExperimentSpec("run-curve", overrides, args.out, options), workers
-    if args.command == "threshold":
-        if args.gammas:
-            options["gammas"] = args.gammas
-        if args.t_mode != "mean-curve":
-            options["t_mode"] = args.t_mode
-        if args.regular:
-            options["control"] = "regular"
-            return ExperimentSpec("threshold-control", overrides, args.out, options), workers
-        if args.random:
-            options["control"] = "random"
-            return ExperimentSpec("threshold-control", overrides, args.out, options), workers
-        return ExperimentSpec("baseline-nocontrol", overrides, args.out, options), workers
-    if args.command == "sweep":
-        if args.gammas:
-            options["gammas"] = args.gammas
-        if args.grid:
-            options["grid"] = args.grid
-        return ExperimentSpec(f"sweep-{args.param}", overrides, args.out, options), workers
-    if args.command == "curves":
-        return ExperimentSpec(f"curves-{args.family}", overrides, args.out, options), workers
-    return ExperimentSpec("oracle-check", overrides, args.out, options), workers
+    workers = (os.cpu_count() or 1) if args.threads == "auto" else args.threads
+    name, options = args.command, {}
+    if name == "run":
+        name = "run-curve"
+        options = {"control": "none" if args.no_control else "regular" if args.regular
+                   else "replay" if args.replay else "random",
+                   "replay": str(args.replay) if args.replay else None, "mu2": args.mu2,
+                   "dump_traj": args.dump_traj or None, "save_schedule": args.save_schedule or None}
+    elif name == "threshold":
+        control = "regular" if args.regular else "random" if args.random else None
+        name = "threshold-control" if control else "baseline-nocontrol"
+        options = {"gammas": args.gammas or None, "control": control,
+                   "t_mode": None if args.t_mode == "mean-curve" else args.t_mode}
+    elif name == "sweep":
+        name, options = f"sweep-{args.param}", {"gammas": args.gammas or None, "grid": args.grid}
+    elif name == "curves":
+        name = f"curves-{args.family}"
+    options = {k: v for k, v in options.items() if v is not None}
+    return ExperimentSpec(name, overrides, args.out, options), workers
 
 
 def main(argv=None) -> int:
@@ -683,7 +596,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if spec.options.get("validate_only"):
+        if spec.name == "validate":
             bundle = build_bundle(spec.overrides)
             print("configuration valid")
             for key, value in sorted(_snapshot(bundle).items()):

@@ -41,8 +41,8 @@ class FidelityCurve:
         se = self.stderr if self.stderr is not None else np.zeros_like(self.values)
         with open(path, "w", newline="\n") as f:
             f.write("t,fidelity,stderr\n")
-            for t, v, s in zip(self.grid, self.values, se):
-                f.write(f"{t:.12g},{v:.12g},{s:.12g}\n")
+            f.writelines(map("{:.12g},{:.12g},{:.12g}\n".format,
+                             self.grid.tolist(), self.values.tolist(), se.tolist()))
 
 
 @dataclass(frozen=True)

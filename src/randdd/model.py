@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,23 +240,3 @@ def bath_correlation(system: SystemParams, t: float, s: float):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def with_overrides(bundle: ValidatedBundle, **field_paths) -> ValidatedBundle:
-    """Return a re-validated copy with dotted-name overrides applied.
-
-    Keys look like 'system.gamma', 'pulses.d_tau', 'sim.t_max'.
-    """
-    parts = {"system": {}, "pulses": {}, "sim": {}}
-    for key, value in field_paths.items():
-        group, _, field = key.partition(".")
-        if group not in parts or not field:
-            raise ValidationError(errors.UNKNOWN_KEY, key)
-        parts[group][field] = value
-    try:
-        system = replace(bundle.system, **parts["system"])
-        pulses = replace(bundle.pulses, **parts["pulses"])
-        sim = replace(bundle.sim, **parts["sim"])
-    except TypeError as exc:
-        raise ValidationError(errors.UNKNOWN_KEY, str(exc)) from exc
-    return validate(system, pulses, sim, bundle.init)

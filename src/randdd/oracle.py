@@ -42,9 +42,8 @@ from .pulsegen import (
     control_integral,
     empty_schedule,
     generate_regular,
-    segment_table,
 )
-from .riccati import QTrajectory, _steps_for, integrate
+from .riccati import QTrajectory, _breakpoints, _steps_for, integrate
 
 
 @dataclass(frozen=True)
@@ -180,16 +179,7 @@ def pseudomode_evolve(
     psi[1 * M + 0] = init.nu
     rho = np.outer(psi, psi.conj())
 
-    grid = sim.output_grid()
-    pts, cs = segment_table(schedule, extra_times=grid)
-    tol = 1e-12 * max(1.0, sim.t_max)
-    cut = np.searchsorted(pts, sim.t_max + tol)
-    pts, cs = pts[:cut], cs[: cut - 1]
-    gi = np.searchsorted(pts, grid)
-    gi = np.clip(gi, 0, len(pts) - 1)
-    left = (gi > 0) & (np.abs(pts[np.maximum(gi - 1, 0)] - grid) < np.abs(pts[gi] - grid))
-    gi[left] -= 1
-    assert np.all(np.abs(pts[gi] - grid) <= tol), "output grid must land on breakpoints"
+    grid, pts, cs, gi = _breakpoints(schedule, system, sim)
     want = {}
     for out_i, bp in enumerate(gi):
         want.setdefault(int(bp), []).append(out_i)

@@ -90,6 +90,17 @@ def test_config_file_parsing(tmp_path):
     assert bundle.sim.ensemble_n == 17
 
 
+def test_build_bundle_maps_and_revalidates_overrides():
+    bundle = build_bundle({"system.gamma": 0.5, "sim.t_max": 4.0})
+    assert bundle.system.gamma == 0.5 and bundle.sim.t_max == 4.0
+    with pytest.raises(ValidationError) as err:
+        build_bundle({"system.bogus": 1.0})
+    assert err.value.code == "unknown-config-key"
+    with pytest.raises(ValidationError) as err:
+        build_bundle({"pulses.d_tau": 0.019})
+    assert err.value.code == "pulse-overlap-possible"
+
+
 def test_cli_overrides_beat_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sim.master_seed = 1\n")
@@ -257,3 +268,14 @@ def test_replay_bad_schedule_exits_3(tmp_path, capsys, rows, code):
     assert run_cli(["run", "--replay", str(path), "--tmax", "1", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert code in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("control", [[], ["--regular"]], ids=["random", "regular"])
+@pytest.mark.parametrize("mu2", ["2", "-0.5", "nan"])
+def test_invalid_mu2_exits_3(tmp_path, capsys, mu2, control):
+    argv = ["run", *control, "--mu2", mu2, "--tmax", "1", "--ensemble", "2",
+            "--set", "pulses.d_tau=0.004", "--out", str(tmp_path)]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert "state-not-normalizable" in err and "Traceback" not in err
+    assert not (tmp_path / "curve.csv").exists()

@@ -12,7 +12,6 @@ from randdd.errors import (
     SYSTEM_NOT_FINITE,
     STEP_ORDERING,
     THRESHOLD_OUT_OF_RANGE,
-    UNKNOWN_KEY,
     WIDTH_CAN_VANISH,
     ValidationError,
 )
@@ -23,7 +22,6 @@ from randdd.model import (
     SystemParams,
     bath_correlation,
     validate,
-    with_overrides,
 )
 
 
@@ -148,18 +146,3 @@ def test_bath_correlation_markov_weight(gamma):
 def test_bath_correlation_symmetry(t, s, gamma, Gamma):
     sys_p = SystemParams(Gamma=Gamma, gamma=gamma)
     assert bath_correlation(sys_p, t, s) == bath_correlation(sys_p, s, t)
-
-
-def test_with_overrides_rejects_unknown_key(standard_pulses):
-    bundle = validate(SystemParams(), standard_pulses, SimConfig())
-    with pytest.raises(ValidationError) as err:
-        with_overrides(bundle, **{"system.bogus": 1.0})
-    assert err.value.code == UNKNOWN_KEY
-
-
-def test_with_overrides_revalidates(standard_pulses):
-    bundle = validate(SystemParams(), standard_pulses, SimConfig())
-    out = with_overrides(bundle, **{"system.gamma": 0.5, "sim.t_max": 4.0})
-    assert out.system.gamma == 0.5 and out.sim.t_max == 4.0
-    with pytest.raises(ValidationError):
-        with_overrides(bundle, **{"pulses.d_tau": 0.019})

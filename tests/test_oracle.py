@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randdd.errors import IntegrationQualityError
+from randdd.errors import HORIZON_SHORT, IntegrationQualityError, ValidationError
 from randdd.fidelity import fidelity_avg
 from randdd.model import InitialState, PulseParams, SimConfig, SystemParams
 from randdd.oracle import (
@@ -113,6 +113,15 @@ def test_pseudomode_matches_pipeline_with_pulses():
     report = compare_frames(traj.grid, coh_ref, pm.qubit_coherence(), sched, system)
     assert report["max_cohmod_dev"] < 1e-6
     assert report["max_cohphase_dev"] < 1e-6
+
+
+def test_pseudomode_rejects_short_schedule():
+    # samples past the schedule horizon would have no breakpoints to land on
+    sim = SimConfig(t_max=2.0, step=1e-3, grid_dt=0.05, ensemble_n=1)
+    with pytest.raises(ValidationError) as err:
+        pseudomode_evolve(generate_regular(PULSES, 1.0), SystemParams(gamma=0.3),
+                          InitialState.from_population(0.5), sim)
+    assert err.value.code == HORIZON_SHORT
 
 
 def test_pseudomode_truncation_is_exact():
