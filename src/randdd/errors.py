@@ -72,6 +72,9 @@ ENSEMBLE_TOO_SMALL = "ensemble-too-small"
 SEED_OUT_OF_RANGE = "seed-out-of-range"
 THRESHOLD_OUT_OF_RANGE = "threshold-out-of-range"
 INTEGRATOR_UNKNOWN = "integrator-unknown"
+GRID_TOO_LARGE = "grid-too-large"
+PULSES_TOO_MANY = "pulse-count-too-large"
+ENSEMBLE_TOO_LARGE = "ensemble-too-large"
 CURVE_BELOW_THRESHOLD = "curve-starts-below-threshold"
 HORIZON_SHORT = "horizon-short"
 UNKNOWN_KEY = "unknown-config-key"

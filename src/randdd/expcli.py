@@ -562,7 +562,14 @@ def _collect_overrides(args) -> dict:
 
 def parse_cli(argv) -> tuple[ExperimentSpec, int]:
     """Turn an argv list into an ExperimentSpec plus a worker count."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # flags the chosen control would ignore are usage errors
+    if args.command == "run" and args.dump_traj and not (args.no_control or args.regular or args.replay):
+        parser.error("--dump-traj needs --no-control, --regular or --replay: "
+                     "the random control writes no single trajectory")
+    if args.command == "threshold" and args.t_mode != "mean-curve" and not args.random:
+        parser.error(f"--t-mode {args.t_mode} needs --random: only an ensemble has per-sample crossings")
     overrides = _collect_overrides(args)
     workers = (os.cpu_count() or 1) if args.threads == "auto" else args.threads
     name, options = args.command, {}

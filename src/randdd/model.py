@@ -145,6 +145,12 @@ class PulseParams:
 
 _INTEGRATORS = ("exact", "rk4")
 
+# size limits checked before anything is allocated; the largest default
+# runs use ~9e3 samples, ~4.5e3 pulses and ~1e6 ensemble cells
+MAX_GRID_POINTS = 10**7
+MAX_PULSES = 10**7
+MAX_ENSEMBLE_CELLS = 2 * 10**7
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -179,11 +185,24 @@ class SimConfig:
             raise ValidationError(errors.THRESHOLD_OUT_OF_RANGE, f"threshold = {self.threshold}")
         if self.integrator not in _INTEGRATORS:
             raise ValidationError(errors.INTEGRATOR_UNKNOWN, f"integrator = {self.integrator!r}")
+        n_grid = self.grid_size()
+        if n_grid > MAX_GRID_POINTS:
+            raise ValidationError(
+                errors.GRID_TOO_LARGE, f"t_max / grid_dt gives {n_grid} output samples, limit {MAX_GRID_POINTS}"
+            )
         return self
+
+    def _grid_intervals(self) -> int:
+        return int(math.floor(self.t_max / self.grid_dt * (1 + 1e-12)))
+
+    def grid_size(self) -> int:
+        """len(output_grid()), counted without building it."""
+        n = self._grid_intervals()
+        return n + 1 + (n * self.grid_dt < self.t_max * (1 - 1e-12))
 
     def output_grid(self) -> np.ndarray:
         """Canonical output times: multiples of grid_dt plus the horizon."""
-        n = int(math.floor(self.t_max / self.grid_dt * (1 + 1e-12)))
+        n = self._grid_intervals()
         grid = np.arange(n + 1, dtype=float) * self.grid_dt
         if grid[-1] < self.t_max * (1 - 1e-12):
             grid = np.append(grid, self.t_max)
@@ -223,6 +242,17 @@ def validate(
     system.check()
     pulses.check(allow_overlap=allow_overlap)
     sim.check()
+    n_pulses = math.ceil(sim.t_max / pulses.tau)
+    if n_pulses > MAX_PULSES:
+        raise ValidationError(
+            errors.PULSES_TOO_MANY, f"ceil(t_max / tau) = {n_pulses} pulses, limit {MAX_PULSES}"
+        )
+    cells = sim.ensemble_n * sim.grid_size()
+    if cells > MAX_ENSEMBLE_CELLS:
+        raise ValidationError(
+            errors.ENSEMBLE_TOO_LARGE,
+            f"ensemble_n x output samples = {cells}, limit {MAX_ENSEMBLE_CELLS}",
+        )
     if init is not None:
         init = init.normalized()
     return ValidatedBundle(system, pulses, sim, init)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from randdd import expcli
 from randdd.expcli import (
     ExperimentSpec,
     build_bundle,
@@ -13,6 +14,7 @@ from randdd.expcli import (
     run_experiment,
 )
 from randdd.errors import ValidationError
+from randdd.model import SimConfig
 
 
 def run_cli(argv):
@@ -278,4 +280,36 @@ def test_invalid_mu2_exits_3(tmp_path, capsys, mu2, control):
     assert run_cli(argv) == 3
     err = capsys.readouterr().err
     assert "state-not-normalizable" in err and "Traceback" not in err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--dump-traj", "--set", "pulses.d_tau=0.004"], "--dump-traj"),
+    (["threshold", "--regular", "--t-mode", "mean-crossings"], "--t-mode"),
+    (["threshold", "--no-control", "--t-mode", "mean-crossings"], "--t-mode"),
+], ids=["dump-traj-random", "t-mode-regular", "t-mode-nocontrol"])
+def test_flag_ignored_by_control_exits_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--tmax", "1e12"], "grid-too-large"),
+    (["--set", "pulses.tau=1e-9", "--set", "pulses.delta=1e-10"], "pulse-count-too-large"),
+    (["--ensemble", "100000", "--tmax", "2000"], "ensemble-too-large"),
+], ids=["grid", "pulses", "ensemble-cells"])
+def test_oversized_run_fails_validation(tmp_path, capsys, monkeypatch, argv, code):
+    # the size checks must fire before any grid, schedule or ensemble exists
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before validation")
+
+    monkeypatch.setattr(SimConfig, "output_grid", never)
+    for name in ("ensemble_functionals", "generate_random", "generate_regular", "integrate_with"):
+        monkeypatch.setattr(expcli, name, never)
+    assert run_cli(["run", *argv, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert code in err and "Traceback" not in err
     assert not (tmp_path / "curve.csv").exists()

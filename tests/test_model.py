@@ -6,7 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from randdd.errors import (
+    ENSEMBLE_TOO_LARGE,
+    GRID_TOO_LARGE,
     PULSE_OVERLAP_POSSIBLE,
+    PULSES_TOO_MANY,
     PULSE_PARAM_NOT_FINITE,
     SIM_NOT_FINITE,
     SYSTEM_NOT_FINITE,
@@ -94,6 +97,30 @@ def test_non_finite_parameters_rejected(bad, standard_pulses):
     for system, pulses, sim, code in cases:
         with pytest.raises(ValidationError) as err:
             validate(system, pulses, sim)
+        assert err.value.code == code
+
+
+@pytest.mark.parametrize("t_max, grid_dt", [(1.0, 0.01), (1.005, 0.01), (90.0, 0.02), (3.0, 0.002),
+                                             (0.3, 0.1), (1.0, 1.0), (2.5, 1.0)])
+def test_grid_size_counts_output_grid(t_max, grid_dt):
+    sim = SimConfig(t_max=t_max, step=1e-4, grid_dt=grid_dt)
+    assert sim.grid_size() == len(sim.output_grid())
+
+
+def test_size_limits_are_inclusive():
+    # exactly at each limit passes, one past it fails; nothing is allocated
+    few = PulseParams(tau=10.0, delta=1.0, phi=0.2)
+    many = PulseParams(tau=1.0, delta=0.5, phi=0.2)
+    validate(SystemParams(), few, SimConfig(t_max=9_999_999.0, grid_dt=1.0, ensemble_n=2))
+    validate(SystemParams(), many, SimConfig(t_max=10_000_000.0, grid_dt=10.0, ensemble_n=1))
+    cases = [
+        (few, SimConfig(t_max=10_000_000.0, grid_dt=1.0, ensemble_n=1), GRID_TOO_LARGE),
+        (few, SimConfig(t_max=9_999_999.0, grid_dt=1.0, ensemble_n=3), ENSEMBLE_TOO_LARGE),
+        (many, SimConfig(t_max=10_000_001.0, grid_dt=10.0, ensemble_n=1), PULSES_TOO_MANY),
+    ]
+    for pulses, sim, code in cases:
+        with pytest.raises(ValidationError) as err:
+            validate(SystemParams(), pulses, sim)
         assert err.value.code == code
 
 

@@ -14,8 +14,8 @@ from randdd.oracle import (
     pseudomode_evolve,
     run_oracle_check,
 )
-from randdd.pulsegen import RandomStream, empty_schedule, generate_regular
-from randdd.riccati import integrate, integrate_exact
+from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular
+from randdd.riccati import _breakpoints, _steps_for, integrate, integrate_exact
 
 
 @given(gamma=st.floats(0.05, 30.0), Gamma=st.floats(0.05, 30.0), omega=st.floats(0.1, 5.0))
@@ -166,6 +166,58 @@ def test_closed_system_keeps_unit_coherence():
     np.testing.assert_allclose(np.abs(pm.qubit_coherence()), 0.5, atol=1e-9)
     traj = integrate_exact(sched, system, sim)
     np.testing.assert_allclose(np.abs(traj.coherence_factor()), 1.0, atol=1e-9)
+
+
+def _stepwise_pseudomode(schedule, system, init, sim, n_max):
+    """The k1..k4 RK4 loop on rho that the per-segment transfer matrix replaced."""
+    M = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, M)), 1).astype(complex)
+    sz = np.kron(np.diag([1.0, -1.0]), np.eye(M)).astype(complex)
+    sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    lam = np.sqrt(0.5 * system.Gamma * system.gamma)
+    kappa = 2.0 * system.gamma
+    coupling = lam * (np.kron(sm, a.conj().T) + np.kron(sm.conj().T, a))
+    jump = np.kron(np.eye(2), a)
+    jump_dag = jump.conj().T
+    n_op = jump_dag @ jump
+    psi = np.zeros(2 * M, dtype=complex)
+    psi[0], psi[M] = init.mu, init.nu
+    rho = np.outer(psi, psi.conj())
+    grid, pts, cs, gi = _breakpoints(schedule, system, sim)
+    at_pts = [rho]
+    for seg in range(len(pts) - 1):
+        n_steps = _steps_for(pts[seg + 1] - pts[seg], sim.step)
+        h = (pts[seg + 1] - pts[seg]) / n_steps
+        G = -1j * (0.5 * (system.omega + cs[seg]) * sz + coupling) - 0.5 * kappa * n_op
+        Gd = G.conj().T
+
+        def rhs(r):
+            return G @ r + r @ Gd + kappa * (jump @ r @ jump_dag)
+
+        for _ in range(n_steps):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * h * k1)
+            k3 = rhs(rho + 0.5 * h * k2)
+            k4 = rhs(rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        at_pts.append(rho)
+    return np.array(at_pts)[gi]
+
+
+@pytest.mark.parametrize("case", ["regular-n1", "regular-n2", "random"])
+def test_transfer_matrix_matches_stepwise_rk4(case):
+    system = SystemParams(gamma=0.3)
+    init = InitialState.from_population(0.6, rel_phase=0.3)
+    sim = SimConfig(t_max=0.3, step=1e-4, grid_dt=0.01, ensemble_n=1, master_seed=7)
+    n_max = 2 if case == "regular-n2" else 1
+    if case == "random":
+        pulses = PulseParams(0.02, 0.008, 0.2, d_tau=0.004, d_delta=0.002, d_phi=0.1)
+        sched = generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, 0))
+    else:
+        sched = generate_regular(PULSES, sim.t_max)
+    pm = pseudomode_evolve(sched, system, init, sim, n_max=n_max)
+    ref = _stepwise_pseudomode(sched, system, init, sim, n_max)
+    assert np.max(np.abs(pm.rhos - ref)) <= 1e-13
 
 
 def test_pseudomode_quality_guard_fires_on_unstable_step():
