@@ -75,6 +75,7 @@ INTEGRATOR_UNKNOWN = "integrator-unknown"
 GRID_TOO_LARGE = "grid-too-large"
 PULSES_TOO_MANY = "pulse-count-too-large"
 ENSEMBLE_TOO_LARGE = "ensemble-too-large"
+STEPS_TOO_MANY = "step-count-too-large"
 CURVE_BELOW_THRESHOLD = "curve-starts-below-threshold"
 HORIZON_SHORT = "horizon-short"
 UNKNOWN_KEY = "unknown-config-key"

@@ -82,6 +82,9 @@ CONFIG_KEYS = {
 
 N_BOOT = 200
 
+# the only settings oracle-check reads (--step, --seed)
+ORACLE_KEYS = ("sim.step", "sim.master_seed")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -337,13 +340,17 @@ def expand(spec: ExperimentSpec) -> list[Point]:
     raise ValidationError(errors.UNKNOWN_KEY, f"{name!r} has no point list")
 
 
-def evaluate(point: Point, options: dict, out_dir: Path, executor) -> tuple[list[Path], tuple | None]:
+def _point_states(point: Point) -> dict:
+    """The point's pure states by mu2 (mu2 outside [0, 1] fails validation)."""
+    return {mu2: InitialState.from_population(mu2) for _, mu2 in point.curves if mu2 is not None}
+
+
+def evaluate(point: Point, bundle: ValidatedBundle, options: dict, out_dir: Path,
+             executor) -> tuple[list[Path], tuple | None]:
     """Integrate one point and write its curves (plus trajectory.csv and
     schedule.csv when asked); returns the written files and its T row."""
-    bundle = build_bundle(point.overrides, allow_overlap=point.allow_overlap)
     system, pulses, sim = bundle.system, bundle.pulses, bundle.sim
-    # every mu2 is checked before any integration, whatever the control
-    states = {mu2: InitialState.from_population(mu2) for _, mu2 in point.curves if mu2 is not None}
+    states = _point_states(point)
     files: list[Path] = []
 
     def written(name: str) -> Path:
@@ -392,24 +399,34 @@ def evaluate(point: Point, options: dict, out_dir: Path, executor) -> tuple[list
 
 
 def run_experiment(spec: ExperimentSpec, *, workers: int = 1) -> list[Path]:
-    """Execute one experiment; returns the written files (manifest last)."""
+    """Execute one experiment; returns the written files (manifest last).
+
+    The output directory is created only once the run has passed
+    validation: every point's bundle and states, or the oracle's settings.
+    """
     out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     if spec.name == "oracle-check":
         seed = int(spec.overrides.get("sim.master_seed", 12345))
         report = run_oracle_check(step=float(spec.overrides.get("sim.step", 1e-4)), seed=seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "oracle_report.json"
         with open(path, "w", newline="\n") as f:
             json.dump(report, f, indent=1, sort_keys=True)
             f.write("\n")
         files, snapshot = [path], {"sim.master_seed": seed}
     else:
+        points = expand(spec)
+        bundles = [build_bundle(p.overrides, allow_overlap=p.allow_overlap) for p in points]
+        for point in points:
+            _point_states(point)
+        snapshot = _snapshot(build_bundle(spec.overrides))
+        out_dir.mkdir(parents=True, exist_ok=True)
         files, tables = [], {}
         executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
         try:
-            for point in expand(spec):
-                written, row = evaluate(point, spec.options, out_dir, executor)
+            for point, bundle in zip(points, bundles):
+                written, row = evaluate(point, bundle, spec.options, out_dir, executor)
                 files += written
                 if row is not None:
                     tables.setdefault(point.row[0], []).append(row)
@@ -419,7 +436,6 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1) -> list[Path]:
         for name, rows in tables.items():
             _write_csv(out_dir / name, ROW_HEADER, rows)
             files.append(out_dir / name)
-        snapshot = _snapshot(build_bundle(spec.overrides))
 
     files.append(_write_plot_script(out_dir))
     spec = ExperimentSpec(spec.name, spec.overrides, spec.output_dir,
@@ -571,6 +587,14 @@ def parse_cli(argv) -> tuple[ExperimentSpec, int]:
     if args.command == "threshold" and args.t_mode != "mean-curve" and not args.random:
         parser.error(f"--t-mode {args.t_mode} needs --random: only an ensemble has per-sample crossings")
     overrides = _collect_overrides(args)
+    if args.command == "oracle-check":
+        flags = {"sim.t_max": ("--tmax", args.tmax), "sim.grid_dt": ("--grid-dt", args.grid_dt),
+                 "sim.ensemble_n": ("--ensemble", args.ensemble)}
+        ignored = [flags[k][0] if flags.get(k, (k, None))[1] is not None else k
+                   for k in overrides if k not in ORACLE_KEYS]
+        if ignored:
+            parser.error(f"oracle-check runs fixed configurations and reads only --step and --seed; "
+                         f"it would ignore {', '.join(ignored)}")
     workers = (os.cpu_count() or 1) if args.threads == "auto" else args.threads
     name, options = args.command, {}
     if name == "run":

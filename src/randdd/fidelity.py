@@ -27,7 +27,7 @@ from . import errors
 from .errors import BlowUpError, ValidationError
 from .model import InitialState, PulseParams, SimConfig, SystemParams
 from .pulsegen import RandomStream, generate_random
-from .riccati import QTrajectory, integrate_with
+from .riccati import QTrajectory, exact_factors, integrate_with, lane_groups
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,37 @@ class EnsembleFactors:
         return _combine(self.e2, self.e1, mu2)
 
 
-def _sample_factors(args):
-    system, pulses, sim, k = args
-    stream = RandomStream.for_schedule(sim.master_seed, k)
-    schedule = generate_random(pulses, sim.t_max, stream)
-    try:
-        traj = integrate_with(schedule, system, sim, sample_index=k)
-    except BlowUpError as exc:
-        raise BlowUpError(exc.t, exc.magnitude, k, sim.master_seed) from exc
-    return traj.decay_factor(), np.real(traj.coherence_factor())
+def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray) -> None:
+    """Factor rows of samples ks into e2 and e1 (one row per sample).
+
+    An exact group advances as lanes of one kernel call. rk4, a lone sample,
+    or a group in which any lane failed a check runs one sample at a time in
+    k order, so a BlowUpError names the first failing sample and the seed.
+    """
+    def schedules():
+        return (generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, k)) for k in ks)
+
+    if sim.integrator == "exact" and len(ks) > 1:
+        try:
+            exact_factors(schedules(), system, sim, e2, e1, list(ks))
+            return
+        except BlowUpError:
+            pass
+    for row, (k, schedule) in enumerate(zip(ks, schedules())):
+        try:
+            traj = integrate_with(schedule, system, sim, sample_index=k)
+        except BlowUpError as exc:
+            raise BlowUpError(exc.t, exc.magnitude, k, sim.master_seed) from exc
+        e2[row] = traj.decay_factor()
+        e1[row] = np.real(traj.coherence_factor())
+
+
+def _group_factors(args) -> tuple[np.ndarray, np.ndarray]:
+    system, pulses, sim, ks = args
+    e2 = np.empty((len(ks), sim.grid_size()))
+    e1 = np.empty_like(e2)
+    _fill_group(system, pulses, sim, ks, e2, e1)
+    return e2, e1
 
 
 def ensemble_functionals(
@@ -131,8 +153,10 @@ def ensemble_functionals(
     """Integrate one trajectory per sample stream and stack the factors.
 
     Sample k uses schedule stream (master_seed, k); the stack is ordered by
-    k regardless of how many workers ran. A deviation-free configuration is
-    integrated once and replicated (every sample would be identical).
+    k regardless of how many workers ran. Samples run in lane groups
+    (riccati.lane_groups); a pool maps whole groups. A deviation-free
+    configuration is integrated once and replicated (every sample would be
+    identical).
     """
     grid = sim.output_grid()
     n = sim.ensemble_n
@@ -142,21 +166,25 @@ def ensemble_functionals(
         "integrator": sim.integrator,
     }
     degenerate = pulses.d_tau == 0.0 and pulses.d_delta == 0.0 and pulses.d_phi == 0.0
-    if degenerate:
-        e2_row, e1_row = _sample_factors((system, pulses, sim, 0))
-        e2 = np.tile(e2_row, (n, 1))
-        e1 = np.tile(e1_row, (n, 1))
-        return EnsembleFactors(grid, e2, e1, {**meta, "degenerate": True})
-    tasks = [(system, pulses, sim, k) for k in range(n)]
-    if executor is not None:
-        results = list(executor.map(_sample_factors, tasks, chunksize=max(1, n // 64)))
-    elif workers > 1:
+    if not degenerate and executor is None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sample_factors, tasks, chunksize=max(1, n // (4 * workers))))
+            return ensemble_functionals(system, pulses, sim, executor=pool)
+    e2 = np.empty((n, len(grid)))
+    e1 = np.empty_like(e2)
+    if degenerate:
+        _fill_group(system, pulses, sim, range(1), e2[:1], e1[:1])
+        e2[1:] = e2[0]
+        e1[1:] = e1[0]
+        return EnsembleFactors(grid, e2, e1, {**meta, "degenerate": True})
+    groups = lane_groups(n, system, pulses, sim)
+    if executor is not None:
+        tasks = [(system, pulses, sim, ks) for ks in groups]
+        for ks, (a, b) in zip(groups, executor.map(_group_factors, tasks)):
+            e2[ks.start:ks.stop] = a
+            e1[ks.start:ks.stop] = b
     else:
-        results = [_sample_factors(t) for t in tasks]
-    e2 = np.vstack([r[0] for r in results])
-    e1 = np.vstack([r[1] for r in results])
+        for ks in groups:
+            _fill_group(system, pulses, sim, ks, e2[ks.start:ks.stop], e1[ks.start:ks.stop])
     return EnsembleFactors(grid, e2, e1, meta)
 
 

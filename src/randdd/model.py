@@ -145,11 +145,13 @@ class PulseParams:
 
 _INTEGRATORS = ("exact", "rk4")
 
-# size limits checked before anything is allocated; the largest default
-# runs use ~9e3 samples, ~4.5e3 pulses and ~1e6 ensemble cells
+# size limits checked before anything is allocated or run; the largest
+# default runs use ~9e3 samples, ~4.5e3 pulses, ~1e6 ensemble cells and
+# 1e5 RK4 steps per trajectory
 MAX_GRID_POINTS = 10**7
 MAX_PULSES = 10**7
 MAX_ENSEMBLE_CELLS = 2 * 10**7
+MAX_RK4_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -185,10 +187,17 @@ class SimConfig:
             raise ValidationError(errors.THRESHOLD_OUT_OF_RANGE, f"threshold = {self.threshold}")
         if self.integrator not in _INTEGRATORS:
             raise ValidationError(errors.INTEGRATOR_UNKNOWN, f"integrator = {self.integrator!r}")
-        n_grid = self.grid_size()
-        if n_grid > MAX_GRID_POINTS:
+        # the ratio test keeps a huge t_max / grid_dt from reaching int()
+        if self.t_max / self.grid_dt >= MAX_GRID_POINTS or self.grid_size() > MAX_GRID_POINTS:
             raise ValidationError(
-                errors.GRID_TOO_LARGE, f"t_max / grid_dt gives {n_grid} output samples, limit {MAX_GRID_POINTS}"
+                errors.GRID_TOO_LARGE,
+                f"t_max / grid_dt = {self.t_max / self.grid_dt:.6g}, limit {MAX_GRID_POINTS} output samples",
+            )
+        # RK4 takes at least ceil(t_max / step) steps; the exact integrator ignores step
+        if self.integrator == "rk4" and self.t_max / self.step > MAX_RK4_STEPS:
+            raise ValidationError(
+                errors.STEPS_TOO_MANY,
+                f"t_max / step = {self.t_max / self.step:.6g} RK4 steps, limit {MAX_RK4_STEPS}",
             )
         return self
 
@@ -242,10 +251,9 @@ def validate(
     system.check()
     pulses.check(allow_overlap=allow_overlap)
     sim.check()
-    n_pulses = math.ceil(sim.t_max / pulses.tau)
-    if n_pulses > MAX_PULSES:
+    if sim.t_max / pulses.tau > MAX_PULSES:  # ceil(t_max / tau) pulses
         raise ValidationError(
-            errors.PULSES_TOO_MANY, f"ceil(t_max / tau) = {n_pulses} pulses, limit {MAX_PULSES}"
+            errors.PULSES_TOO_MANY, f"t_max / tau = {sim.t_max / pulses.tau:.6g} pulses, limit {MAX_PULSES}"
         )
     cells = sim.ensemble_n * sim.grid_size()
     if cells > MAX_ENSEMBLE_CELLS:

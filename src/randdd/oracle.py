@@ -259,18 +259,22 @@ def run_oracle_check(
     """
     report: dict = {"params": {}, "seeds": {"master_seed": seed}}
 
+    # both configurations are validated before either runs
     sys_nc = SystemParams(omega=1.0, Gamma=1.0, gamma=0.2)
-    sim_nc = SimConfig(t_max=10.0, step=step, grid_dt=0.01, ensemble_n=1, master_seed=seed)
+    sim_nc = SimConfig(t_max=10.0, step=step, grid_dt=0.01, ensemble_n=1, master_seed=seed, integrator="rk4")
+    system = SystemParams(omega=1.0, Gamma=1.0, gamma=0.3)
+    pulses = PulseParams(tau=0.02, delta=0.008, phi=0.2)
+    sim = SimConfig(t_max=3.0, step=step, grid_dt=0.01, ensemble_n=1, master_seed=seed, integrator="rk4")
+    init = InitialState.from_population(0.6, rel_phase=0.3)
+    sys_nc.check()
+    sim_nc.check()
+    validate(system, pulses, sim, init)
+
     traj = integrate(empty_schedule(sim_nc.t_max), sys_nc, sim_nc)
     ref = closed_form_barQ(sys_nc, traj.grid)
     report["max_nocontrol_dev"] = float(np.max(np.abs(np.exp(-traj.j) - ref)))
     report["params"]["nocontrol"] = {"gamma": 0.2, "t_max": 10.0, "step": step}
 
-    system = SystemParams(omega=1.0, Gamma=1.0, gamma=0.3)
-    pulses = PulseParams(tau=0.02, delta=0.008, phi=0.2)
-    sim = SimConfig(t_max=3.0, step=step, grid_dt=0.01, ensemble_n=1, master_seed=seed, integrator="rk4")
-    init = InitialState.from_population(0.6, rel_phase=0.3)
-    validate(system, pulses, sim, init)
     schedule = generate_regular(pulses, sim.t_max)
 
     traj = integrate(schedule, system, sim)

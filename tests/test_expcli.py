@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randdd import expcli
+from randdd import expcli, oracle
 from randdd.expcli import (
+    CONFIG_KEYS,
     ExperimentSpec,
     build_bundle,
     fmt,
@@ -300,16 +305,55 @@ def test_flag_ignored_by_control_exits_2(tmp_path, capsys, argv, flag):
     (["--tmax", "1e12"], "grid-too-large"),
     (["--set", "pulses.tau=1e-9", "--set", "pulses.delta=1e-10"], "pulse-count-too-large"),
     (["--ensemble", "100000", "--tmax", "2000"], "ensemble-too-large"),
-], ids=["grid", "pulses", "ensemble-cells"])
+    (["--set", "sim.integrator=rk4", "--step", "1e-12"], "step-count-too-large"),
+], ids=["grid", "pulses", "ensemble-cells", "rk4-steps"])
 def test_oversized_run_fails_validation(tmp_path, capsys, monkeypatch, argv, code):
-    # the size checks must fire before any grid, schedule or ensemble exists
+    # the size checks must fire before any grid, schedule, ensemble or
+    # integration exists, and before the output directory is created
     def never(*args, **kwargs):
         raise AssertionError("allocated before validation")
 
     monkeypatch.setattr(SimConfig, "output_grid", never)
     for name in ("ensemble_functionals", "generate_random", "generate_regular", "integrate_with"):
         monkeypatch.setattr(expcli, name, never)
-    assert run_cli(["run", *argv, "--out", str(tmp_path)]) == 3
+    out = tmp_path / "out"
+    assert run_cli(["run", *argv, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert code in err and "Traceback" not in err
-    assert not (tmp_path / "curve.csv").exists()
+    assert not out.exists()
+
+
+def test_oracle_check_rejects_ignored_overrides(tmp_path, capsys):
+    # oracle-check runs fixed configurations: only --step and --seed reach it
+    out = tmp_path / "oracle"
+    argv = ["oracle-check", "--tmax", "5", "--ensemble", "7", "--set", "system.gamma=0.9", "--out", str(out)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("--tmax", "--ensemble", "system.gamma")) and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_oracle_check_step_bound_runs_nothing(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before validation")
+
+    monkeypatch.setattr(oracle, "integrate", never)
+    out = tmp_path / "oracle"
+    assert run_cli(["oracle-check", "--step", "1e-9", "--out", str(out)]) == 3
+    assert "step-count-too-large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "-0.0", "0", "1e-300", "1e300", "abc")
+
+
+@pytest.mark.filterwarnings("ignore:d_phi")
+@given(key=st.sampled_from(sorted(CONFIG_KEYS)), value=st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=4 * len(CONFIG_KEYS) * len(FUZZ_VALUES), deadline=None)
+def test_validate_fuzz_every_key_exits_cleanly(key, value):
+    # validate runs nothing; every bad value must map to a documented exit code
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["validate", "--set", f"{key}={value}"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -15,8 +15,10 @@ from randdd.fidelity import (
 )
 from randdd.model import InitialState, PulseParams, SimConfig, SystemParams
 from randdd.oracle import closed_form_barQ
-from randdd.pulsegen import RandomStream, empty_schedule
-from randdd.riccati import QTrajectory, integrate_exact
+from randdd import riccati
+from randdd.errors import BlowUpError
+from randdd.pulsegen import RandomStream, empty_schedule, generate_random
+from randdd.riccati import QTrajectory, integrate_exact, lane_groups
 
 
 @pytest.fixture(scope="module")
@@ -213,13 +215,50 @@ def test_ensemble_blowup_tagged_with_sample_and_seed():
     sys_pole = SystemParams(omega=1e-9, Gamma=100.0, gamma=0.5)
     pulses = PulseParams(0.02, 0.008, 1e-5, d_phi=1e-6)  # control too weak to lift the pole
     sim = SimConfig(t_max=1.0, grid_dt=0.01, ensemble_n=2, master_seed=42, integrator="rk4")
-    from randdd.errors import BlowUpError
-
     with pytest.raises(BlowUpError) as err:
         ensemble_functionals(sys_pole, pulses, sim)
     assert err.value.sample_index == 0
     assert err.value.master_seed == 42
     assert "master_seed 42" in str(err.value)
+
+
+def test_exact_ensemble_blowup_matches_per_sample_path(monkeypatch):
+    # a bound between the samples' peak |Q| makes several lanes of one group
+    # fail; the error is the one the samples integrated in k order give, not
+    # the one the lanes hit first in their short windows
+    sim = SimConfig(t_max=2.0, grid_dt=0.02, ensemble_n=6, master_seed=42)
+    schedules = [generate_random(RAND_PULSES, sim.t_max, RandomStream.for_schedule(42, k)) for k in range(6)]
+
+    def peak(schedule):  # max |Q| over every breakpoint, as the check sees it
+        monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", 0.0)
+        with pytest.raises(BlowUpError) as err:
+            integrate_exact(schedule, SYS3, sim)
+        return err.value.magnitude
+
+    peaks = [peak(s) for s in schedules]
+    bound = peaks[0]  # the group's first lane stays within it
+    assert sum(p > bound for p in peaks) >= 2
+    monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", bound)
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 6 * 8)
+    k = next(k for k, s in enumerate(schedules) if peaks[k] > bound)
+    with pytest.raises(BlowUpError) as per_sample:
+        integrate_exact(schedules[k], SYS3, sim, sample_index=k)
+    want = (per_sample.value.t, per_sample.value.magnitude, k, 42)
+    e2, e1 = np.empty((6, sim.grid_size())), np.empty((6, sim.grid_size()))
+    with pytest.raises(BlowUpError) as in_lanes:
+        riccati.exact_factors(iter(schedules), SYS3, sim, e2, e1, list(range(6)))
+    assert (in_lanes.value.t, in_lanes.value.magnitude) != want[:2]
+    with pytest.raises(BlowUpError) as err:
+        ensemble_functionals(SYS3, RAND_PULSES, sim)
+    assert (err.value.t, err.value.magnitude, err.value.sample_index, err.value.master_seed) == want
+
+
+def test_ensemble_workers_agree_on_uneven_lane_groups():
+    sim = SimConfig(t_max=1.0, grid_dt=0.02, ensemble_n=33, master_seed=8)
+    assert [len(g) for g in lane_groups(33, SYS3, RAND_PULSES, sim)] == [17, 16]
+    serial = ensemble_functionals(SYS3, RAND_PULSES, sim, workers=1)
+    parallel = ensemble_functionals(SYS3, RAND_PULSES, sim, workers=2)
+    assert np.array_equal(serial.e2, parallel.e2) and np.array_equal(serial.e1, parallel.e1)
 
 
 def test_curve_csv_schema(tmp_path, nocontrol_traj):

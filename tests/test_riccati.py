@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randdd import riccati
 from randdd.errors import BlowUpError, DegenerateDiscriminantError, ValidationError
 from randdd.model import PulseParams, SimConfig, SystemParams
 from randdd.oracle import closed_form_barQ
 from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular
 from randdd.riccati import (
+    _breakpoints,
+    _propagate,
+    exact_factors,
     integrate,
     integrate_exact,
     markov_fixed_point,
@@ -183,3 +187,61 @@ def test_trajectory_dump(tmp_path, system02):
     assert len(lines) == len(traj.grid) + 1
     cells = lines[1].split(",")
     assert float(cells[0]) == 0.0 and float(cells[1]) == 0.0
+
+
+# --- lane-batched exact kernel -----------------------------------------------
+
+LANE_CASES = {
+    # (system, pulses, check on the lane schedules and tables)
+    "ragged": (SystemParams(gamma=0.2), PulseParams(0.02, 0.008, 0.2, d_tau=0.006, d_phi=0.1), None),
+    "subdivided": (SystemParams(gamma=0.3), PulseParams(0.5, 0.2, 60.0, d_tau=0.1, d_delta=0.05), "subdivided"),
+    "clamped": (SystemParams(gamma=0.5), PulseParams(0.02, 0.014, 0.2, d_tau=0.004, d_delta=0.004), "clamped"),
+    "width-only": (SystemParams(gamma=0.9), PulseParams(0.02, 0.008, 0.2, d_delta=0.004), None),
+}
+
+
+@pytest.mark.parametrize("width", [1, 7, 64, None], ids=["w1", "w7", "w64", "default"])
+@pytest.mark.parametrize("case", sorted(LANE_CASES))
+def test_lanes_are_bitwise_one_lane_runs(monkeypatch, case, width):
+    # width 1 puts a window edge on every breakpoint, grid points and pulse
+    # edges alike; 7 and 64 put them at mixed positions and span many windows
+    system, pulses, extra = LANE_CASES[case]
+    sim = SimConfig(t_max=3.0, grid_dt=0.01, ensemble_n=5)
+    n = sim.ensemble_n
+    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(11, k)) for k in range(n)]
+    singles = [integrate_exact(s, system, sim) for s in schedules]
+    tables = [_breakpoints(s, system, sim, subdivide=True) for s in schedules]
+    if pulses.d_tau:
+        assert len({len(t[1]) for t in tables}) > 1  # ragged lane lengths
+    if extra == "subdivided":
+        assert all(len(t[1]) > len(_breakpoints(s, system, sim)[1]) for s, t in zip(schedules, tables))
+    if extra == "clamped":
+        assert any(np.any(s.ends[:-1] == s.starts[1:]) for s in schedules)
+    if width is not None:
+        monkeypatch.setattr(riccati, "WINDOW_ELEMS", width * n)
+        edges = tables[0][1][::width]
+        assert np.isin(edges, sim.output_grid()).any() and np.isin(edges, schedules[0].starts).any()
+
+    g = sim.grid_size()
+    q, j = np.empty((n, g), dtype=complex), np.empty((n, g), dtype=complex)
+    _propagate([t[1] for t in tables], [t[2] for t in tables], np.array([t[3] for t in tables]),
+               system, (q, j), list(range(n)))
+    e2, e1 = np.empty((n, g)), np.empty((n, g))
+    exact_factors(iter(schedules), system, sim, e2, e1, list(range(n)))
+    for k, traj in enumerate(singles):
+        assert np.array_equal(q[k], traj.q) and np.array_equal(j[k], traj.j)
+        assert np.array_equal(e2[k], traj.decay_factor())
+        assert np.array_equal(e1[k], np.real(traj.coherence_factor()))
+
+
+def test_lane_blowup_names_a_failing_lane(monkeypatch):
+    system = SystemParams(gamma=0.3)
+    pulses = PulseParams(0.02, 0.008, 0.2, d_tau=0.004, d_delta=0.004)
+    sim = SimConfig(t_max=2.0, grid_dt=0.02, ensemble_n=4)
+    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(3, k)) for k in range(4)]
+    peaks = [np.max(np.abs(integrate_exact(s, system, sim).q)) for s in schedules]
+    monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", float(np.median(peaks)))
+    e2, e1 = np.empty((4, sim.grid_size())), np.empty((4, sim.grid_size()))
+    with pytest.raises(BlowUpError) as err:
+        exact_factors(iter(schedules), system, sim, e2, e1, [10, 11, 12, 13])
+    assert peaks[err.value.sample_index - 10] > riccati.DEFAULT_BLOWUP
