@@ -39,7 +39,6 @@ from .pulsegen import (
     save_schedule,
 )
 from .riccati import (
-    QState,
     QTrajectory,
     integrate,
     integrate_exact,

@@ -73,6 +73,7 @@ SEED_OUT_OF_RANGE = "seed-out-of-range"
 THRESHOLD_OUT_OF_RANGE = "threshold-out-of-range"
 INTEGRATOR_UNKNOWN = "integrator-unknown"
 GRID_TOO_LARGE = "grid-too-large"
+GRID_DT_BELOW_MERGE = "grid-dt-below-merge-tolerance"
 PULSES_TOO_MANY = "pulse-count-too-large"
 ENSEMBLE_TOO_LARGE = "ensemble-too-large"
 STEPS_TOO_MANY = "step-count-too-large"

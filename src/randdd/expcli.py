@@ -85,6 +85,11 @@ N_BOOT = 200
 # the only settings oracle-check reads (--step, --seed)
 ORACLE_KEYS = ("sim.step", "sim.master_seed")
 
+# config key set by each common flag, by argparse dest (--grid-dt: grid_dt)
+FLAG_KEYS = {"seed": "sim.master_seed", "ensemble": "sim.ensemble_n", "step": "sim.step",
+             "grid_dt": "sim.grid_dt", "tmax": "sim.t_max"}
+MAX_SWEEP_RATIOS = 1000  # per --grid; the default grids have at most 12
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -505,6 +510,8 @@ def _grid_spec(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}, expected start:stop:step") from exc
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
+    if not (stop - start) / step < MAX_SWEEP_RATIOS:
+        raise argparse.ArgumentTypeError(f"grid {text!r} asks for more than {MAX_SWEEP_RATIOS} ratios")
     return [float(x) for x in np.round(np.arange(start, stop + 1e-9, step), 10)]
 
 
@@ -563,16 +570,7 @@ def _collect_overrides(args) -> dict:
         if not sep:
             raise ValidationError(errors.BAD_VALUE, f"--set expects KEY=VALUE, got {item!r}")
         raw[key.strip()] = value.strip()
-    if args.seed is not None:
-        raw["sim.master_seed"] = args.seed
-    if args.ensemble is not None:
-        raw["sim.ensemble_n"] = args.ensemble
-    if args.step is not None:
-        raw["sim.step"] = args.step
-    if args.grid_dt is not None:
-        raw["sim.grid_dt"] = args.grid_dt
-    if args.tmax is not None:
-        raw["sim.t_max"] = args.tmax
+    raw.update((key, vars(args)[dest]) for dest, key in FLAG_KEYS.items() if vars(args)[dest] is not None)
     return resolve_overrides(raw)
 
 
@@ -588,10 +586,9 @@ def parse_cli(argv) -> tuple[ExperimentSpec, int]:
         parser.error(f"--t-mode {args.t_mode} needs --random: only an ensemble has per-sample crossings")
     overrides = _collect_overrides(args)
     if args.command == "oracle-check":
-        flags = {"sim.t_max": ("--tmax", args.tmax), "sim.grid_dt": ("--grid-dt", args.grid_dt),
-                 "sim.ensemble_n": ("--ensemble", args.ensemble)}
-        ignored = [flags[k][0] if flags.get(k, (k, None))[1] is not None else k
-                   for k in overrides if k not in ORACLE_KEYS]
+        flags = {key: "--" + dest.replace("_", "-")
+                 for dest, key in FLAG_KEYS.items() if vars(args)[dest] is not None}
+        ignored = [flags.get(k, k) for k in overrides if k not in ORACLE_KEYS]
         if ignored:
             parser.error(f"oracle-check runs fixed configurations and reads only --step and --seed; "
                          f"it would ignore {', '.join(ignored)}")

@@ -147,7 +147,6 @@ def ensemble_functionals(
     pulses: PulseParams,
     sim: SimConfig,
     *,
-    workers: int = 1,
     executor: ProcessPoolExecutor | None = None,
 ) -> EnsembleFactors:
     """Integrate one trajectory per sample stream and stack the factors.
@@ -166,9 +165,6 @@ def ensemble_functionals(
         "integrator": sim.integrator,
     }
     degenerate = pulses.d_tau == 0.0 and pulses.d_delta == 0.0 and pulses.d_phi == 0.0
-    if not degenerate and executor is None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return ensemble_functionals(system, pulses, sim, executor=pool)
     e2 = np.empty((n, len(grid)))
     e1 = np.empty_like(e2)
     if degenerate:
@@ -194,11 +190,10 @@ def ensemble_mean(
     sim: SimConfig,
     *,
     mu2: float | None = None,
-    workers: int = 1,
     executor: ProcessPoolExecutor | None = None,
 ) -> FidelityCurve:
     """Pointwise mean (and standard error) of the per-sample fidelity."""
-    factors = ensemble_functionals(system, pulses, sim, workers=workers, executor=executor)
+    factors = ensemble_functionals(system, pulses, sim, executor=executor)
     return factors.mean_curve(mu2)
 
 

@@ -193,6 +193,10 @@ class SimConfig:
                 errors.GRID_TOO_LARGE,
                 f"t_max / grid_dt = {self.t_max / self.grid_dt:.6g}, limit {MAX_GRID_POINTS} output samples",
             )
+        from .pulsegen import merge_tol  # pulsegen imports this module
+        if not self.grid_dt > 2.0 * merge_tol(self.t_max):  # closer output times would share breakpoints
+            raise ValidationError(errors.GRID_DT_BELOW_MERGE, f"grid_dt = {self.grid_dt} must exceed "
+                                  f"twice the breakpoint merge tolerance {merge_tol(self.t_max)}")
         # RK4 takes at least ceil(t_max / step) steps; the exact integrator ignores step
         if self.integrator == "rk4" and self.t_max / self.step > MAX_RK4_STEPS:
             raise ValidationError(

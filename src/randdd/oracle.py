@@ -128,9 +128,6 @@ class PseudomodeResult:
         M = self.n_max + 1
         return np.trace(self.rhos[:, :M, M:], axis1=1, axis2=2)
 
-    def state(self, i: int) -> np.ndarray:
-        return self.rhos[i]
-
 
 def _mode_operators(n_max: int):
     M = n_max + 1

@@ -140,7 +140,8 @@ class PulseSchedule:
                           (errors.SCHEDULE_PULSE_OVERLAP, overlap), (errors.SCHEDULE_PULSE_OUTSIDE, outside)):
             if bad.any():
                 i = int(np.argmax(bad))
-                raise errors.ValidationError(code, f"pulse {i} {self.pulses[i]} on [0, {self.horizon}]")
+                pulse = Pulse(float(self.starts[i]), float(self.widths[i]), float(self.areas[i]))
+                raise errors.ValidationError(code, f"pulse {i} {pulse} on [0, {self.horizon}]")
         return self
 
 
@@ -197,12 +198,6 @@ def field_at(schedule: PulseSchedule, t: float) -> float:
     return 0.0
 
 
-def merge_times(times: np.ndarray, tol: float) -> np.ndarray:
-    """Sort and collapse near-duplicate times (keeps the first of a cluster)."""
-    t = np.sort(np.asarray(times, dtype=float))
-    return t[np.append(True, np.diff(t) > tol)] if len(t) else t
-
-
 def control_integral(schedule: PulseSchedule, t) -> np.ndarray | float:
     """Exact running integral of c(s) over [0, t]; vectorizes over t.
 
@@ -222,24 +217,64 @@ def control_integral(schedule: PulseSchedule, t) -> np.ndarray | float:
     return out if np.ndim(t) else float(out[0])
 
 
-def segment_table(schedule: PulseSchedule, extra_times: Sequence[float] | np.ndarray = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints covering [0, horizon] and the constant c on each interval.
+def merge_tol(t: float) -> float:
+    """Times closer than this on a horizon t are merged into one breakpoint."""
+    return _REL_TOL * max(1.0, t)
+
+
+def breakpoint_table(schedule: PulseSchedule, times: np.ndarray, t_max: float | None = None,
+                     pieces=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints, the constant c on each interval, and the breakpoint index of each time.
 
     The breakpoints are 0, the horizon and every on/off edge of c(t), merged
-    with extra_times (for example output-grid points) so integrators land on them.
+    with the ascending times so integrators land on them. In the sorted union
+    a time within merge_tol(horizon) of its predecessor joins its cluster,
+    which keeps its first time; times[k]'s index is its cluster's breakpoint.
+    With t_max, breakpoints from t_max + merge_tol(t_max) on are cut.
+    pieces(lengths, c) gives the equal pieces each interval is split into.
     """
     h = schedule.horizon
-    tol = _REL_TOL * max(1.0, h)
-    starts, ends = schedule.starts, schedule.ends
-    edges = merge_times(np.concatenate([[0.0, h], starts, ends[ends < h]]), tol)
-    pts = merge_times(np.concatenate([edges, np.asarray(extra_times, dtype=float)]), tol)
-    pts = pts[(pts >= -tol) & (pts <= h * (1 + _REL_TOL))]
+    tol = merge_tol(h)
+    edges = np.sort(np.concatenate([[0.0, h], schedule.starts, schedule.ends[schedule.ends < h]]))
+    edges = edges[np.append(True, np.diff(edges) > tol)]
+    # merge the times in by position: a time goes after the edges <= it
+    at = np.searchsorted(edges, times, side="right") + np.arange(len(times))
+    is_time = np.zeros(len(edges) + len(times), dtype=bool)
+    is_time[at] = True
+    merged = np.empty(len(is_time))
+    merged[at], merged[~is_time] = times, edges
+    keep = np.append(True, np.diff(merged) > tol)
+    pts = merged[keep]
+    lo = np.searchsorted(pts, -tol)
+    hi = np.searchsorted(pts, h * (1 + _REL_TOL), side="right")
+    if t_max is not None:
+        hi = min(hi, np.searchsorted(pts, t_max + merge_tol(t_max)))
+    pts = pts[lo:hi]
+    idx = (np.cumsum(keep) - 1 - lo)[at]
     mids = 0.5 * (pts[:-1] + pts[1:])
     c = np.zeros(len(mids))
     if len(schedule):
-        idx = np.searchsorted(starts, mids, side="right") - 1
-        on = (idx >= 0) & (mids < ends[idx])
-        c[on] = schedule.strengths[idx[on]]
+        i = np.searchsorted(schedule.starts, mids, side="right") - 1
+        on = (i >= 0) & (mids < schedule.ends[i])
+        c[on] = schedule.strengths[i[on]]
+    if pieces is None:
+        return pts, c, idx
+    lengths = np.diff(pts)
+    nsub = np.maximum(1, np.ceil(pieces(lengths, c) - 1e-12).astype(int))
+    if not (nsub > 1).any():
+        return pts, c, idx
+    # piece k of n on [a, b] ends at a + (b - a) * k / n, the last one at b
+    first = np.append(0, np.cumsum(nsub))
+    k = np.arange(1, first[-1] + 1) - np.repeat(first[:-1], nsub)
+    inner = np.repeat(pts[:-1], nsub) + np.repeat(lengths, nsub) * k / np.repeat(nsub, nsub)
+    inner[first[1:] - 1] = pts[1:]
+    return np.append(pts[:1], inner), np.repeat(c, nsub), first[idx]
+
+
+def segment_table(schedule: PulseSchedule, extra_times: Sequence[float] | np.ndarray = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints covering [0, horizon] and the constant c on each interval,
+    merged with extra_times in any order (see breakpoint_table)."""
+    pts, c, _ = breakpoint_table(schedule, np.sort(np.asarray(extra_times, dtype=float)))
     return pts, c
 
 

@@ -32,20 +32,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
 
 import numpy as np
 
 from .errors import BlowUpError, DegenerateDiscriminantError, ValidationError, HORIZON_SHORT
 from .model import PulseParams, SimConfig, SystemParams
-from .pulsegen import PulseSchedule, segment_table
+from .pulsegen import PulseSchedule, breakpoint_table
 
 DEFAULT_BLOWUP = 1e6
-
-
-class QState(NamedTuple):
-    q: complex
-    j: complex
 
 
 @dataclass(frozen=True)
@@ -55,9 +50,6 @@ class QTrajectory:
     grid: np.ndarray
     q: np.ndarray
     j: np.ndarray
-
-    def state(self, i: int) -> QState:
-        return QState(complex(self.q[i]), complex(self.j[i]))
 
     def decay_factor(self) -> np.ndarray:
         """exp(-2 Re J): the population damping envelope."""
@@ -102,9 +94,16 @@ def _steps_for(length: float, step: float) -> int:
     return max(1, int(math.ceil(length / step * (1.0 - 1e-12))))
 
 
+def _phase_pieces(system: SystemParams, lengths, c):
+    """Pieces of at most ~1.5 rad of exp(-J)'s phase over lengths at field c,
+    from the rate bound omega + |c| + gamma + sqrt(2 Gamma gamma)."""
+    rate = system.omega + np.abs(c) + system.gamma + math.sqrt(2.0 * system.Gamma * system.gamma)
+    return lengths * rate / 1.5
+
+
 def _breakpoints(schedule: PulseSchedule, system: SystemParams, sim: SimConfig,
                  subdivide: bool = False):
-    """Segment table cut at t_max, plus the output-grid sample positions.
+    """Output grid, segment table cut at t_max, and each grid time's breakpoint index.
 
     With subdivide=True long segments are split so that the phase of
     exp(-J) advances less than ~1.5 rad per piece (keeps the closed-form
@@ -115,35 +114,8 @@ def _breakpoints(schedule: PulseSchedule, system: SystemParams, sim: SimConfig,
             HORIZON_SHORT, f"schedule horizon {schedule.horizon} < t_max {sim.t_max}"
         )
     grid = sim.output_grid()
-    pts, c = segment_table(schedule, extra_times=grid)
-    tol = 1e-12 * max(1.0, sim.t_max)
-    cut = np.searchsorted(pts, sim.t_max + tol)
-    pts, c = pts[:cut], c[: cut - 1]
-
-    if subdivide:
-        rate = system.omega + np.abs(c) + system.gamma + math.sqrt(2.0 * system.Gamma * system.gamma)
-        lengths = np.diff(pts)
-        nsub = np.maximum(1, np.ceil(lengths * rate / 1.5 - 1e-12).astype(int))
-        if np.any(nsub > 1):
-            new_pts = [np.array([pts[0]])]
-            new_c = []
-            for a, b, ci, ni in zip(pts[:-1], pts[1:], c, nsub):
-                inner = a + (b - a) * np.arange(1, ni + 1) / ni
-                inner[-1] = b
-                new_pts.append(inner)
-                new_c.append(np.full(ni, ci))
-            pts = np.concatenate(new_pts)
-            c = np.concatenate(new_c)
-
-    # map each grid time to its breakpoint index
-    gi = np.searchsorted(pts, grid)
-    gi = np.clip(gi, 0, len(pts) - 1)
-    left_closer = (gi > 0) & (np.abs(pts[np.maximum(gi - 1, 0)] - grid) < np.abs(pts[gi] - grid))
-    gi[left_closer] -= 1
-    if np.any(np.abs(pts[gi] - grid) > tol):
-        worst = int(np.argmax(np.abs(pts[gi] - grid)))
-        raise AssertionError(f"grid point {grid[worst]} missing from breakpoints")
-    return grid, pts, c, gi
+    pieces = partial(_phase_pieces, system) if subdivide else None
+    return (grid, *breakpoint_table(schedule, grid, sim.t_max, pieces))
 
 
 def integrate(
@@ -233,9 +205,8 @@ def lane_groups(n: int, system: SystemParams, pulses: PulseParams, sim: SimConfi
     A train's table holds about the grid points, two edges per pulse and
     the phase subdivisions at the mean field |phi|/tau.
     """
-    rate = (system.omega + abs(pulses.phi) / pulses.tau + system.gamma
-            + math.sqrt(2.0 * system.Gamma * system.gamma))
-    segments = sim.grid_size() + 2 * math.ceil(sim.t_max / pulses.tau) + math.ceil(sim.t_max * rate / 1.5)
+    segments = (sim.grid_size() + 2 * math.ceil(sim.t_max / pulses.tau)
+                + math.ceil(_phase_pieces(system, sim.t_max, pulses.phi / pulses.tau)))
     lanes = max(1, min(MAX_LANES, LANE_TABLE_BYTES // (16 * segments)))
     size = -(-n // -(-n // lanes))
     return [range(k, min(k + size, n)) for k in range(0, n, size)]

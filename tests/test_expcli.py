@@ -323,6 +323,34 @@ def test_oversized_run_fails_validation(tmp_path, capsys, monkeypatch, argv, cod
     assert not out.exists()
 
 
+def test_grid_finer_than_merge_tolerance_exits_3(tmp_path, capsys):
+    # grid times 2e-13 apart would share breakpoints inside the 1e-12 merge tolerance
+    out = tmp_path / "out"
+    argv = ["run", "--regular", "--tmax", "1e-9", "--grid-dt", "2e-13", "--step", "2e-13", "--ensemble", "1"]
+    assert run_cli([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "grid-dt-below-merge-tolerance" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0:0.5:1e-9", "0:1e300:1e-300", "0:inf:1", "0:nan:0.1", "0:1:0.0005"])
+def test_sweep_grid_is_bounded_before_allocation(tmp_path, capsys, monkeypatch, grid):
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before the bound")
+
+    monkeypatch.setattr(np, "arange", never)
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--param", "phi", "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_grid_at_the_bound_parses():
+    spec, _ = parse_cli(["sweep", "--param", "tau", "--grid", f"0:{expcli.MAX_SWEEP_RATIOS - 1}:1"])
+    assert len(spec.options["grid"]) == expcli.MAX_SWEEP_RATIOS
+
+
 def test_oracle_check_rejects_ignored_overrides(tmp_path, capsys):
     # oracle-check runs fixed configurations: only --step and --seed reach it
     out = tmp_path / "oracle"

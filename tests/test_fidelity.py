@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -143,8 +145,9 @@ def test_ensemble_degenerate_equals_regular():
 
 def test_ensemble_worker_determinism():
     sim = SimConfig(t_max=2.0, grid_dt=0.02, ensemble_n=12, master_seed=77)
-    serial = ensemble_mean(SYS3, RAND_PULSES, sim, workers=1)
-    parallel = ensemble_mean(SYS3, RAND_PULSES, sim, workers=2)
+    serial = ensemble_mean(SYS3, RAND_PULSES, sim)
+    with ProcessPoolExecutor(2) as pool:
+        parallel = ensemble_mean(SYS3, RAND_PULSES, sim, executor=pool)
     np.testing.assert_array_equal(serial.values, parallel.values)
     np.testing.assert_array_equal(serial.stderr, parallel.stderr)
 
@@ -256,8 +259,9 @@ def test_exact_ensemble_blowup_matches_per_sample_path(monkeypatch):
 def test_ensemble_workers_agree_on_uneven_lane_groups():
     sim = SimConfig(t_max=1.0, grid_dt=0.02, ensemble_n=33, master_seed=8)
     assert [len(g) for g in lane_groups(33, SYS3, RAND_PULSES, sim)] == [17, 16]
-    serial = ensemble_functionals(SYS3, RAND_PULSES, sim, workers=1)
-    parallel = ensemble_functionals(SYS3, RAND_PULSES, sim, workers=2)
+    serial = ensemble_functionals(SYS3, RAND_PULSES, sim)
+    with ProcessPoolExecutor(2) as pool:
+        parallel = ensemble_functionals(SYS3, RAND_PULSES, sim, executor=pool)
     assert np.array_equal(serial.e2, parallel.e2) and np.array_equal(serial.e1, parallel.e1)
 
 

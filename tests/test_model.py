@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from randdd.errors import (
     ENSEMBLE_TOO_LARGE,
+    GRID_DT_BELOW_MERGE,
     GRID_TOO_LARGE,
     PULSE_OVERLAP_POSSIBLE,
     PULSES_TOO_MANY,
@@ -26,6 +27,7 @@ from randdd.model import (
     bath_correlation,
     validate,
 )
+from randdd.pulsegen import merge_tol
 
 
 def test_validate_accepts_figure_parameters():
@@ -105,6 +107,16 @@ def test_non_finite_parameters_rejected(bad, standard_pulses):
 def test_grid_size_counts_output_grid(t_max, grid_dt):
     sim = SimConfig(t_max=t_max, step=1e-4, grid_dt=grid_dt)
     assert sim.grid_size() == len(sim.output_grid())
+
+
+def test_grid_dt_must_exceed_twice_the_merge_tolerance():
+    # the tolerance is pulsegen's merge_tol(t_max): 1e-12 for t_max <= 1
+    assert merge_tol(1e-9) == 1e-12
+    SimConfig(t_max=1e-9, step=1e-13, grid_dt=np.nextafter(2e-12, 1.0)).check()
+    for grid_dt in (2e-12, 1e-12, 2e-13):
+        with pytest.raises(ValidationError) as err:
+            SimConfig(t_max=1e-9, step=1e-13, grid_dt=grid_dt).check()
+        assert err.value.code == GRID_DT_BELOW_MERGE
 
 
 def test_size_limits_are_inclusive():

@@ -86,7 +86,7 @@ def test_pseudomode_initial_state():
     init = InitialState.from_population(0.6, rel_phase=0.3)
     sim = SimConfig(t_max=0.1, step=1e-3, grid_dt=0.05, ensemble_n=1)
     pm = pseudomode_evolve(empty_schedule(0.1), SystemParams(gamma=0.3), init, sim)
-    rho0 = pm.state(0)
+    rho0 = pm.rhos[0]
     psi = np.array([init.mu, 0.0, init.nu, 0.0])
     np.testing.assert_allclose(rho0, np.outer(psi, psi.conj()), atol=1e-14)
     assert np.trace(rho0) == pytest.approx(1.0, abs=1e-14)
