@@ -363,7 +363,9 @@ def evaluate(point: Point, bundle: ValidatedBundle, options: dict, out_dir: Path
         return files[-1]
 
     if point.control == "random":
-        factors = ensemble_functionals(system, pulses, sim, executor=executor)
+        # a point that writes only its T row needs the factors up to the column that decides T
+        until = sim.threshold if point.row is not None and not point.curves else None
+        factors = ensemble_functionals(system, pulses, sim, executor=executor, until=until)
         curve_of = factors.mean_curve  # reduces with mu2 as given, not the normalized state's
         if options.get("save_schedule"):
             schedule = generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, 0))

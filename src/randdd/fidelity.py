@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -109,20 +110,22 @@ class EnsembleFactors:
         return _combine(self.e2, self.e1, mu2)
 
 
-def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray) -> None:
-    """Factor rows of samples ks into e2 and e1 (one row per sample).
+def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray, stop=None) -> int:
+    """Factor rows of samples ks into e2 and e1 (one row per sample); returns
+    the number of filled columns.
 
-    An exact group advances as lanes of one kernel call. rk4, a lone sample,
-    or a group in which any lane failed a check runs one sample at a time in
-    k order, so a BlowUpError names the first failing sample and the seed.
+    An exact group advances as lanes of one kernel call, which ends early
+    once stop (see riccati._propagate) holds. rk4, a lone sample, or a group
+    in which any lane failed a check runs one sample at a time in k order
+    over the whole grid, so a BlowUpError names the first failing sample and
+    the seed.
     """
     def schedules():
         return (generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, k)) for k in ks)
 
     if sim.integrator == "exact" and len(ks) > 1:
         try:
-            exact_factors(schedules(), system, sim, e2, e1, list(ks))
-            return
+            return exact_factors(schedules(), system, sim, e2, e1, list(ks), stop)
         except BlowUpError:
             pass
     for row, (k, schedule) in enumerate(zip(ks, schedules())):
@@ -132,14 +135,44 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray) 
             raise BlowUpError(exc.t, exc.magnitude, k, sim.master_seed) from exc
         e2[row] = traj.decay_factor()
         e1[row] = np.real(traj.coherence_factor())
+    return e2.shape[1]
 
 
 def _group_factors(args) -> tuple[np.ndarray, np.ndarray]:
-    system, pulses, sim, ks = args
+    system, pulses, sim, ks, stop = args
     e2 = np.empty((len(ks), sim.grid_size()))
     e1 = np.empty_like(e2)
-    _fill_group(system, pulses, sim, ks, e2, e1)
-    return e2, e1
+    filled = _fill_group(system, pulses, sim, ks, e2, e1, stop)
+    return e2[:, :filled], e1[:, :filled]
+
+
+# A group runs this share of the grid past its own first all-below column.
+# At N 60 and 200 (gamma 0.2, 0.5 and 0.9; tau, phi and delta deviations)
+# the column all groups share lay at most 1.3% of the grid past any
+# group's own, and a group that stops short has to run again.
+STOP_MARGIN = 0.02
+
+
+def _all_below(level: float, e2: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    return _combine(e2, e1, None) < level
+
+
+def _decided_column(below: list[np.ndarray]) -> tuple[int, list[int]]:
+    """First column from 1 on at which every group's lanes are all below, as
+    far as the groups have run; below[g] marks those columns of group g.
+
+    Returns (C, []) once C is known, else (lo, short): no column before lo
+    can be C, and groups short have not run far enough to tell about lo.
+    """
+    lo = 1
+    while True:
+        nxt = []
+        for m in below:
+            hits = np.flatnonzero(m[lo:])
+            nxt.append(lo + int(hits[0]) if len(hits) else max(len(m), lo))
+        if max(nxt) == lo:
+            return lo, [g for g, m in enumerate(below) if not (lo < len(m) and m[lo])]
+        lo = max(nxt)
 
 
 def ensemble_functionals(
@@ -148,6 +181,7 @@ def ensemble_functionals(
     sim: SimConfig,
     *,
     executor: ProcessPoolExecutor | None = None,
+    until: float | None = None,
 ) -> EnsembleFactors:
     """Integrate one trajectory per sample stream and stack the factors.
 
@@ -156,6 +190,16 @@ def ensemble_functionals(
     (riccati.lane_groups); a pool maps whole groups. A deviation-free
     configuration is integrated once and replicated (every sample would be
     identical).
+
+    With until = theta the factors end at the first grid column C at which
+    every sample's state-averaged fidelity is below theta (with room for
+    the rounding of a mean of n samples). The mean curve, every bootstrap
+    resample mean and every sample then cross theta first at or before C,
+    so their threshold times are those of the whole grid. Each group runs
+    STOP_MARGIN of the grid past its own first such column; a group that
+    stopped before the column all groups share is run again from the start
+    with a later minimum column, which gives the same bits. Without such a
+    C the grid is whole.
     """
     grid = sim.output_grid()
     n = sim.ensemble_n
@@ -173,15 +217,39 @@ def ensemble_functionals(
         e1[1:] = e1[0]
         return EnsembleFactors(grid, e2, e1, {**meta, "degenerate": True})
     groups = lane_groups(n, system, pulses, sim)
-    if executor is not None:
-        tasks = [(system, pulses, sim, ks) for ks in groups]
-        for ks, (a, b) in zip(groups, executor.map(_group_factors, tasks)):
-            e2[ks.start:ks.stop] = a
-            e1[ks.start:ks.stop] = b
-    else:
-        for ks in groups:
-            _fill_group(system, pulses, sim, ks, e2[ks.start:ks.stop], e1[ks.start:ks.stop])
-    return EnsembleFactors(grid, e2, e1, meta)
+    filled = [0] * len(groups)
+
+    def run(stops: dict) -> None:
+        """Fill each group of stops (group index -> its kernel stop) from column 0."""
+        if executor is not None:
+            tasks = [(system, pulses, sim, groups[g], stop) for g, stop in stops.items()]
+            for g, (a, b) in zip(stops, executor.map(_group_factors, tasks)):
+                ks = groups[g]
+                filled[g] = a.shape[1]
+                e2[ks.start:ks.stop, :filled[g]] = a
+                e1[ks.start:ks.stop, :filled[g]] = b
+        else:
+            for g, stop in stops.items():
+                ks = groups[g]
+                filled[g] = _fill_group(system, pulses, sim, ks, e2[ks.start:ks.stop], e1[ks.start:ks.stop], stop)
+
+    if until is None:
+        run(dict.fromkeys(range(len(groups))))
+        return EnsembleFactors(grid, e2, e1, meta)
+    # a float mean of n values below theta * (1 - 2 n eps) stays below theta
+    hit = partial(_all_below, until * (1.0 - 2.0 * n * np.finfo(float).eps))
+    extra = int(STOP_MARGIN * len(grid))
+    run(dict.fromkeys(range(len(groups)), (hit, 1, extra)))
+    while True:
+        below = [hit(e2[ks.start:ks.stop, :f], e1[ks.start:ks.stop, :f]).all(axis=0)
+                 for ks, f in zip(groups, filled)]
+        col, short = _decided_column(below)
+        if not short:
+            return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1], meta)
+        if col == len(grid):  # no column decides T: every group runs the whole grid
+            run(dict.fromkeys(g for g, f in enumerate(filled) if f < len(grid)))
+            return EnsembleFactors(grid, e2, e1, meta)
+        run(dict.fromkeys(short, (hit, col, extra)))
 
 
 def ensemble_mean(

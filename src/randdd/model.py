@@ -68,7 +68,7 @@ class InitialState:
         return abs(self.mu) ** 2
 
     def normalized(self) -> "InitialState":
-        n = math.sqrt(abs(self.mu) ** 2 + abs(self.nu) ** 2)
+        n = math.hypot(abs(self.mu), abs(self.nu))  # no overflow for huge finite amplitudes
         if n == 0.0 or not math.isfinite(n):
             raise ValidationError(errors.STATE_NOT_NORMALIZABLE, f"|psi| = {n}")
         if abs(n - 1.0) <= 1e-12:

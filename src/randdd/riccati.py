@@ -276,7 +276,7 @@ class _LaneSteps:
 
 
 def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: tuple,
-               samples: list, factors: bool = False) -> None:
+               samples: list, factors: bool = False, stop: tuple | None = None) -> int:
     """Advance (u, u') of every lane through its segment table, window by window.
 
     Lane l has breakpoints pts[l], fields cs[l] and output-grid breakpoint
@@ -288,6 +288,12 @@ def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: t
     carries its running sum from window to window), so each lane is
     bitwise its one-lane run. A failed check raises BlowUpError for the
     first failing lane of the window.
+
+    stop = (hit, min_col, extra) ends the run early. Its first column is the
+    first one at or past min_col, within the columns every lane has filled,
+    where hit(out[0][:, cols], out[1][:, cols]) is true in every lane. The
+    run ends after the first window that fills more than extra columns past
+    it. Returns the number of columns every lane has filled.
     """
     lanes = len(pts)
     n_seg = max(len(c) for c in cs)
@@ -298,6 +304,9 @@ def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: t
     ends = [-1] + [min(w0 + width, n_seg) for w0 in starts]
     pos = np.array([np.searchsorted(g, ends, side="right") for g in gi])
     lane_ids = np.arange(lanes)
+    if stop is not None:
+        hit, seen, extra = stop
+        first = None
     for w, w0 in enumerate(starts):
         n = min(width, n_seg - w0)
         # a lane past its last segment takes zero-length, field-free steps
@@ -348,6 +357,15 @@ def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: t
         else:
             out[0][lane, col] = q[row, lane]
             out[1][lane, col] = j_grid
+        if stop is not None:
+            prefix = int(pos[:, w + 1].min())
+            if first is None and prefix > seen:
+                cols = np.flatnonzero(hit(out[0][:, seen:prefix], out[1][:, seen:prefix]).all(axis=0))
+                first = seen + int(cols[0]) if len(cols) else None
+                seen = prefix
+            if first is not None and prefix > first + extra:
+                return prefix
+    return gi.shape[1]
 
 
 def integrate_exact(
@@ -371,12 +389,14 @@ def integrate_exact(
 
 
 def exact_factors(schedules, system: SystemParams, sim: SimConfig, e2: np.ndarray, e1: np.ndarray,
-                  samples: list) -> None:
+                  samples: list, stop: tuple | None = None) -> int:
     """Write exp(-2 Re J) and Re exp(-J) of each schedule into the rows of e2 and e1.
 
     All schedules advance together as lanes of the exact kernel, bitwise as
     integrate_exact would give them one by one. schedules may be an iterator:
-    each one is cut into its segment table and then dropped.
+    each one is cut into its segment table and then dropped. Returns the
+    number of filled columns: all of them, or fewer once stop (see
+    _propagate) has ended the run.
     """
     pts, cs = [], []
     gi = np.empty(e2.shape, dtype=np.intp)
@@ -384,7 +404,7 @@ def exact_factors(schedules, system: SystemParams, sim: SimConfig, e2: np.ndarra
         _, p, c, gi[l] = _breakpoints(schedule, system, sim, subdivide=True)
         pts.append(p)
         cs.append(c)
-    _propagate(pts, cs, gi, system, (e2, e1), samples, factors=True)
+    return _propagate(pts, cs, gi, system, (e2, e1), samples, factors=True, stop=stop)
 
 
 def integrate_with(

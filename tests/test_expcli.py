@@ -372,16 +372,43 @@ def test_oracle_check_step_bound_runs_nothing(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,until", [
+    (["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.5", "--tmax", "2"], 0.95),
+    (["threshold", "--random", "--gammas", "0.9", "--tmax", "2", "--set", "sim.threshold=0.99",
+      "--set", "pulses.d_tau=0.004"], 0.99),
+    (["threshold", "--random", "--t-mode", "mean-crossings", "--gammas", "0.9", "--tmax", "2",
+      "--set", "pulses.d_tau=0.004"], 0.95),
+    (["curves", "--family", "mu", "--tmax", "1"], None),
+    (["curves", "--family", "deltatau", "--tmax", "1"], None),
+    (["run", "--mu2", "0.3", "--tmax", "1", "--set", "pulses.d_tau=0.004"], None),
+    (["run", "--tmax", "1", "--set", "pulses.d_tau=0.004"], None),
+])
+def test_only_t_row_points_stop_early(tmp_path, monkeypatch, argv, until):
+    # points that write curves need every column; T rows only those up to C
+    seen = []
+    full = expcli.ensemble_functionals
+
+    def spy(*args, **kw):
+        seen.append(kw.get("until"))
+        return full(*args, **kw)
+
+    monkeypatch.setattr(expcli, "ensemble_functionals", spy)
+    assert run_cli([*argv, "--ensemble", "3", "--grid-dt", "0.02", "--out", str(tmp_path)]) == 0
+    assert seen and set(seen) == {until}
+
+
 FUZZ_VALUES = ("nan", "inf", "-inf", "-0.0", "0", "1e-300", "1e300", "abc")
 
 
 @pytest.mark.filterwarnings("ignore:d_phi")
-@given(key=st.sampled_from(sorted(CONFIG_KEYS)), value=st.sampled_from(FUZZ_VALUES))
+@given(sets=st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KEYS)), st.sampled_from(FUZZ_VALUES)),
+                     min_size=1, max_size=2, unique_by=lambda kv: kv[0]))
 @settings(max_examples=4 * len(CONFIG_KEYS) * len(FUZZ_VALUES), deadline=None)
-def test_validate_fuzz_every_key_exits_cleanly(key, value):
-    # validate runs nothing; every bad value must map to a documented exit code
+def test_validate_fuzz_every_key_exits_cleanly(sets):
+    # validate runs nothing; every bad value, alone or with a second one (the
+    # ratio overflow needed two keys), must map to a documented exit code
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["validate", "--set", f"{key}={value}"])
+        code = main(["validate", *(arg for key, value in sets for arg in ("--set", f"{key}={value}"))])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()

@@ -1,4 +1,6 @@
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from randdd.fidelity import (
 )
 from randdd.model import InitialState, PulseParams, SimConfig, SystemParams
 from randdd.oracle import closed_form_barQ
-from randdd import riccati
+from randdd import fidelity, riccati
 from randdd.errors import BlowUpError
 from randdd.pulsegen import RandomStream, empty_schedule, generate_random
 from randdd.riccati import QTrajectory, integrate_exact, lane_groups
@@ -272,3 +274,127 @@ def test_curve_csv_schema(tmp_path, nocontrol_traj):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,fidelity,stderr"
     assert lines[1] == "0,1,0"
+
+
+# --- early stop of threshold-only ensembles ------------------------------------
+
+SYS9 = SystemParams(gamma=0.9)
+UNTIL_THETA = 0.99  # every sample is below it from about t = 2.84 of 4
+
+
+def _t_outputs(factors, theta):
+    """Everything a T row is made of: T, crossed, bracket, CI, mean-crossings T."""
+    res = threshold_time(factors.mean_curve(), theta)
+    ci = bootstrap_threshold_ci(factors, theta, RandomStream.for_bootstrap(9, 1), n_boot=50)
+    return res.time, res.crossed, res.bracket, ci, mean_crossing_time(factors, theta)
+
+
+def _until_matches_full(sim, theta=UNTIL_THETA, executor=None):
+    full = ensemble_functionals(SYS9, RAND_PULSES, sim)
+    cut = ensemble_functionals(SYS9, RAND_PULSES, sim, until=theta, executor=executor)
+    assert _t_outputs(cut, theta) == _t_outputs(full, theta)
+    m = len(cut.grid)
+    assert cut.e2.shape == cut.e1.shape == (sim.ensemble_n, m)
+    assert np.isfinite(cut.e2).all() and np.isfinite(cut.e1).all()
+    assert np.array_equal(cut.grid, full.grid[:m])
+    assert np.array_equal(cut.e2, full.e2[:, :m]) and np.array_equal(cut.e1, full.e1[:, :m])
+    return cut, full
+
+
+def _decided(full, theta):
+    """The first column at which every sample of the full run is below theta."""
+    below = (full.sample_curves() < theta).all(axis=0)
+    return int(np.argmax(below)) if below.any() else None
+
+
+def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
+    # 6 lanes in windows of 8 steps: a window fills at most 9 columns of a lane
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 6 * 8)
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
+    schedules = [generate_random(RAND_PULSES, sim.t_max, RandomStream.for_schedule(5, k)) for k in range(6)]
+    e2, e1 = np.empty((6, sim.grid_size())), np.empty((6, sim.grid_size()))
+    assert riccati.exact_factors(iter(schedules), SYS9, sim, e2, e1, list(range(6))) == sim.grid_size()
+    hit = partial(fidelity._all_below, UNTIL_THETA)
+    every = hit(e2, e1).all(axis=0)
+    c = int(np.argmax(every))
+    for min_col, extra in ((1, 0), (1, 5), (c + 20, 0), (c + 20, 7)):
+        a2, a1 = np.empty_like(e2), np.empty_like(e1)
+        filled = riccati.exact_factors(iter(schedules), SYS9, sim, a2, a1, list(range(6)), (hit, min_col, extra))
+        first = min_col + int(np.argmax(every[min_col:]))
+        assert first + extra < filled <= first + extra + 9 < len(every)
+        assert np.array_equal(a2[:, :filled], e2[:, :filled]) and np.array_equal(a1[:, :filled], e1[:, :filled])
+
+
+@pytest.mark.parametrize("n,max_lanes,sizes", [(6, 2, [2, 2, 2]), (33, 32, [17, 16]), (1, 32, [1])])
+def test_until_cuts_at_the_decided_column_inside_a_window(monkeypatch, n, max_lanes, sizes):
+    monkeypatch.setattr(riccati, "MAX_LANES", max_lanes)
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 6 * n)  # windows of a few steps end anywhere
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=n, master_seed=5)
+    assert [len(g) for g in lane_groups(n, SYS9, RAND_PULSES, sim)] == sizes
+    cut, full = _until_matches_full(sim)
+    assert len(cut.grid) == _decided(full, UNTIL_THETA) + 1 < len(full.grid)
+
+
+def test_until_reruns_a_group_that_stopped_short(monkeypatch):
+    # with no margin, a group that decides before the others stops short of C
+    monkeypatch.setattr(riccati, "MAX_LANES", 2)
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 8)
+    monkeypatch.setattr(fidelity, "STOP_MARGIN", 0.0)
+    runs = []
+    fill = fidelity._fill_group
+
+    def spy(system, pulses, sim, ks, e2, e1, stop=None):
+        runs.append((ks.start, stop and stop[1]))
+        return fill(system, pulses, sim, ks, e2, e1, stop)
+
+    monkeypatch.setattr(fidelity, "_fill_group", spy)
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
+    cut = ensemble_functionals(SYS9, RAND_PULSES, sim, until=UNTIL_THETA)
+    reruns = [r for r in runs if r[1] not in (None, 1)]
+    assert len(runs) == 3 + len(reruns) and reruns
+    assert all(min_col < len(cut.grid) for _, min_col in reruns)
+    _until_matches_full(sim)
+
+
+class _CountingPool:
+    """A process pool that counts the group tasks it maps."""
+
+    def __init__(self, pool):
+        self.pool, self.tasks = pool, 0
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.tasks += len(tasks)
+        return self.pool.map(fn, tasks)
+
+
+@pytest.mark.parametrize("margin", [fidelity.STOP_MARGIN, 0.0])
+def test_until_serial_and_pool_agree(monkeypatch, margin):
+    # forked workers inherit the small windows; with no margin some groups run again
+    monkeypatch.setattr(fidelity, "STOP_MARGIN", margin)
+    monkeypatch.setattr(riccati, "MAX_LANES", 4)
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 16)
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=33, master_seed=8)
+    groups = len(lane_groups(33, SYS9, RAND_PULSES, sim))
+    serial = ensemble_functionals(SYS9, RAND_PULSES, sim, until=UNTIL_THETA)
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        counting = _CountingPool(pool)
+        parallel, full = _until_matches_full(sim, executor=counting)
+    assert counting.tasks > groups or margin > 0.0
+    assert np.array_equal(serial.grid, parallel.grid)
+    assert np.array_equal(serial.e2, parallel.e2) and np.array_equal(serial.e1, parallel.e1)
+    assert len(serial.grid) == _decided(full, UNTIL_THETA) + 1
+
+
+def test_until_never_reached_keeps_the_whole_grid():
+    theta = 0.9
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
+    cut, full = _until_matches_full(sim, theta)
+    assert len(cut.grid) == len(full.grid)
+    assert _t_outputs(cut, theta)[1] is False
+
+
+def test_until_leaves_a_degenerate_ensemble_whole():
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=4)
+    factors = ensemble_functionals(SYS9, PulseParams(0.02, 0.008, 0.2), sim, until=UNTIL_THETA)
+    assert len(factors.grid) == sim.grid_size() and factors.meta["degenerate"]

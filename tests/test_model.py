@@ -13,6 +13,7 @@ from randdd.errors import (
     PULSES_TOO_MANY,
     PULSE_PARAM_NOT_FINITE,
     SIM_NOT_FINITE,
+    STATE_NOT_NORMALIZABLE,
     SYSTEM_NOT_FINITE,
     STEP_ORDERING,
     THRESHOLD_OUT_OF_RANGE,
@@ -142,6 +143,27 @@ def test_initial_state_normalization():
     )
     assert math.isclose(abs(bundle.init.mu) ** 2 + abs(bundle.init.nu) ** 2, 1.0, abs_tol=1e-12)
     assert math.isclose(bundle.init.mu2, 9.0 / 25.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("mu,nu", [
+    (math.nan, 0.0), (1.0, complex(0.0, math.inf)), (complex(math.nan, 1.0), 1.0),
+    (-math.inf, math.inf), (math.inf, math.nan),
+])
+def test_non_finite_initial_state_is_not_normalizable(mu, nu):
+    # normalization is the state's finiteness check: a non-finite norm fails it
+    with pytest.raises(ValidationError) as err:
+        validate(SystemParams(), PulseParams(0.02, 0.008, 0.2), SimConfig(), InitialState(mu, nu))
+    assert err.value.code == STATE_NOT_NORMALIZABLE
+    for mu2 in (math.nan, math.inf):
+        with pytest.raises(ValidationError) as err:
+            InitialState.from_population(mu2)
+        assert err.value.code == STATE_NOT_NORMALIZABLE
+
+
+def test_huge_or_tiny_finite_amplitudes_normalize():
+    for mu, nu in ((1e200, 1e200), (1e-200, 0.0), (1e308, 1e308)):
+        state = InitialState(mu, nu).normalized()
+        assert math.isclose(state.mu2 + abs(state.nu) ** 2, 1.0, rel_tol=1e-12)
 
 
 def test_from_population():
