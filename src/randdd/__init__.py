@@ -52,7 +52,6 @@ from .fidelity import (
     ThresholdResult,
     bootstrap_threshold_ci,
     ensemble_functionals,
-    ensemble_mean,
     fidelity_avg,
     fidelity_pure,
     mean_crossing_time,

@@ -430,7 +430,9 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1) -> list[Path]:
         snapshot = _snapshot(build_bundle(spec.overrides))
         out_dir.mkdir(parents=True, exist_ok=True)
         files, tables = [], {}
-        executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+        # never more processes than CPUs: a fork pool starts all of them at once
+        procs = min(workers, os.cpu_count() or 1)
+        executor = ProcessPoolExecutor(max_workers=procs) if procs > 1 else None
         try:
             for point, bundle in zip(points, bundles):
                 written, row = evaluate(point, bundle, spec.options, out_dir, executor)
@@ -493,7 +495,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tmax", type=_positive_float, help="simulation horizon")
     p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     p.add_argument("--threads", type=_threads_value, default=1,
-                   help="worker processes (integer or 'auto')")
+                   help="worker processes (integer or 'auto'), at most the CPU count")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any documented config key (repeatable)")
 

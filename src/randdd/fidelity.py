@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -35,8 +33,7 @@ from .riccati import QTrajectory, exact_factors, integrate_with, lane_groups
 class FidelityCurve:
     grid: np.ndarray
     values: np.ndarray
-    stderr: Optional[np.ndarray] = None
-    meta: dict = None
+    stderr: np.ndarray | None = None
 
     def save(self, path) -> None:
         se = self.stderr if self.stderr is not None else np.zeros_like(self.values)
@@ -66,14 +63,14 @@ def fidelity_pure(traj: QTrajectory, init: InitialState) -> FidelityCurve:
     m = init.normalized().mu2
     e2 = traj.decay_factor()
     e1 = np.real(traj.coherence_factor())
-    return FidelityCurve(traj.grid, _combine(e2, e1, m), None, {"kind": "pure", "mu2": m})
+    return FidelityCurve(traj.grid, _combine(e2, e1, m))
 
 
 def fidelity_avg(traj: QTrajectory) -> FidelityCurve:
     """Fidelity averaged uniformly over all initial pure states."""
     e2 = traj.decay_factor()
     e1 = np.real(traj.coherence_factor())
-    return FidelityCurve(traj.grid, _combine(e2, e1, None), None, {"kind": "state-averaged"})
+    return FidelityCurve(traj.grid, _combine(e2, e1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +83,7 @@ class EnsembleFactors:
     grid: np.ndarray
     e2: np.ndarray   # exp(-2 Re J), shape (n, len(grid))
     e1: np.ndarray   # Re exp(-J),   shape (n, len(grid))
-    meta: dict
+    meta: dict       # "degenerate": every row is the one deviation-free sample
 
     @property
     def n(self) -> int:
@@ -100,28 +97,50 @@ class EnsembleFactors:
         else:
             mean = vals.mean(axis=0)
             se = vals.std(axis=0, ddof=1) / math.sqrt(self.n)
-        meta = dict(self.meta)
-        meta["kind"] = "state-averaged" if mu2 is None else "pure"
-        if mu2 is not None:
-            meta["mu2"] = mu2
-        return FidelityCurve(self.grid, mean, se, meta)
+        return FidelityCurve(self.grid, mean, se)
 
     def sample_curves(self, mu2: float | None = None) -> np.ndarray:
         return _combine(self.e2, self.e1, mu2)
 
 
-def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray, stop=None) -> int:
+# A group runs this share of the grid past its own first all-below column.
+# At N 60 and 200 (gamma 0.2, 0.5 and 0.9; tau, phi and delta deviations)
+# the column all groups share lay at most 1.3% of the grid past any
+# group's own, and a group that stops short has to run again.
+STOP_MARGIN = 0.02
+
+
+def _all_below(level: float, e2: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """Columns at which every row's state-averaged fidelity is below level."""
+    return (_combine(e2, e1, None) < level).all(axis=0)
+
+
+def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
+                level: float | None = None, min_col: int = 1) -> int:
     """Factor rows of samples ks into e2 and e1 (one row per sample); returns
     the number of filled columns.
 
-    An exact group advances as lanes of one kernel call, which ends early
-    once stop (see riccati._propagate) holds. rk4, a lone sample, or a group
-    in which any lane failed a check runs one sample at a time in k order
-    over the whole grid, so a BlowUpError names the first failing sample and
-    the seed.
+    An exact group advances as lanes of one kernel call; with a level, the
+    call ends STOP_MARGIN of the grid past the first column from min_col on
+    where every lane's state-averaged fidelity is below it. rk4, a lone
+    sample, or a group in which any lane failed a check runs one sample at
+    a time in k order over the whole grid, so a BlowUpError names the first
+    failing sample and the seed.
     """
     def schedules():
         return (generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, k)) for k in ks)
+
+    stop = None
+    if level is not None:
+        extra, seen, first = int(STOP_MARGIN * e2.shape[1]), min_col, None
+
+        def stop(filled: int) -> bool:
+            nonlocal seen, first
+            if first is None and filled > seen:
+                cols = np.flatnonzero(_all_below(level, e2[:, seen:filled], e1[:, seen:filled]))
+                first = seen + int(cols[0]) if len(cols) else None
+                seen = filled
+            return first is not None and filled > first + extra
 
     if sim.integrator == "exact" and len(ks) > 1:
         try:
@@ -139,40 +158,25 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray, 
 
 
 def _group_factors(args) -> tuple[np.ndarray, np.ndarray]:
-    system, pulses, sim, ks, stop = args
+    system, pulses, sim, ks, level, min_col = args
     e2 = np.empty((len(ks), sim.grid_size()))
     e1 = np.empty_like(e2)
-    filled = _fill_group(system, pulses, sim, ks, e2, e1, stop)
+    filled = _fill_group(system, pulses, sim, ks, e2, e1, level, min_col)
     return e2[:, :filled], e1[:, :filled]
 
 
-# A group runs this share of the grid past its own first all-below column.
-# At N 60 and 200 (gamma 0.2, 0.5 and 0.9; tau, phi and delta deviations)
-# the column all groups share lay at most 1.3% of the grid past any
-# group's own, and a group that stops short has to run again.
-STOP_MARGIN = 0.02
+def _decided_column(below: list[np.ndarray], width: int) -> tuple[int, list[int]]:
+    """C, the first column from 1 on where every group's lanes are all below
+    (width if none), and the groups that have filled neither C nor the grid.
 
-
-def _all_below(level: float, e2: np.ndarray, e1: np.ndarray) -> np.ndarray:
-    return _combine(e2, e1, None) < level
-
-
-def _decided_column(below: list[np.ndarray]) -> tuple[int, list[int]]:
-    """First column from 1 on at which every group's lanes are all below, as
-    far as the groups have run; below[g] marks those columns of group g.
-
-    Returns (C, []) once C is known, else (lo, short): no column before lo
-    can be C, and groups short have not run far enough to tell about lo.
+    below[g] marks those columns among group g's filled ones; a column it has
+    not reached may still be C.
     """
-    lo = 1
-    while True:
-        nxt = []
-        for m in below:
-            hits = np.flatnonzero(m[lo:])
-            nxt.append(lo + int(hits[0]) if len(hits) else max(len(m), lo))
-        if max(nxt) == lo:
-            return lo, [g for g, m in enumerate(below) if not (lo < len(m) and m[lo])]
-        lo = max(nxt)
+    every = np.arange(width) > 0
+    for m in below:
+        every[:len(m)] &= m
+    col = int(np.argmax(every)) if every.any() else width
+    return col, [g for g, m in enumerate(below) if len(m) <= col and len(m) < width]
 
 
 def ensemble_functionals(
@@ -197,17 +201,12 @@ def ensemble_functionals(
     resample mean and every sample then cross theta first at or before C,
     so their threshold times are those of the whole grid. Each group runs
     STOP_MARGIN of the grid past its own first such column; a group that
-    stopped before the column all groups share is run again from the start
-    with a later minimum column, which gives the same bits. Without such a
-    C the grid is whole.
+    stopped before C is run again from the start with min_col = C, which
+    gives the same bits. Without such a C that min_col is len(grid), where
+    no stop falls, so the grid is whole.
     """
     grid = sim.output_grid()
     n = sim.ensemble_n
-    meta = {
-        "ensemble_n": n,
-        "master_seed": sim.master_seed,
-        "integrator": sim.integrator,
-    }
     degenerate = pulses.d_tau == 0.0 and pulses.d_delta == 0.0 and pulses.d_phi == 0.0
     e2 = np.empty((n, len(grid)))
     e1 = np.empty_like(e2)
@@ -215,54 +214,35 @@ def ensemble_functionals(
         _fill_group(system, pulses, sim, range(1), e2[:1], e1[:1])
         e2[1:] = e2[0]
         e1[1:] = e1[0]
-        return EnsembleFactors(grid, e2, e1, {**meta, "degenerate": True})
+        return EnsembleFactors(grid, e2, e1, {"degenerate": True})
     groups = lane_groups(n, system, pulses, sim)
     filled = [0] * len(groups)
+    # a float mean of n values below theta * (1 - 2 n eps) stays below theta
+    level = None if until is None else until * (1.0 - 2.0 * n * np.finfo(float).eps)
 
-    def run(stops: dict) -> None:
-        """Fill each group of stops (group index -> its kernel stop) from column 0."""
+    def run(min_cols: dict) -> None:
+        """Fill each group of min_cols (group index -> its min_col) from column 0."""
         if executor is not None:
-            tasks = [(system, pulses, sim, groups[g], stop) for g, stop in stops.items()]
-            for g, (a, b) in zip(stops, executor.map(_group_factors, tasks)):
+            tasks = [(system, pulses, sim, groups[g], level, c) for g, c in min_cols.items()]
+            for g, (a, b) in zip(min_cols, executor.map(_group_factors, tasks)):
                 ks = groups[g]
                 filled[g] = a.shape[1]
                 e2[ks.start:ks.stop, :filled[g]] = a
                 e1[ks.start:ks.stop, :filled[g]] = b
         else:
-            for g, stop in stops.items():
+            for g, c in min_cols.items():
                 ks = groups[g]
-                filled[g] = _fill_group(system, pulses, sim, ks, e2[ks.start:ks.stop], e1[ks.start:ks.stop], stop)
+                filled[g] = _fill_group(system, pulses, sim, ks, e2[ks.start:ks.stop], e1[ks.start:ks.stop], level, c)
 
+    run(dict.fromkeys(range(len(groups)), 1))
     if until is None:
-        run(dict.fromkeys(range(len(groups))))
-        return EnsembleFactors(grid, e2, e1, meta)
-    # a float mean of n values below theta * (1 - 2 n eps) stays below theta
-    hit = partial(_all_below, until * (1.0 - 2.0 * n * np.finfo(float).eps))
-    extra = int(STOP_MARGIN * len(grid))
-    run(dict.fromkeys(range(len(groups)), (hit, 1, extra)))
+        return EnsembleFactors(grid, e2, e1, {})
     while True:
-        below = [hit(e2[ks.start:ks.stop, :f], e1[ks.start:ks.stop, :f]).all(axis=0)
-                 for ks, f in zip(groups, filled)]
-        col, short = _decided_column(below)
+        below = [_all_below(level, e2[ks.start:ks.stop, :f], e1[ks.start:ks.stop, :f]) for ks, f in zip(groups, filled)]
+        col, short = _decided_column(below, len(grid))
         if not short:
-            return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1], meta)
-        if col == len(grid):  # no column decides T: every group runs the whole grid
-            run(dict.fromkeys(g for g, f in enumerate(filled) if f < len(grid)))
-            return EnsembleFactors(grid, e2, e1, meta)
-        run(dict.fromkeys(short, (hit, col, extra)))
-
-
-def ensemble_mean(
-    system: SystemParams,
-    pulses: PulseParams,
-    sim: SimConfig,
-    *,
-    mu2: float | None = None,
-    executor: ProcessPoolExecutor | None = None,
-) -> FidelityCurve:
-    """Pointwise mean (and standard error) of the per-sample fidelity."""
-    factors = ensemble_functionals(system, pulses, sim, executor=executor)
-    return factors.mean_curve(mu2)
+            return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1], {})
+        run(dict.fromkeys(short, col))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +273,10 @@ def _first_crossing(g: np.ndarray, v: np.ndarray, theta: float) -> ThresholdResu
     return ThresholdResult(float(t), theta, (float(g[i]), float(g[i + 1])), True)
 
 
-def mean_crossing_time(factors: EnsembleFactors, theta: float, mu2: float | None = None) -> float:
-    """Mean of per-sample first-crossing times (sensitivity alternative to
-    crossing the mean curve; samples that never cross count at the horizon)."""
-    curves = factors.sample_curves(mu2)
+def mean_crossing_time(factors: EnsembleFactors, theta: float) -> float:
+    """Mean of per-sample first-crossing times of F_avg (sensitivity alternative
+    to crossing the mean curve; samples that never cross count at the horizon)."""
+    curves = factors.sample_curves()
     return float(np.mean([_first_crossing(factors.grid, row, theta).time for row in curves]))
 
 
@@ -305,15 +285,13 @@ def bootstrap_threshold_ci(
     theta: float,
     stream: RandomStream,
     n_boot: int = 200,
-    mu2: float | None = None,
-    level: float = 0.95,
 ) -> tuple[float, float]:
-    """Percentile bootstrap CI for the mean-curve crossing time.
+    """95% percentile bootstrap CI for the state-averaged mean-curve crossing time.
 
     Resamples whole sample curves with replacement; horizon-censored
     draws enter at the grid end, so the interval is conservative there.
     """
-    curves = factors.sample_curves(mu2)
+    curves = factors.sample_curves()
     n = curves.shape[0]
     rng = stream.generator()
     idx = rng.integers(0, n, size=(n_boot, n))
@@ -321,5 +299,5 @@ def bootstrap_threshold_ci(
     for b in range(n_boot):
         mean = curves[idx[b]].mean(axis=0)
         ts[b] = _first_crossing(factors.grid, mean, theta).time
-    alpha = 0.5 * (1.0 - level)
+    alpha = 0.5 * (1.0 - 0.95)
     return float(np.quantile(ts, alpha)), float(np.quantile(ts, 1.0 - alpha))

@@ -273,9 +273,9 @@ def validate(
 def bath_correlation(system: SystemParams, t: float, s: float):
     """Environment correlation (Gamma*gamma/2) * exp(-gamma*|t-s|).
 
-    Real-valued for this bath; vectorizes over t or s. Used for
-    diagnostics and for the damped-mode oracle parameter mapping, not by
-    the integrators (the dynamics only ever see Gamma and gamma).
+    Real-valued for this bath; vectorizes over t or s. A diagnostic only:
+    neither the integrators nor the damped-mode oracle call it (both see
+    Gamma and gamma directly).
     """
     dt = np.abs(np.asarray(t) - np.asarray(s))
     out = 0.5 * system.Gamma * system.gamma * np.exp(-system.gamma * dt)

@@ -104,7 +104,7 @@ def haar_mc_average(traj: QTrajectory, n_states: int, stream: RandomStream) -> F
     cov = ((m - m1) * (m**2 - m2)).sum() / (n_states - 1)
     var = b * b * v_m + c * c * v_m2 + 2.0 * b * c * cov
     se = np.sqrt(np.maximum(var, 0.0) / n_states)
-    return FidelityCurve(traj.grid, mean, se, {"kind": "mc-state-average", "n_states": n_states})
+    return FidelityCurve(traj.grid, mean, se)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,10 @@ def _mode_operators(n_max: int):
     return a
 
 
+# Largest drift of trace and hermiticity, and negative eigenvalue, of an output rho
+TRACE_TOL, HERM_TOL, EIG_TOL = 1e-9, 1e-10, 1e-9
+
+
 def pseudomode_evolve(
     schedule: PulseSchedule,
     system: SystemParams,
@@ -144,9 +148,6 @@ def pseudomode_evolve(
     sim: SimConfig,
     *,
     n_max: int = 1,
-    trace_tol: float = 1e-9,
-    herm_tol: float = 1e-10,
-    eig_tol: float = 1e-9,
 ) -> PseudomodeResult:
     """Edge-aligned fixed-step RK4 for the qubit + damped-mode master equation.
 
@@ -192,13 +193,13 @@ def pseudomode_evolve(
     def record(bp_index: int, rho_now: np.ndarray, t_now: float):
         for out_i in want.get(bp_index, ()):
             tr = np.trace(rho_now)
-            if abs(tr - 1.0) > trace_tol:
+            if abs(tr - 1.0) > TRACE_TOL:
                 raise IntegrationQualityError(f"trace drift {abs(tr - 1.0):.2e} at t = {t_now:.6g}")
             asym = np.max(np.abs(rho_now - rho_now.conj().T))
-            if asym > herm_tol:
+            if asym > HERM_TOL:
                 raise IntegrationQualityError(f"hermiticity drift {asym:.2e} at t = {t_now:.6g}")
             evals = np.linalg.eigvalsh(0.5 * (rho_now + rho_now.conj().T))
-            if evals.min() < -eig_tol:
+            if evals.min() < -EIG_TOL:
                 raise IntegrationQualityError(f"negative eigenvalue {evals.min():.2e} at t = {t_now:.6g}")
             rhos[out_i] = rho_now
 

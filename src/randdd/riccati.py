@@ -33,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -123,7 +124,6 @@ def integrate(
     system: SystemParams,
     sim: SimConfig,
     *,
-    blowup: float = DEFAULT_BLOWUP,
     sample_index: int | None = None,
 ) -> QTrajectory:
     """Fixed-step RK4 for (Q, J), edge-aligned, sampled on the output grid."""
@@ -155,7 +155,7 @@ def integrate(
             j = j + h6 * (q + 2.0 * (q2 + q3) + q4)
             q = q + h6 * (k1 + 2.0 * (k2 + k3) + k4)
             aq = abs(q)
-            if not aq <= blowup:
+            if not aq <= DEFAULT_BLOWUP:
                 raise BlowUpError(pts[seg] + (i + 1) * h, aq, sample_index)
         qs[seg + 1] = q
         js[seg + 1] = j
@@ -276,7 +276,7 @@ class _LaneSteps:
 
 
 def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: tuple,
-               samples: list, factors: bool = False, stop: tuple | None = None) -> int:
+               samples: list, factors: bool = False, stop: Callable[[int], bool] | None = None) -> int:
     """Advance (u, u') of every lane through its segment table, window by window.
 
     Lane l has breakpoints pts[l], fields cs[l] and output-grid breakpoint
@@ -289,11 +289,9 @@ def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: t
     bitwise its one-lane run. A failed check raises BlowUpError for the
     first failing lane of the window.
 
-    stop = (hit, min_col, extra) ends the run early. Its first column is the
-    first one at or past min_col, within the columns every lane has filled,
-    where hit(out[0][:, cols], out[1][:, cols]) is true in every lane. The
-    run ends after the first window that fills more than extra columns past
-    it. Returns the number of columns every lane has filled.
+    After each window stop, if given, is called with the number of columns
+    every lane has filled; once it returns true the run ends there. Returns
+    the number of columns every lane has filled.
     """
     lanes = len(pts)
     n_seg = max(len(c) for c in cs)
@@ -304,9 +302,6 @@ def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: t
     ends = [-1] + [min(w0 + width, n_seg) for w0 in starts]
     pos = np.array([np.searchsorted(g, ends, side="right") for g in gi])
     lane_ids = np.arange(lanes)
-    if stop is not None:
-        hit, seen, extra = stop
-        first = None
     for w, w0 in enumerate(starts):
         n = min(width, n_seg - w0)
         # a lane past its last segment takes zero-length, field-free steps
@@ -357,14 +352,8 @@ def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: t
         else:
             out[0][lane, col] = q[row, lane]
             out[1][lane, col] = j_grid
-        if stop is not None:
-            prefix = int(pos[:, w + 1].min())
-            if first is None and prefix > seen:
-                cols = np.flatnonzero(hit(out[0][:, seen:prefix], out[1][:, seen:prefix]).all(axis=0))
-                first = seen + int(cols[0]) if len(cols) else None
-                seen = prefix
-            if first is not None and prefix > first + extra:
-                return prefix
+        if stop is not None and stop(int(pos[:, w + 1].min())):
+            return int(pos[:, w + 1].min())
     return gi.shape[1]
 
 
@@ -389,7 +378,7 @@ def integrate_exact(
 
 
 def exact_factors(schedules, system: SystemParams, sim: SimConfig, e2: np.ndarray, e1: np.ndarray,
-                  samples: list, stop: tuple | None = None) -> int:
+                  samples: list, stop: Callable[[int], bool] | None = None) -> int:
     """Write exp(-2 Re J) and Re exp(-J) of each schedule into the rows of e2 and e1.
 
     All schedules advance together as lanes of the exact kernel, bitwise as

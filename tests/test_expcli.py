@@ -412,3 +412,33 @@ def test_validate_fuzz_every_key_exits_cleanly(sets):
         code = main(["validate", *(arg for key, value in sets for arg in ("--set", f"{key}={value}"))])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("cpus,pools", [(3, [3]), (1, []), (None, [])])
+def test_threads_are_capped_at_the_cpu_count(tmp_path, monkeypatch, cpus, pools):
+    # a fork pool starts all its processes at the first map: --threads 100000
+    # must not ask for 100000 of them; the manifest still records the request
+    sizes, tasks = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            items = list(items)
+            tasks.extend(items)
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(expcli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(expcli.os, "cpu_count", lambda: cpus)
+    argv = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.5", "--tmax", "2",
+            "--ensemble", "3", "--grid-dt", "0.02"]
+    assert run_cli([*argv, "--threads", "100000", "--out", str(tmp_path / "many")]) == 0
+    assert sizes == pools and bool(tasks) == bool(pools)
+    manifest = json.loads((tmp_path / "many" / "manifest.json").read_text())
+    assert manifest["settings"]["workers"] == 100000
+    assert run_cli([*argv, "--out", str(tmp_path / "one")]) == 0
+    assert (tmp_path / "many" / "sweep_tau.csv").read_bytes() == (tmp_path / "one" / "sweep_tau.csv").read_bytes()

@@ -1,6 +1,5 @@
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from randdd.fidelity import (
     FidelityCurve,
     bootstrap_threshold_ci,
     ensemble_functionals,
-    ensemble_mean,
     fidelity_avg,
     fidelity_pure,
     mean_crossing_time,
@@ -135,21 +133,21 @@ def test_ensemble_degenerate_equals_regular():
 
     pulses = PulseParams(0.02, 0.008, 0.2)
     sim = SimConfig(t_max=2.0, grid_dt=0.01, ensemble_n=1)
-    curve = ensemble_mean(SYS3, pulses, sim)
+    curve = ensemble_functionals(SYS3, pulses, sim).mean_curve()
     traj = ie(generate_regular(pulses, 2.0), SYS3, sim)
     np.testing.assert_array_equal(curve.values, fidelity_avg(traj).values)
     # a larger degenerate ensemble replicates the same sample (zero spread)
     sim5 = SimConfig(t_max=2.0, grid_dt=0.01, ensemble_n=5)
-    curve5 = ensemble_mean(SYS3, pulses, sim5)
+    curve5 = ensemble_functionals(SYS3, pulses, sim5).mean_curve()
     np.testing.assert_array_equal(curve5.values, curve.values)
     np.testing.assert_array_equal(curve5.stderr, 0.0)
 
 
 def test_ensemble_worker_determinism():
     sim = SimConfig(t_max=2.0, grid_dt=0.02, ensemble_n=12, master_seed=77)
-    serial = ensemble_mean(SYS3, RAND_PULSES, sim)
+    serial = ensemble_functionals(SYS3, RAND_PULSES, sim).mean_curve()
     with ProcessPoolExecutor(2) as pool:
-        parallel = ensemble_mean(SYS3, RAND_PULSES, sim, executor=pool)
+        parallel = ensemble_functionals(SYS3, RAND_PULSES, sim, executor=pool).mean_curve()
     np.testing.assert_array_equal(serial.values, parallel.values)
     np.testing.assert_array_equal(serial.stderr, parallel.stderr)
 
@@ -157,14 +155,14 @@ def test_ensemble_worker_determinism():
 def test_ensemble_seed_sensitivity():
     sim_a = SimConfig(t_max=1.0, grid_dt=0.02, ensemble_n=8, master_seed=1)
     sim_b = SimConfig(t_max=1.0, grid_dt=0.02, ensemble_n=8, master_seed=2)
-    a = ensemble_mean(SYS3, RAND_PULSES, sim_a)
-    b = ensemble_mean(SYS3, RAND_PULSES, sim_b)
+    a = ensemble_functionals(SYS3, RAND_PULSES, sim_a).mean_curve()
+    b = ensemble_functionals(SYS3, RAND_PULSES, sim_b).mean_curve()
     assert np.max(np.abs(a.values - b.values)) > 0
 
 
 def test_ensemble_bounds_and_start():
     sim = SimConfig(t_max=3.0, grid_dt=0.02, ensemble_n=30)
-    curve = ensemble_mean(SYS3, RAND_PULSES, sim)
+    curve = ensemble_functionals(SYS3, RAND_PULSES, sim).mean_curve()
     assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(curve.values <= 1.0 + 1e-9)
     assert np.all(curve.values >= -1e-9)
@@ -176,7 +174,7 @@ def test_stderr_scales_inverse_sqrt_n():
     means = {}
     for n in (50, 200, 800):
         sim = SimConfig(t_max=5.0, grid_dt=0.05, ensemble_n=n, master_seed=5)
-        se = ensemble_mean(sys_p, pulses, sim).stderr
+        se = ensemble_functionals(sys_p, pulses, sim).mean_curve().stderr
         means[n] = np.mean(se[1:])
     r1 = means[50] / means[200]
     r2 = means[200] / means[800]
@@ -225,6 +223,16 @@ def test_ensemble_blowup_tagged_with_sample_and_seed():
     assert err.value.sample_index == 0
     assert err.value.master_seed == 42
     assert "master_seed 42" in str(err.value)
+
+
+def test_rk4_ensemble_reads_the_patched_blowup_bound(monkeypatch):
+    # rk4 reads riccati.DEFAULT_BLOWUP at call time, as the exact kernel does
+    sim = SimConfig(t_max=0.5, step=1e-3, grid_dt=0.02, ensemble_n=3, master_seed=42, integrator="rk4")
+    monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", 1e-4)
+    with pytest.raises(BlowUpError) as err:
+        ensemble_functionals(SYS3, RAND_PULSES, sim)
+    assert (err.value.sample_index, err.value.master_seed) == (0, 42)
+    assert err.value.magnitude > 1e-4 and "sample 0) (master_seed 42)" in str(err.value)
 
 
 def test_exact_ensemble_blowup_matches_per_sample_path(monkeypatch):
@@ -311,18 +319,64 @@ def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
     # 6 lanes in windows of 8 steps: a window fills at most 9 columns of a lane
     monkeypatch.setattr(riccati, "WINDOW_ELEMS", 6 * 8)
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
+    width = sim.grid_size()
     schedules = [generate_random(RAND_PULSES, sim.t_max, RandomStream.for_schedule(5, k)) for k in range(6)]
-    e2, e1 = np.empty((6, sim.grid_size())), np.empty((6, sim.grid_size()))
-    assert riccati.exact_factors(iter(schedules), SYS9, sim, e2, e1, list(range(6))) == sim.grid_size()
-    hit = partial(fidelity._all_below, UNTIL_THETA)
-    every = hit(e2, e1).all(axis=0)
+    e2, e1 = np.empty((6, width)), np.empty((6, width))
+    assert riccati.exact_factors(iter(schedules), SYS9, sim, e2, e1, list(range(6))) == width
+    # the hook sees each window's filled count and ends the run in the window where it turns true
+    for at in (1, 40, width - 3, width + 1):
+        counts = []
+
+        def stop(filled):
+            counts.append(filled)
+            return filled >= at
+
+        a2, a1 = np.empty_like(e2), np.empty_like(e1)
+        filled = riccati.exact_factors(iter(schedules), SYS9, sim, a2, a1, list(range(6)), stop)
+        assert np.all(np.diff(counts) >= 0) and counts[-1] == filled
+        assert all(c < at for c in counts[:-1]) and (filled >= at or filled == width)
+        assert np.array_equal(a2[:, :filled], e2[:, :filled]) and np.array_equal(a1[:, :filled], e1[:, :filled])
+    # fidelity's rule: STOP_MARGIN of the grid (extra columns) past the first all-below column from min_col on
+    every = fidelity._all_below(UNTIL_THETA, e2, e1)
     c = int(np.argmax(every))
     for min_col, extra in ((1, 0), (1, 5), (c + 20, 0), (c + 20, 7)):
+        monkeypatch.setattr(fidelity, "STOP_MARGIN", (extra + 0.5) / width)
         a2, a1 = np.empty_like(e2), np.empty_like(e1)
-        filled = riccati.exact_factors(iter(schedules), SYS9, sim, a2, a1, list(range(6)), (hit, min_col, extra))
+        filled = fidelity._fill_group(SYS9, RAND_PULSES, sim, range(6), a2, a1, UNTIL_THETA, min_col)
         first = min_col + int(np.argmax(every[min_col:]))
         assert first + extra < filled <= first + extra + 9 < len(every)
         assert np.array_equal(a2[:, :filled], e2[:, :filled]) and np.array_equal(a1[:, :filled], e1[:, :filled])
+
+
+def _fixpoint_column(below):
+    """The decided column by the fixpoint that _decided_column replaced: (C, []) once
+    C is known, else (lo, short) with no C before lo and groups short of lo."""
+    lo = 1
+    while True:
+        nxt = []
+        for m in below:
+            hits = np.flatnonzero(m[lo:])
+            nxt.append(lo + int(hits[0]) if len(hits) else max(len(m), lo))
+        if max(nxt) == lo:
+            return lo, [g for g, m in enumerate(below) if not (lo < len(m) and m[lo])]
+        lo = max(nxt)
+
+
+def test_decided_column_matches_the_fixpoint():
+    # groups short of the grid's end are the ones that run again; a group
+    # that filled the whole grid never does
+    rng = np.random.default_rng(2024)
+    width = 12
+    seen = set()
+    for _ in range(5000):
+        lengths = [width if rng.random() < 0.3 else int(rng.integers(0, width)) for _ in range(rng.integers(1, 5))]
+        p = rng.random()
+        below = [rng.random(f) < p for f in lengths]
+        col, short = fidelity._decided_column(below, width)
+        ref_col, ref_short = _fixpoint_column(below)
+        assert (col, short) == (ref_col, [g for g in ref_short if len(below[g]) < width])
+        seen.add((col == width, bool(short), width in lengths))
+    assert len(seen) >= 6  # with and without C, short groups and full-grid groups
 
 
 @pytest.mark.parametrize("n,max_lanes,sizes", [(6, 2, [2, 2, 2]), (33, 32, [17, 16]), (1, 32, [1])])
@@ -343,14 +397,14 @@ def test_until_reruns_a_group_that_stopped_short(monkeypatch):
     runs = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, stop=None):
-        runs.append((ks.start, stop and stop[1]))
-        return fill(system, pulses, sim, ks, e2, e1, stop)
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+        runs.append((ks.start, min_col))
+        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
     cut = ensemble_functionals(SYS9, RAND_PULSES, sim, until=UNTIL_THETA)
-    reruns = [r for r in runs if r[1] not in (None, 1)]
+    reruns = [r for r in runs if r[1] != 1]
     assert len(runs) == 3 + len(reruns) and reruns
     assert all(min_col < len(cut.grid) for _, min_col in reruns)
     _until_matches_full(sim)

@@ -132,10 +132,11 @@ def test_segment_alignment_bit_identity():
     assert np.array_equal(fine.j[sel], coarse.j)
 
 
-def test_blowup_guard(system02):
+def test_blowup_guard(system02, monkeypatch):
     sim = SimConfig(t_max=1.0, step=1e-3, grid_dt=0.1, ensemble_n=1)
+    monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", 1e-4)
     with pytest.raises(BlowUpError) as err:
-        integrate(empty_schedule(1.0), system02, sim, blowup=1e-4, sample_index=7)
+        integrate(empty_schedule(1.0), system02, sim, sample_index=7)
     assert err.value.sample_index == 7
     assert err.value.t > 0
 
