@@ -19,7 +19,9 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,14 +35,7 @@ from .fidelity import (
     mean_crossing_time,
     threshold_time,
 )
-from .model import (
-    InitialState,
-    PulseParams,
-    SimConfig,
-    SystemParams,
-    ValidatedBundle,
-    validate,
-)
+from .model import SECTIONS, InitialState, PulseParams, SimConfig, ValidatedBundle, validate
 from .oracle import run_oracle_check
 from .pulsegen import RandomStream, empty_schedule, generate_random, generate_regular, load_schedule, save_schedule
 from .riccati import integrate_with
@@ -61,24 +56,9 @@ EXPERIMENT_NAMES = (
     "validate",
 )
 
-CONFIG_KEYS = {
-    "system.omega": float,
-    "system.Gamma": float,
-    "system.gamma": float,
-    "pulses.tau": float,
-    "pulses.delta": float,
-    "pulses.phi": float,
-    "pulses.d_tau": float,
-    "pulses.d_delta": float,
-    "pulses.d_phi": float,
-    "sim.t_max": float,
-    "sim.step": float,
-    "sim.grid_dt": float,
-    "sim.ensemble_n": int,
-    "sim.master_seed": int,
-    "sim.threshold": float,
-    "sim.integrator": str,
-}
+# every "section.field" key of model.SECTIONS, cast by its annotation
+CONFIG_KEYS = {f"{section}.{name}": caster for section, cls in SECTIONS.items()
+               for name, caster in get_type_hints(cls).items()}
 
 N_BOOT = 200
 
@@ -147,22 +127,15 @@ def resolve_overrides(raw: dict) -> dict:
 
 
 def build_bundle(overrides: dict, *, allow_overlap: bool = False) -> ValidatedBundle:
-    """Defaults (omega = Gamma = 1, area 0.2, quasi-period 0.02, width 0.008)
-    plus overrides, validated."""
+    """The model.SECTIONS dataclasses, each from its defaults plus its
+    overrides, validated."""
     ov = resolve_overrides(overrides)
-
-    def group(prefix, cls, **defaults):
-        vals = dict(defaults)
-        for key, value in ov.items():
-            g, _, f = key.partition(".")
-            if g == prefix:
-                vals[f] = value
-        return cls(**vals)
-
-    system = group("system", SystemParams, omega=1.0, Gamma=1.0, gamma=0.2)
-    pulses = group("pulses", PulseParams, tau=0.02, delta=0.008, phi=0.2)
-    sim = group("sim", SimConfig)
-    return validate(system, pulses, sim, allow_overlap=allow_overlap)
+    fields = {section: {} for section in SECTIONS}
+    for key, value in ov.items():
+        section, _, name = key.partition(".")
+        fields[section][name] = value
+    return validate(**{section: cls(**fields[section]) for section, cls in SECTIONS.items()},
+                    allow_overlap=allow_overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +171,7 @@ def _write_manifest(out_dir: Path, spec: ExperimentSpec, bundle_snapshot: dict,
 
 
 def _snapshot(bundle: ValidatedBundle) -> dict:
-    snap = {}
-    for prefix, obj in (("system", bundle.system), ("pulses", bundle.pulses), ("sim", bundle.sim)):
-        for f_name in obj.__dataclass_fields__:
-            snap[f"{prefix}.{f_name}"] = getattr(obj, f_name)
-    return snap
+    return {key: attrgetter(key)(bundle) for key in CONFIG_KEYS}
 
 
 _PLOT_SCRIPT = """\
@@ -308,7 +277,7 @@ def expand(spec: ExperimentSpec) -> list[Point]:
                     {"sim.t_max": _sweep_tmax(gamma), "sim.grid_dt": 0.02, **ov,
                      "system.gamma": gamma, f"pulses.{d_field}": getattr(dev, d_field)},
                     row=(f"{name.replace('-', '_')}.csv", name, gamma, float(ratio)),
-                    boot=gi * 10_000 + ri if dev.d_tau or dev.d_delta or dev.d_phi else None))
+                    boot=None if dev.is_regular else gi * 10_000 + ri))
         return points
     if name in ("baseline-nocontrol", "threshold-control"):
         control = "none" if name == "baseline-nocontrol" else opt.get("control", "regular")
@@ -322,7 +291,7 @@ def expand(spec: ExperimentSpec) -> list[Point]:
     if name == "run-curve":
         return [Point(ov, opt.get("control", "random"), curves=(("curve.csv", opt.get("mu2")),))]
     ov.setdefault("system.gamma", 0.3)
-    tau = float(ov.get("pulses.tau", 0.02))
+    tau = float(ov.get("pulses.tau", PulseParams.tau))
     if name == "curves-delta":
         points = []
         for ratio in (0.3, 0.4, 0.5, 0.75):
@@ -414,8 +383,8 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1) -> list[Path]:
     out_dir = Path(spec.output_dir)
     t0 = time.perf_counter()
     if spec.name == "oracle-check":
-        seed = int(spec.overrides.get("sim.master_seed", 12345))
-        report = run_oracle_check(step=float(spec.overrides.get("sim.step", 1e-4)), seed=seed)
+        seed = int(spec.overrides.get("sim.master_seed", SimConfig.master_seed))
+        report = run_oracle_check(step=float(spec.overrides.get("sim.step", SimConfig.step)), seed=seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "oracle_report.json"
         with open(path, "w", newline="\n") as f:

@@ -207,10 +207,9 @@ def ensemble_functionals(
     """
     grid = sim.output_grid()
     n = sim.ensemble_n
-    degenerate = pulses.d_tau == 0.0 and pulses.d_delta == 0.0 and pulses.d_phi == 0.0
     e2 = np.empty((n, len(grid)))
     e1 = np.empty_like(e2)
-    if degenerate:
+    if pulses.is_regular:
         _fill_group(system, pulses, sim, range(1), e2[:1], e1[:1])
         e2[1:] = e2[0]
         e1[1:] = e1[0]
@@ -284,7 +283,7 @@ def bootstrap_threshold_ci(
     factors: EnsembleFactors,
     theta: float,
     stream: RandomStream,
-    n_boot: int = 200,
+    n_boot: int,
 ) -> tuple[float, float]:
     """95% percentile bootstrap CI for the state-averaged mean-curve crossing time.
 

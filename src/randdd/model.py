@@ -94,12 +94,17 @@ class PulseParams:
     applied per pulse to the corresponding parameter.
     """
 
-    tau: float
-    delta: float
-    phi: float
+    tau: float = 0.02
+    delta: float = 0.008
+    phi: float = 0.2
     d_tau: float = 0.0
     d_delta: float = 0.0
     d_phi: float = 0.0
+
+    @property
+    def is_regular(self) -> bool:
+        """No deviations (-0.0 counts as zero): every train is the regular one."""
+        return self.d_tau == 0.0 and self.d_delta == 0.0 and self.d_phi == 0.0
 
     def check(self, allow_overlap: bool = False) -> "PulseParams":
         _require_finite(self, ("tau", "delta", "phi", "d_tau", "d_delta", "d_phi"),
@@ -224,6 +229,10 @@ class SimConfig:
         return grid
 
 
+# the configuration schema: key "section.field" for every field of these
+SECTIONS = {"system": SystemParams, "pulses": PulseParams, "sim": SimConfig}
+
+
 @dataclass(frozen=True)
 class ValidatedBundle:
     system: SystemParams
@@ -233,25 +242,20 @@ class ValidatedBundle:
 
 
 def validate(
-    system: SystemParams | ValidatedBundle,
-    pulses: PulseParams | None = None,
-    sim: SimConfig | None = None,
+    system: SystemParams,
+    pulses: PulseParams,
+    sim: SimConfig,
     init: InitialState | None = None,
     *,
     allow_overlap: bool = False,
 ) -> ValidatedBundle:
-    """Check every type invariant and return the bundle (idempotent).
+    """Check every type invariant and return the bundle.
 
     Raises ValidationError with a distinct code per violated invariant.
     The initial state, when supplied, is normalized. With
     allow_overlap=True the pulse non-overlap constraint is downgraded to
     a warning; schedule generation then clamps oversized widths.
     """
-    if isinstance(system, ValidatedBundle):
-        bundle = system
-        system, pulses, sim = bundle.system, bundle.pulses, bundle.sim
-        init = bundle.init if init is None else init
-    assert pulses is not None and sim is not None
     system.check()
     pulses.check(allow_overlap=allow_overlap)
     sim.check()

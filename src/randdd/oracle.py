@@ -245,8 +245,8 @@ def compare_frames(
 
 def run_oracle_check(
     *,
-    step: float = 1e-4,
-    seed: int = 12345,
+    step: float = SimConfig.step,
+    seed: int = SimConfig.master_seed,
 ) -> dict:
     """Full cross-method closure report (all deviations should be < 1e-6).
 

@@ -166,7 +166,7 @@ def generate_random(params: PulseParams, horizon: float, stream: RandomStream) -
     when validation was relaxed) or past the horizon is clamped with its
     area prorated.
     """
-    if params.d_tau == 0.0 and params.d_delta == 0.0 and params.d_phi == 0.0:
+    if params.is_regular:
         return generate_regular(params, horizon)
     rng = stream.generator()
     cut = horizon - _REL_TOL * max(1.0, horizon)

@@ -19,7 +19,7 @@ from randdd.expcli import (
     run_experiment,
 )
 from randdd.errors import ValidationError
-from randdd.model import SimConfig
+from randdd.model import PulseParams, SimConfig, SystemParams
 
 
 def run_cli(argv):
@@ -106,6 +106,46 @@ def test_build_bundle_maps_and_revalidates_overrides():
     with pytest.raises(ValidationError) as err:
         build_bundle({"pulses.d_tau": 0.019})
     assert err.value.code == "pulse-overlap-possible"
+
+
+# the documented key list, written out: CONFIG_KEYS is derived from the
+# model dataclasses and must stay exactly this
+DOCUMENTED_KEYS = {
+    "system.omega": float,
+    "system.Gamma": float,
+    "system.gamma": float,
+    "pulses.tau": float,
+    "pulses.delta": float,
+    "pulses.phi": float,
+    "pulses.d_tau": float,
+    "pulses.d_delta": float,
+    "pulses.d_phi": float,
+    "sim.t_max": float,
+    "sim.step": float,
+    "sim.grid_dt": float,
+    "sim.ensemble_n": int,
+    "sim.master_seed": int,
+    "sim.threshold": float,
+    "sim.integrator": str,
+}
+
+
+def test_config_keys_are_the_documented_schema():
+    assert CONFIG_KEYS == DOCUMENTED_KEYS
+
+
+def test_build_bundle_defaults():
+    bundle = build_bundle({})
+    assert bundle.system == SystemParams(1, 1, 0.2)
+    assert bundle.pulses == PulseParams(0.02, 0.008, 0.2)
+    assert bundle.sim == SimConfig() == SimConfig(30.0, 1e-4, 0.01, 200, 12345, 0.95, "exact")
+    assert bundle.init is None
+
+
+def test_snapshot_has_every_config_key():
+    snap = expcli._snapshot(build_bundle({"pulses.d_phi": 0.05}))
+    assert snap.keys() == CONFIG_KEYS.keys()
+    assert snap["pulses.d_phi"] == 0.05 and snap["system.gamma"] == 0.2
 
 
 def test_cli_overrides_beat_config(tmp_path):

@@ -56,10 +56,10 @@ def test_validate_allow_overlap_downgrades_to_warning():
         validate(SystemParams(), pulses, SimConfig(), allow_overlap=True)
 
 
-def test_validate_is_idempotent():
-    pulses = PulseParams(tau=0.02, delta=0.008, phi=0.2, d_tau=0.004)
-    bundle = validate(SystemParams(), pulses, SimConfig(), InitialState(0.6, 0.8))
-    assert validate(bundle) == bundle
+def test_validate_needs_pulses_and_sim():
+    # a missing argument is a TypeError, also under python -O
+    with pytest.raises(TypeError):
+        validate(SystemParams())
 
 
 def test_width_can_vanish_guard():

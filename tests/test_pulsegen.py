@@ -93,6 +93,19 @@ def test_random_zero_deviation_matches_regular(standard_pulses):
     assert out == generate_regular(standard_pulses, 0.5)
 
 
+@pytest.mark.parametrize("devs", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0),
+                                  (0.004, 0.0, 0.0), (0.0, 1e-300, 0.0), (-0.0, 0.0, 0.05)])
+def test_is_regular_iff_every_deviation_is_zero(devs):
+    params = PulseParams(0.02, 0.008, 0.2, *devs)
+    assert params.is_regular == all(d == 0.0 for d in devs)
+    if params.is_regular:
+        out = generate_random(params, 0.5, RandomStream.for_schedule(1, 0))
+        reg = generate_regular(params, 0.5)
+        assert out.horizon == reg.horizon
+        for a, b in zip((out.starts, out.widths, out.areas), (reg.starts, reg.widths, reg.areas)):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_random_gap_mean_converges():
     # law of large numbers on the start-to-start gaps: Var(U(-1,1)*D) = D^2/3
     params = PulseParams(0.02, 0.008, 0.2, d_tau=0.004)
