@@ -38,7 +38,7 @@ from .fidelity import (
 from .model import SECTIONS, InitialState, PulseParams, SimConfig, ValidatedBundle, validate
 from .oracle import run_oracle_check
 from .pulsegen import RandomStream, empty_schedule, generate_random, generate_regular, load_schedule, save_schedule
-from .riccati import integrate_with
+from .riccati import integrate_with, lane_groups
 
 EXPERIMENT_NAMES = (
     "baseline-nocontrol",
@@ -374,11 +374,32 @@ def evaluate(point: Point, bundle: ValidatedBundle, options: dict, out_dir: Path
     return files, (*point.row[1:], t_val, crossed, *ci)
 
 
-def run_experiment(spec: ExperimentSpec, *, workers: int = 1) -> list[Path]:
+def usable_cpus() -> int:
+    """The CPUs this process may run on (the affinity mask where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pool_size(points: list[Point], bundles: list[ValidatedBundle], workers: int | str) -> int:
+    """Worker processes for the run: the request ("auto" is every usable
+    CPU), capped at the usable CPUs and at the most lane groups any ensemble
+    point has. Below 2 the run needs no pool; a deviation-free ensemble
+    integrates one sample."""
+    groups = max((len(lane_groups(b.sim.ensemble_n, b.system, b.pulses, b.sim))
+                  for p, b in zip(points, bundles) if p.control == "random" and not b.pulses.is_regular),
+                 default=0)
+    cpus = usable_cpus()
+    return min(cpus if workers == "auto" else workers, cpus, groups)
+
+
+def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list[Path]:
     """Execute one experiment; returns the written files (manifest last).
 
     The output directory is created only once the run has passed
     validation: every point's bundle and states, or the oracle's settings.
+    workers is "auto" or a count; the manifest records it as given.
     """
     out_dir = Path(spec.output_dir)
     t0 = time.perf_counter()
@@ -399,8 +420,8 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1) -> list[Path]:
         snapshot = _snapshot(build_bundle(spec.overrides))
         out_dir.mkdir(parents=True, exist_ok=True)
         files, tables = [], {}
-        # never more processes than CPUs: a fork pool starts all of them at once
-        procs = min(workers, os.cpu_count() or 1)
+        # never more processes than CPUs or groups: a fork pool starts all of them at once
+        procs = _pool_size(points, bundles, workers)
         executor = ProcessPoolExecutor(max_workers=procs) if procs > 1 else None
         try:
             for point, bundle in zip(points, bundles):
@@ -463,8 +484,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-dt", type=_positive_float, help="output sampling interval")
     p.add_argument("--tmax", type=_positive_float, help="simulation horizon")
     p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
-    p.add_argument("--threads", type=_threads_value, default=1,
-                   help="worker processes (integer or 'auto'), at most the CPU count")
+    p.add_argument("--threads", type=_threads_value, default="auto",
+                   help="worker processes (integer or 'auto', the default: every usable CPU), "
+                        "at most the CPU count and the most lane groups of any point")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any documented config key (repeatable)")
 
@@ -547,8 +569,8 @@ def _collect_overrides(args) -> dict:
     return resolve_overrides(raw)
 
 
-def parse_cli(argv) -> tuple[ExperimentSpec, int]:
-    """Turn an argv list into an ExperimentSpec plus a worker count."""
+def parse_cli(argv) -> tuple[ExperimentSpec, int | str]:
+    """Turn an argv list into an ExperimentSpec plus a worker count or "auto"."""
     parser = build_parser()
     args = parser.parse_args(argv)
     # flags the chosen control would ignore are usage errors
@@ -565,7 +587,6 @@ def parse_cli(argv) -> tuple[ExperimentSpec, int]:
         if ignored:
             parser.error(f"oracle-check runs fixed configurations and reads only --step and --seed; "
                          f"it would ignore {', '.join(ignored)}")
-    workers = (os.cpu_count() or 1) if args.threads == "auto" else args.threads
     name, options = args.command, {}
     if name == "run":
         name = "run-curve"
@@ -583,7 +604,7 @@ def parse_cli(argv) -> tuple[ExperimentSpec, int]:
     elif name == "curves":
         name = f"curves-{args.family}"
     options = {k: v for k, v in options.items() if v is not None}
-    return ExperimentSpec(name, overrides, args.out, options), workers
+    return ExperimentSpec(name, overrides, args.out, options), args.threads
 
 
 def main(argv=None) -> int:

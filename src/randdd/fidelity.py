@@ -191,9 +191,9 @@ def ensemble_functionals(
 
     Sample k uses schedule stream (master_seed, k); the stack is ordered by
     k regardless of how many workers ran. Samples run in lane groups
-    (riccati.lane_groups); a pool maps whole groups. A deviation-free
-    configuration is integrated once and replicated (every sample would be
-    identical).
+    (riccati.lane_groups); a pool maps whole groups, and a lone group runs
+    in this process. A deviation-free configuration is integrated once and
+    replicated (every sample would be identical).
 
     With until = theta the factors end at the first grid column C at which
     every sample's state-averaged fidelity is below theta (with room for
@@ -216,12 +216,18 @@ def ensemble_functionals(
         return EnsembleFactors(grid, e2, e1, {"degenerate": True})
     groups = lane_groups(n, system, pulses, sim)
     filled = [0] * len(groups)
-    # a float mean of n values below theta * (1 - 2 n eps) stays below theta
+    # Rounded addition and division are monotone, and each rounding is within a
+    # factor (1 +- eps), so a float mean of n values each <= b is at most
+    # b (1 + eps)^n and one of n values each >= a is at least a (1 - eps)^n
+    # (n - 1 additions and a division). So a mean of n values below
+    # theta (1 - 2 n eps) stays below theta, and one of n values at or above
+    # theta (1 + 2 n eps) stays at or above theta (bootstrap_threshold_ci).
     level = None if until is None else until * (1.0 - 2.0 * n * np.finfo(float).eps)
 
     def run(min_cols: dict) -> None:
-        """Fill each group of min_cols (group index -> its min_col) from column 0."""
-        if executor is not None:
+        """Fill each group of min_cols (group index -> its min_col) from column 0;
+        a pool maps them only when there are two or more."""
+        if executor is not None and len(min_cols) > 1:
             tasks = [(system, pulses, sim, groups[g], level, c) for g, c in min_cols.items()]
             for g, (a, b) in zip(min_cols, executor.map(_group_factors, tasks)):
                 ks = groups[g]
@@ -294,9 +300,16 @@ def bootstrap_threshold_ci(
     n = curves.shape[0]
     rng = stream.generator()
     idx = rng.integers(0, n, size=(n_boot, n))
+    # before j0, the first column where some sample is below theta (1 + 2 n eps),
+    # every resample mean is at or above theta (see the level in
+    # ensemble_functionals), so no bracket starts before j0 - 1; each column's
+    # mean is the same sum however many columns are taken
+    dips = (curves < theta * (1.0 + 2.0 * n * np.finfo(float).eps)).any(axis=0)
+    j = max((int(np.argmax(dips)) if dips.any() else len(factors.grid)) - 1, 0)
+    curves, grid = curves[:, j:], factors.grid[j:]
     ts = np.empty(n_boot)
     for b in range(n_boot):
         mean = curves[idx[b]].mean(axis=0)
-        ts[b] = _first_crossing(factors.grid, mean, theta).time
+        ts[b] = _first_crossing(grid, mean, theta).time
     alpha = 0.5 * (1.0 - 0.95)
     return float(np.quantile(ts, alpha)), float(np.quantile(ts, 1.0 - alpha))

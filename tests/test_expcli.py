@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randdd import expcli, oracle
+from randdd import expcli, oracle, riccati
 from randdd.expcli import (
     CONFIG_KEYS,
     ExperimentSpec,
@@ -39,7 +39,7 @@ def test_parse_cli_round_trip():
     assert spec.name == "sweep-phi"
     assert spec.overrides["sim.master_seed"] == 42
     assert str(spec.output_dir) == "results"
-    assert workers == 1
+    assert workers == "auto"
 
 
 def test_parse_cli_oracle_defaults():
@@ -457,7 +457,8 @@ def test_validate_fuzz_every_key_exits_cleanly(sets):
 @pytest.mark.parametrize("cpus,pools", [(3, [3]), (1, []), (None, [])])
 def test_threads_are_capped_at_the_cpu_count(tmp_path, monkeypatch, cpus, pools):
     # a fork pool starts all its processes at the first map: --threads 100000
-    # must not ask for 100000 of them; the manifest still records the request
+    # must not ask for 100000 of them; the manifest still records the request.
+    # Without an affinity call the CPU helper reads os.cpu_count (None: 1).
     sizes, tasks = [], []
 
     class SerialPool:
@@ -473,12 +474,95 @@ def test_threads_are_capped_at_the_cpu_count(tmp_path, monkeypatch, cpus, pools)
             pass
 
     monkeypatch.setattr(expcli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.delattr(expcli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(expcli.os, "cpu_count", lambda: cpus)
+    assert expcli.usable_cpus() == (cpus or 1)
+    # 100 samples are four lane groups, more than the 3 CPUs
     argv = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.5", "--tmax", "2",
-            "--ensemble", "3", "--grid-dt", "0.02"]
+            "--ensemble", "100", "--grid-dt", "0.02"]
     assert run_cli([*argv, "--threads", "100000", "--out", str(tmp_path / "many")]) == 0
     assert sizes == pools and bool(tasks) == bool(pools)
     manifest = json.loads((tmp_path / "many" / "manifest.json").read_text())
     assert manifest["settings"]["workers"] == 100000
-    assert run_cli([*argv, "--out", str(tmp_path / "one")]) == 0
+    assert run_cli([*argv, "--threads", "1", "--out", str(tmp_path / "one")]) == 0
     assert (tmp_path / "many" / "sweep_tau.csv").read_bytes() == (tmp_path / "one" / "sweep_tau.csv").read_bytes()
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(expcli.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    monkeypatch.setattr(expcli.os, "cpu_count", lambda: 64)
+    assert expcli.usable_cpus() == 2
+
+
+class PoolSpy(expcli.ProcessPoolExecutor):
+    """A real process pool that records the size of each one created."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        PoolSpy.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    monkeypatch.setattr(PoolSpy, "sizes", [])
+    monkeypatch.setattr(expcli, "ProcessPoolExecutor", PoolSpy)
+    return PoolSpy.sizes
+
+
+def test_default_starts_no_pool_without_two_lane_groups(tmp_path, monkeypatch, pool_spy):
+    # plenty of CPUs, so only the work decides
+    monkeypatch.setattr(expcli, "usable_cpus", lambda: 8)
+    small = ["--tmax", "3", "--seed", "7"]
+    calls = {
+        "oracle": ["oracle-check", "--step", "1e-3"],
+        "threshold-regular": ["threshold", "--regular", "--gammas", "0.9", *small],
+        "threshold-nocontrol": ["threshold", "--no-control", "--gammas", "0.9", *small],
+        "run-regular": ["run", "--regular", "--save-schedule", *small],
+        "sweep-6": ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.5", "--ensemble", "6",
+                    *small],
+    }
+    for name, argv in calls.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+    replay = ["run", "--replay", str(tmp_path / "run-regular" / "schedule.csv"), *small]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*replay, "--out", str(tmp_path / "replay")]) == 0
+    assert pool_spy == []
+    assert json.loads((tmp_path / "sweep-6" / "manifest.json").read_text())["settings"]["workers"] == "auto"
+
+
+def test_default_pool_is_sized_by_cpus_and_lane_groups(tmp_path, pool_spy):
+    argv = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.5", "--tmax", "4",
+            "--ensemble", "40", "--grid-dt", "0.02", "--set", "sim.threshold=0.995"]
+    # ratio 0.5: d_tau = 0.01
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=40)
+    groups = len(riccati.lane_groups(40, SystemParams(gamma=0.9), PulseParams(d_tau=0.01), sim))
+    assert groups == 2
+    blobs = []
+    for threads in ([], ["--threads", "1"], ["--threads", "2"]):
+        out = tmp_path / "-".join(["t", *threads[1:]])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, *threads, "--out", str(out)]) == 0
+        blobs.append((out / "sweep_tau.csv").read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+    want = min(expcli.usable_cpus(), groups)
+    assert pool_spy == [size for size in (want, min(2, want)) if size > 1]
+
+
+def test_worker_determinism_across_lane_groups(tmp_path, monkeypatch, pool_spy):
+    # criterion 12's 32 samples are one lane group, which no pool runs; here
+    # 8-lane groups give 5 groups to spread over 1, 2 and 4 workers
+    monkeypatch.setattr(riccati, "MAX_LANES", 8)
+    argv = ["run", "--set", "system.gamma=0.3", "--set", "pulses.d_tau=0.004", "--set", "pulses.d_delta=0.004",
+            "--tmax", "5", "--ensemble", "40", "--grid-dt", "0.02"]
+    blobs = {}
+    for workers in (1, 2, 4):
+        out = tmp_path / f"w{workers}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--threads", str(workers), "--out", str(out)]) == 0
+        blobs[workers] = (out / "curve.csv").read_bytes()
+    assert blobs[1] == blobs[2] == blobs[4]
+    cpus = expcli.usable_cpus()
+    assert pool_spy == [min(w, cpus) for w in (2, 4) if min(w, cpus) > 1]

@@ -452,3 +452,84 @@ def test_until_leaves_a_degenerate_ensemble_whole():
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=4)
     factors = ensemble_functionals(SYS9, PulseParams(0.02, 0.008, 0.2), sim, until=UNTIL_THETA)
     assert len(factors.grid) == sim.grid_size() and factors.meta["degenerate"]
+
+
+# --- bootstrap resample means from the first possible bracket on ----------------
+
+def _bootstrap_whole_grid(factors, theta, stream, n_boot):
+    """bootstrap_threshold_ci before it windowed its means: every mean over the whole grid."""
+    curves = factors.sample_curves()
+    n = curves.shape[0]
+    idx = stream.generator().integers(0, n, size=(n_boot, n))
+    ts = np.empty(n_boot)
+    for b in range(n_boot):
+        ts[b] = fidelity._first_crossing(factors.grid, curves[idx[b]].mean(axis=0), theta).time
+    alpha = 0.5 * (1.0 - 0.95)
+    return float(np.quantile(ts, alpha)), float(np.quantile(ts, 1.0 - alpha))
+
+
+@pytest.mark.parametrize("gamma,ratio,n,seed", [(0.9, 0.1, 7, 1), (0.9, 1.0, 60, 777), (0.5, 0.5, 60, 12345)])
+def test_bootstrap_window_matches_the_whole_grid_on_ensembles(gamma, ratio, n, seed):
+    sim = SimConfig(t_max=8.0, grid_dt=0.02, ensemble_n=n, master_seed=seed)
+    pulses = PulseParams(0.02, 0.008, 0.2, d_tau=ratio * 0.02)
+    full = ensemble_functionals(SystemParams(gamma=gamma), pulses, sim)
+    for theta in (0.9, 0.97, 0.99, 0.999):
+        cut = ensemble_functionals(SystemParams(gamma=gamma), pulses, sim, until=theta)
+        for factors in (full, cut):
+            stream = RandomStream.for_bootstrap(seed, 2)
+            assert (bootstrap_threshold_ci(factors, theta, stream, 200)
+                    == _bootstrap_whole_grid(factors, theta, stream, 200))
+
+
+def test_bootstrap_window_keeps_an_early_dip_that_recovers():
+    # sample 2 dips below theta at columns 6-9 and recovers: resamples heavy
+    # in it cross there, the others at the common decay near column 60
+    grid = np.linspace(0.0, 4.0, 81)
+    theta, n = 0.95, 7
+    curves = 1.0 - 0.08 * grid / 4.0 * np.linspace(0.9, 1.1, n)[:, None]
+    for depth in (0.5, 0.9, theta * (1.0 + 2.0 * n * np.finfo(float).eps)):
+        dipped = curves.copy()
+        dipped[2, 6:10] = depth
+        dipped[5, 3] = theta  # at theta exactly: below theta (1 + 2 n eps), not below theta
+        # F_avg = 0.5 + e2 / 6 with e1 = 0
+        factors = EnsembleFactors(grid, 6.0 * (dipped - 0.5), np.zeros_like(dipped), {})
+        for b in range(4):
+            stream = RandomStream.for_bootstrap(11, b)
+            ci = bootstrap_threshold_ci(factors, theta, stream, 100)
+            assert ci == _bootstrap_whole_grid(factors, theta, stream, 100)
+        assert (ci[0] < grid[10]) == (depth == 0.5)  # one draw of a 0.5 dip pulls the mean below theta
+    # no sample ever below theta: no bracket, every draw at the grid end
+    factors = EnsembleFactors(grid, 6.0 * (curves - 0.5), np.zeros_like(curves), {})
+    stream = RandomStream.for_bootstrap(11, 0)
+    assert bootstrap_threshold_ci(factors, 0.9, stream, 50) == (4.0, 4.0) == _bootstrap_whole_grid(factors, 0.9, stream, 50)
+
+
+def test_bootstrap_window_sees_a_mean_rounded_below_theta():
+    # every sample is exactly theta at column 5, yet the float mean of 7 of them
+    # is 0.9699999999999999: each resample crosses there, and the window must
+    # start before it although no sample is below theta
+    grid = np.linspace(0.0, 4.0, 81)
+    theta, n = 0.97, 7
+    assert np.full((n, 2), theta).mean(axis=0)[0] < theta
+    curves = 1.0 - 0.08 * grid / 4.0 * np.linspace(0.9, 1.1, n)[:, None]
+    e2 = 6.0 * (curves - 0.5)
+    e2[:, 5] = 6.0 * (theta - 0.5)
+    factors = EnsembleFactors(grid, e2, np.zeros_like(e2), {})
+    assert (factors.sample_curves()[:, 5] == theta).all()
+    stream = RandomStream.for_bootstrap(11, 0)
+    ci = bootstrap_threshold_ci(factors, theta, stream, 50)
+    assert ci == _bootstrap_whole_grid(factors, theta, stream, 50)
+    assert grid[4] < ci[0] <= ci[1] <= grid[5]
+
+
+def test_a_lone_lane_group_never_reaches_the_pool():
+    class NoMap:
+        def map(self, fn, tasks):
+            raise AssertionError("a lone group was sent to the pool")
+
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
+    assert len(lane_groups(6, SYS9, RAND_PULSES, sim)) == 1
+    for until in (None, UNTIL_THETA):
+        alone = ensemble_functionals(SYS9, RAND_PULSES, sim, until=until)
+        given = ensemble_functionals(SYS9, RAND_PULSES, sim, until=until, executor=NoMap())
+        assert np.array_equal(alone.e2, given.e2) and np.array_equal(alone.e1, given.e1)
