@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BlowUpError,
-    DegenerateDiscriminantError,
     IntegrationQualityError,
     NumericalError,
     ValidationError,
@@ -23,7 +22,6 @@ from .model import (
     SimConfig,
     SystemParams,
     ValidatedBundle,
-    bath_correlation,
     validate,
 )
 from .pulsegen import (
@@ -32,7 +30,6 @@ from .pulsegen import (
     RandomStream,
     control_integral,
     empty_schedule,
-    field_at,
     generate_random,
     generate_regular,
     load_schedule,
@@ -43,8 +40,6 @@ from .riccati import (
     integrate,
     integrate_exact,
     integrate_with,
-    markov_fixed_point,
-    q_derivative,
 )
 from .fidelity import (
     EnsembleFactors,

@@ -45,12 +45,7 @@ class IntegrationQualityError(NumericalError):
     beyond tolerance during integration."""
 
 
-class DegenerateDiscriminantError(NumericalError):
-    """The stationary Riccati equation has a double root; the two-root
-    branch formula is ill-conditioned."""
-
-
-# Violation codes used by model.validate
+# Violation codes raised in model: the section checks, InitialState and validate
 SYSTEM_NOT_FINITE = "system-param-not-finite"
 PULSE_PARAM_NOT_FINITE = "pulse-param-not-finite"
 SIM_NOT_FINITE = "sim-param-not-finite"
@@ -77,13 +72,19 @@ GRID_DT_BELOW_MERGE = "grid-dt-below-merge-tolerance"
 PULSES_TOO_MANY = "pulse-count-too-large"
 ENSEMBLE_TOO_LARGE = "ensemble-too-large"
 STEPS_TOO_MANY = "step-count-too-large"
-CURVE_BELOW_THRESHOLD = "curve-starts-below-threshold"
-HORIZON_SHORT = "horizon-short"
-UNKNOWN_KEY = "unknown-config-key"
-BAD_VALUE = "bad-config-value"
 
-# Violation codes used by pulsegen.PulseSchedule.check and load_schedule
+# Violation codes raised by pulsegen.PulseSchedule.check and load_schedule
 SCHEDULE_PULSE_DEGENERATE = "schedule-pulse-degenerate"
 SCHEDULE_PULSE_OVERLAP = "schedule-pulse-overlap"
 SCHEDULE_PULSE_OUTSIDE = "schedule-pulse-outside-horizon"
 SCHEDULE_MALFORMED = "schedule-file-malformed"
+
+# Violation code raised by riccati._breakpoints
+HORIZON_SHORT = "horizon-short"
+
+# Violation code raised by fidelity.threshold_time
+CURVE_BELOW_THRESHOLD = "curve-starts-below-threshold"
+
+# Violation codes raised by expcli for config keys, config values and experiment names
+UNKNOWN_KEY = "unknown-config-key"
+BAD_VALUE = "bad-config-value"

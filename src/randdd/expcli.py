@@ -493,9 +493,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _gamma_list(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        gammas = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad gamma list {text!r}") from exc
+    if not gammas:  # else `args.gammas or None` would run the default gammas
+        raise argparse.ArgumentTypeError(f"gamma list {text!r} names no gamma")
+    return gammas
 
 
 def _grid_spec(text: str) -> list[float]:

@@ -272,17 +272,3 @@ def validate(
     if init is not None:
         init = init.normalized()
     return ValidatedBundle(system, pulses, sim, init)
-
-
-def bath_correlation(system: SystemParams, t: float, s: float):
-    """Environment correlation (Gamma*gamma/2) * exp(-gamma*|t-s|).
-
-    Real-valued for this bath; vectorizes over t or s. A diagnostic only:
-    neither the integrators nor the damped-mode oracle call it (both see
-    Gamma and gamma directly).
-    """
-    dt = np.abs(np.asarray(t) - np.asarray(s))
-    out = 0.5 * system.Gamma * system.gamma * np.exp(-system.gamma * dt)
-    if out.ndim == 0:
-        return float(out)
-    return out

@@ -84,10 +84,6 @@ class Pulse:
     area: float
 
     @property
-    def strength(self) -> float:
-        return self.area / self.width
-
-    @property
     def end(self) -> float:
         return self.start + self.width
 
@@ -186,16 +182,6 @@ def generate_random(params: PulseParams, horizon: float, stream: RandomStream) -
     areas[over] *= limit[over] / widths[over]
     widths[over] = limit[over]
     return PulseSchedule(starts, widths, areas, horizon).check()
-
-
-def field_at(schedule: PulseSchedule, t: float) -> float:
-    """Control field c(t); raises for queries outside [0, horizon]."""
-    if not (0.0 <= t <= schedule.horizon):
-        raise ValueError(f"t = {t} outside schedule horizon [0, {schedule.horizon}]")
-    i = int(np.searchsorted(schedule.starts, t, side="right")) - 1
-    if i >= 0 and schedule.starts[i] <= t < schedule.starts[i] + schedule.widths[i]:
-        return float(schedule.areas[i] / schedule.widths[i])
-    return 0.0
 
 
 def control_integral(schedule: PulseSchedule, t) -> np.ndarray | float:
@@ -316,16 +302,3 @@ def load_schedule(path, horizon: float | None = None) -> PulseSchedule:
 def empty_schedule(horizon: float) -> PulseSchedule:
     """No control: c(t) = 0 on [0, horizon]."""
     return PulseSchedule(np.empty(0), np.empty(0), np.empty(0), horizon)
-
-
-def realized_stats(schedules: Sequence[PulseSchedule]) -> dict:
-    """Sample means of realized (gap, width, area) pooled over schedules."""
-    gaps = np.concatenate([np.empty(0)] + [np.diff(s.starts) for s in schedules])
-    widths = np.concatenate([np.empty(0)] + [s.widths for s in schedules])
-    areas = np.concatenate([np.empty(0)] + [s.areas for s in schedules])
-
-    def mean(x):
-        return float(x.mean()) if x.size else float("nan")
-
-    return {"n_pulses": int(widths.size), "n_gaps": int(gaps.size),
-            "mean_gap": mean(gaps), "mean_width": mean(widths), "mean_area": mean(areas)}

@@ -29,7 +29,6 @@ merged into the breakpoint set, never interpolated.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -37,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BlowUpError, DegenerateDiscriminantError, ValidationError, HORIZON_SHORT
+from .errors import BlowUpError, ValidationError, HORIZON_SHORT
 from .model import PulseParams, SimConfig, SystemParams
 from .pulsegen import PulseSchedule, breakpoint_table
 
@@ -68,26 +67,6 @@ class QTrajectory:
                     f"{float(t)!r},{float(q.real)!r},{float(q.imag)!r},"
                     f"{float(j.real)!r},{float(j.imag)!r}\n"
                 )
-
-
-def q_derivative(q: complex, c: float, system: SystemParams) -> complex:
-    """Right-hand side of the Riccati equation at field value c."""
-    return (
-        0.5 * system.Gamma * system.gamma
-        + (-system.gamma + 1j * (system.omega + c)) * q
-        + q * q
-    )
-
-
-def markov_fixed_point(system: SystemParams) -> complex:
-    """Stationary root of the c = 0 equation on the branch that tends to
-    Gamma/2 as gamma grows (the memoryless damping rate)."""
-    gt = system.gamma - 1j * system.omega
-    disc = gt * gt - 2.0 * system.Gamma * system.gamma
-    if abs(disc) <= 1e-14 * max(abs(gt * gt), 2.0 * system.Gamma * system.gamma):
-        raise DegenerateDiscriminantError(f"gamma_tilde^2 = 2*Gamma*gamma = {gt * gt}")
-    # principal sqrt has Re >= 0, so this is the smaller-real-part root
-    return 0.5 * (gt - cmath.sqrt(disc))
 
 
 def _steps_for(length: float, step: float) -> int:

@@ -341,6 +341,31 @@ def test_flag_ignored_by_control_exits_2(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["sweep", "--param", "tau"], ["threshold", "--random"]],
+                         ids=["sweep", "threshold"])
+@pytest.mark.parametrize("gammas", ["", ","], ids=["empty", "comma"])
+def test_empty_gamma_list_exits_2(tmp_path, capsys, command, gammas):
+    # an empty list must not fall back to the default gammas
+    out = tmp_path / "out"
+    assert run_cli([*command, "--gammas", gammas, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--gammas" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, code", [
+    ("system.omega=0", "omega-not-positive"),
+    ("pulses.d_phi=-0.1", "deviation-negative"),
+    ("sim.integrator=euler", "integrator-unknown"),
+], ids=["system", "pulses", "sim"])
+def test_set_violation_exits_3(tmp_path, capsys, setting, code):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--regular", "--set", setting, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert code in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--tmax", "1e12"], "grid-too-large"),
     (["--set", "pulses.tau=1e-9", "--set", "pulses.delta=1e-10"], "pulse-count-too-large"),

@@ -1,10 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+from randdd import errors
 from randdd.errors import (
     ENSEMBLE_TOO_LARGE,
     GRID_DT_BELOW_MERGE,
@@ -25,7 +25,6 @@ from randdd.model import (
     PulseParams,
     SimConfig,
     SystemParams,
-    bath_correlation,
     validate,
 )
 from randdd.pulsegen import merge_tol
@@ -85,6 +84,30 @@ def test_negative_area_emits_warning():
 def test_sim_config_invariants(sim, code, standard_pulses):
     with pytest.raises(ValidationError) as err:
         validate(SystemParams(), standard_pulses, sim)
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize("section, field, value, code", [
+    ("system", "omega", 0.0, errors.OMEGA_NOT_POSITIVE),
+    ("system", "Gamma", -1.0, errors.GAMMA_COUPLING_NOT_POSITIVE),
+    ("system", "gamma", 0.0, errors.GAMMA_MEMORY_NOT_POSITIVE),
+    ("pulses", "tau", -0.02, errors.TAU_NOT_POSITIVE),
+    ("pulses", "delta", 0.0, errors.DELTA_NOT_POSITIVE),
+    ("pulses", "d_phi", -0.1, errors.DEVIATION_NEGATIVE),
+    ("pulses", "d_tau", 0.02, errors.GAP_CAN_VANISH),
+    ("sim", "t_max", 0.0, errors.TMAX_NOT_POSITIVE),
+    ("sim", "step", -1e-4, errors.STEP_NOT_POSITIVE),
+    ("sim", "grid_dt", 0.0, errors.GRID_DT_NOT_POSITIVE),
+    ("sim", "ensemble_n", 0, errors.ENSEMBLE_TOO_SMALL),
+    ("sim", "master_seed", 2**64, errors.SEED_OUT_OF_RANGE),
+    ("sim", "integrator", "euler", errors.INTEGRATOR_UNKNOWN),
+])
+def test_each_violation_has_its_code(section, field, value, code):
+    # one violating value in an otherwise default configuration
+    args = {"system": SystemParams(), "pulses": PulseParams(), "sim": SimConfig()}
+    args[section] = replace(args[section], **{field: value})
+    with pytest.raises(ValidationError) as err:
+        validate(args["system"], args["pulses"], args["sim"])
     assert err.value.code == code
 
 
@@ -170,40 +193,3 @@ def test_from_population():
     s = InitialState.from_population(0.3, rel_phase=0.7)
     assert math.isclose(s.mu2, 0.3, rel_tol=1e-12)
     assert math.isclose(abs(s.nu) ** 2, 0.7, rel_tol=1e-12)
-
-
-# --- bath correlation -------------------------------------------------------
-
-def test_bath_correlation_equal_times():
-    assert bath_correlation(SystemParams(gamma=0.2), 1.3, 1.3) == pytest.approx(0.1, abs=1e-15)
-
-
-def test_bath_correlation_direct_value():
-    # (Gamma=1, gamma=0.5, |t-s|=2) -> 0.25 * e^{-1}
-    got = bath_correlation(SystemParams(gamma=0.5), 2.5, 0.5)
-    assert got == pytest.approx(0.25 * math.exp(-1.0), rel=1e-14)
-
-
-@pytest.mark.parametrize("gamma", [1.0, 10.0, 100.0])
-def test_bath_correlation_markov_weight(gamma):
-    # correlation sharpens as gamma grows but the integrated weight stays Gamma:
-    # 2 * int_0^inf (Gamma*gamma/2) e^{-gamma u} du = Gamma
-    sys_p = SystemParams(gamma=gamma)
-    u = np.linspace(0.0, 60.0 / gamma, 400_001)
-    weight = 2.0 * np.trapezoid(bath_correlation(sys_p, u, 0.0), u)
-    assert weight == pytest.approx(sys_p.Gamma, rel=1e-6)
-    # pointwise value at fixed separation dies off as the memory shrinks
-    assert bath_correlation(sys_p, 1.0, 0.0) == pytest.approx(
-        0.5 * gamma * math.exp(-gamma), rel=1e-12
-    )
-
-
-@given(
-    t=st.floats(-50, 50),
-    s=st.floats(-50, 50),
-    gamma=st.floats(0.01, 50),
-    Gamma=st.floats(0.01, 50),
-)
-def test_bath_correlation_symmetry(t, s, gamma, Gamma):
-    sys_p = SystemParams(Gamma=Gamma, gamma=gamma)
-    assert bath_correlation(sys_p, t, s) == bath_correlation(sys_p, s, t)

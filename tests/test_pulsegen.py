@@ -18,13 +18,12 @@ from randdd.pulsegen import (
     _REL_TOL,
     PulseSchedule,
     RandomStream,
+    breakpoint_table,
     control_integral,
     empty_schedule,
-    field_at,
     generate_random,
     generate_regular,
     load_schedule,
-    realized_stats,
     save_schedule,
     segment_table,
 )
@@ -34,7 +33,7 @@ def test_regular_five_pulses(standard_pulses):
     s = generate_regular(standard_pulses, 0.1)
     assert [p.start for p in s.pulses] == [0.0, 0.02, 0.04, 0.06, 0.08]
     assert all(p.width == 0.008 and p.area == 0.2 for p in s.pulses)
-    assert all(p.strength == pytest.approx(25.0) for p in s.pulses)
+    assert s.strengths.tolist() == pytest.approx([25.0] * 5)
 
 
 def test_regular_empty_horizon(standard_pulses):
@@ -52,18 +51,7 @@ def test_regular_truncates_final_pulse(standard_pulses):
     assert last.start == pytest.approx(0.04)
     assert last.width == pytest.approx(0.005)
     assert last.area == pytest.approx(0.2 * 0.005 / 0.008)
-    assert last.strength == pytest.approx(25.0)  # prorating keeps the strength
-
-
-def test_field_values(standard_pulses):
-    s = generate_regular(standard_pulses, 0.1)
-    assert field_at(s, 0.004) == pytest.approx(25.0)
-    assert field_at(s, 0.009) == 0.0
-    assert field_at(s, 0.02 + 0.008) == 0.0  # half-open edge
-    with pytest.raises(ValueError):
-        field_at(s, 0.2)
-    with pytest.raises(ValueError):
-        field_at(s, -0.001)
+    assert s.strengths[-1] == pytest.approx(25.0)  # prorating keeps the strength
 
 
 def test_segment_edges_regular(standard_pulses):
@@ -110,19 +98,20 @@ def test_random_gap_mean_converges():
     # law of large numbers on the start-to-start gaps: Var(U(-1,1)*D) = D^2/3
     params = PulseParams(0.02, 0.008, 0.2, d_tau=0.004)
     scheds = [generate_random(params, 60.0, RandomStream.for_schedule(7, k)) for k in range(4)]
-    stats = realized_stats(scheds)
-    assert stats["n_gaps"] >= 10_000
-    se = params.d_tau / math.sqrt(3.0 * stats["n_gaps"])
-    assert abs(stats["mean_gap"] - params.tau) < 4.0 * se
+    gaps = np.concatenate([np.diff(s.starts) for s in scheds])
+    assert gaps.size >= 10_000
+    se = params.d_tau / math.sqrt(3.0 * gaps.size)
+    assert abs(gaps.mean() - params.tau) < 4.0 * se
 
 
 def test_random_width_area_means():
     params = PulseParams(0.02, 0.008, 0.2, d_delta=0.003, d_phi=0.15)
     scheds = [generate_random(params, 60.0, RandomStream.for_schedule(11, k)) for k in range(4)]
-    stats = realized_stats(scheds)
-    n = stats["n_pulses"]
-    assert abs(stats["mean_width"] - params.delta) < 4.0 * params.d_delta / math.sqrt(3 * n)
-    assert abs(stats["mean_area"] - params.phi) < 4.0 * params.d_phi / math.sqrt(3 * n)
+    widths = np.concatenate([s.widths for s in scheds])
+    areas = np.concatenate([s.areas for s in scheds])
+    n = widths.size
+    assert abs(widths.mean() - params.delta) < 4.0 * params.d_delta / math.sqrt(3 * n)
+    assert abs(areas.mean() - params.phi) < 4.0 * params.d_phi / math.sqrt(3 * n)
 
 
 valid_params = st.builds(
@@ -157,10 +146,16 @@ def test_random_schedule_invariants(params, seed, k):
 @given(params=valid_params, seed=st.integers(0, 2**32))
 @settings(max_examples=20)
 def test_field_integral_equals_area(params, seed):
+    # the integrators' field: sum of c * dt over a pulse's intervals is its area, 0 off pulses
     s = generate_random(params, 0.5, RandomStream(seed, 0))
-    for p in s.pulses:
-        mid = p.start + 0.5 * p.width
-        assert field_at(s, mid) * p.width == pytest.approx(p.area, rel=1e-12, abs=1e-15)
+    pts, c, _ = breakpoint_table(s, np.empty(0))
+    dt = np.diff(pts)
+    mids = pts[:-1] + 0.5 * dt
+    owner = np.searchsorted(s.starts, mids, side="right") - 1
+    on = (owner >= 0) & (mids < s.ends[owner])
+    assert np.all(c[~on] == 0.0)
+    got = np.bincount(owner[on], c[on] * dt[on], len(s))
+    assert got.tolist() == pytest.approx(s.areas.tolist(), rel=1e-12, abs=1e-15)
 
 
 def test_control_integral_piecewise_exact(standard_pulses):
@@ -183,7 +178,7 @@ def test_clamped_generation_when_overlap_possible():
     for a, b in zip(s.pulses, s.pulses[1:]):
         assert a.end <= b.start + 1e-15
     # strength preserved by prorating: area/width stays at the drawn strength
-    assert all(np.isfinite(p.strength) for p in s.pulses)
+    assert np.isfinite(s.strengths).all()
 
 
 def test_schedule_roundtrip(tmp_path, standard_pulses):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randdd import riccati
-from randdd.errors import BlowUpError, DegenerateDiscriminantError, ValidationError
+from randdd.errors import BlowUpError, ValidationError
 from randdd.model import PulseParams, SimConfig, SystemParams
 from randdd.oracle import closed_form_barQ
 from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular
@@ -14,41 +14,37 @@ from randdd.riccati import (
     exact_factors,
     integrate,
     integrate_exact,
-    markov_fixed_point,
-    q_derivative,
 )
 
 
-def test_derivative_at_origin(system02):
-    assert q_derivative(0.0, 0.0, system02) == pytest.approx(0.05 * 2, abs=1e-15)  # Gamma*gamma/2
+def riccati_rhs(q, c, system):
+    """dQ/dt of the module docstring at field value c, written out here."""
+    return 0.5 * system.Gamma * system.gamma + (-system.gamma + 1j * (system.omega + c)) * q + q * q
 
 
-def test_derivative_plain_arithmetic():
-    sys_p = SystemParams(gamma=20.0)
-    val = q_derivative(0.5, 0.0, sys_p)
-    assert val == pytest.approx(10.0 + (-20.0 + 1.0j) * 0.5 + 0.25)
+def stationary_root(system):
+    """The c = 0 stationary root (g - sqrt(g^2 - 2 Gamma gamma))/2, g = gamma - i omega."""
+    g = system.gamma - 1j * system.omega
+    return 0.5 * (g - np.sqrt(g * g - 2.0 * system.Gamma * system.gamma))
 
 
 def test_fixed_point_is_stationary():
+    # uncontrolled Q settles onto the smaller-real-part stationary root, a
+    # positive decay rate that zeroes the right-hand side
+    sim = SimConfig(t_max=150.0, step=1e-4, grid_dt=1.0, ensemble_n=1)
     for gamma in (0.2, 0.5, 20.0):
         sys_p = SystemParams(gamma=gamma)
-        q_star = markov_fixed_point(sys_p)
-        assert abs(q_derivative(q_star, 0.0, sys_p)) < 1e-12
+        q_end = integrate_exact(empty_schedule(150.0), sys_p, sim).q[-1]
+        assert abs(q_end - stationary_root(sys_p)) < 1e-9
+        assert abs(riccati_rhs(q_end, 0.0, sys_p)) < 1e-9
+        assert q_end.real > 0
 
 
 def test_fixed_point_markov_limit():
-    q_star = markov_fixed_point(SystemParams(gamma=1e6))
-    assert abs(q_star - 0.5) < 2e-6  # -> Gamma/2
-
-
-def test_fixed_point_positive_decay():
-    assert markov_fixed_point(SystemParams(gamma=0.5)).real > 0
-
-
-def test_fixed_point_degenerate_guard():
-    # unreachable for omega > 0; forced here with an unvalidated omega = 0
-    with pytest.raises(DegenerateDiscriminantError):
-        markov_fixed_point(SystemParams(omega=0.0, Gamma=1.0, gamma=2.0))
+    # gamma = 1e6: the memoryless limit, Q -> Gamma/2 within ~1/gamma
+    sim = SimConfig(t_max=0.01, step=1e-4, grid_dt=1e-3, ensemble_n=1)
+    traj = integrate_exact(empty_schedule(0.01), SystemParams(gamma=1e6), sim)
+    assert np.max(np.abs(traj.q[1:] - 0.5)) < 2e-6
 
 
 def test_derivative_matches_closed_form_slope(system02):
@@ -69,7 +65,7 @@ def test_derivative_matches_closed_form_slope(system02):
         dq_numeric = (
             8.0 * (q_of(t + h) - q_of(t - h)) - (q_of(t + 2 * h) - q_of(t - 2 * h))
         ) / (12.0 * h)
-        assert abs(q_derivative(q_of(t), 0.0, system02) - dq_numeric) < 1e-9
+        assert abs(riccati_rhs(q_of(t), 0.0, system02) - dq_numeric) < 1e-9
 
 
 def test_boundary_condition(system02):
@@ -113,7 +109,7 @@ def test_markov_settling():
     sys_p = SystemParams(gamma=20.0)
     sim = SimConfig(t_max=3.0, step=1e-4, grid_dt=0.05, ensemble_n=1)
     traj = integrate_exact(empty_schedule(3.0), sys_p, sim)
-    q_star = markov_fixed_point(sys_p)
+    q_star = stationary_root(sys_p)
     assert abs(traj.q[-1].real - q_star.real) / q_star.real < 1e-3
     assert abs(traj.q[-1].real - 0.5) / 0.5 < 0.03
 
