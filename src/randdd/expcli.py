@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -32,7 +33,9 @@ from .fidelity import (
     ensemble_functionals,
     fidelity_avg,
     fidelity_pure,
+    finish_ensemble,
     mean_crossing_time,
+    start_ensemble,
     threshold_time,
 )
 from .model import SECTIONS, InitialState, PulseParams, SimConfig, ValidatedBundle, validate
@@ -69,6 +72,11 @@ ORACLE_KEYS = ("sim.step", "sim.master_seed")
 FLAG_KEYS = {"seed": "sim.master_seed", "ensemble": "sim.ensemble_n", "step": "sim.step",
              "grid_dt": "sim.grid_dt", "tmax": "sim.t_max"}
 MAX_SWEEP_RATIOS = 1000  # per --grid; the default grids have at most 12
+
+# the pool's start method: fork where it is the tested default (Python 3.14
+# makes forkserver the Linux default, which would import numpy and randdd
+# again in every worker of a run), else the platform default
+START_METHOD = "fork" if sys.platform == "linux" else None
 
 
 @dataclass(frozen=True)
@@ -319,10 +327,17 @@ def _point_states(point: Point) -> dict:
     return {mu2: InitialState.from_population(mu2) for _, mu2 in point.curves if mu2 is not None}
 
 
+def _until(point: Point, sim: SimConfig) -> float | None:
+    """A point that writes only its T row needs the factors up to the column that decides T."""
+    return sim.threshold if point.row is not None and not point.curves else None
+
+
 def evaluate(point: Point, bundle: ValidatedBundle, options: dict, out_dir: Path,
-             executor) -> tuple[list[Path], tuple | None]:
+             factors=None) -> tuple[list[Path], tuple | None]:
     """Integrate one point and write its curves (plus trajectory.csv and
-    schedule.csv when asked); returns the written files and its T row."""
+    schedule.csv when asked); returns the written files and its T row.
+    A random point integrates its ensemble in this process unless its
+    factors are given."""
     system, pulses, sim = bundle.system, bundle.pulses, bundle.sim
     states = _point_states(point)
     files: list[Path] = []
@@ -332,9 +347,8 @@ def evaluate(point: Point, bundle: ValidatedBundle, options: dict, out_dir: Path
         return files[-1]
 
     if point.control == "random":
-        # a point that writes only its T row needs the factors up to the column that decides T
-        until = sim.threshold if point.row is not None and not point.curves else None
-        factors = ensemble_functionals(system, pulses, sim, executor=executor, until=until)
+        if factors is None:
+            factors = ensemble_functionals(system, pulses, sim, until=_until(point, sim))
         curve_of = factors.mean_curve  # reduces with mu2 as given, not the normalized state's
         if options.get("save_schedule"):
             schedule = generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, 0))
@@ -382,16 +396,21 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_size(points: list[Point], bundles: list[ValidatedBundle], workers: int | str) -> int:
+def _first_pass_groups(point: Point, bundle: ValidatedBundle) -> int:
+    """The lane groups a point's ensemble runs (0 for one trajectory: no
+    ensemble, or a deviation-free one, which integrates one sample)."""
+    if point.control != "random" or bundle.pulses.is_regular:
+        return 0
+    return len(lane_groups(bundle.sim.ensemble_n, bundle.system, bundle.pulses, bundle.sim))
+
+
+def _pool_size(groups: list[int], workers: int | str) -> int:
     """Worker processes for the run: the request ("auto" is every usable
-    CPU), capped at the usable CPUs and at the most lane groups any ensemble
-    point has. Below 2 the run needs no pool; a deviation-free ensemble
-    integrates one sample."""
-    groups = max((len(lane_groups(b.sim.ensemble_n, b.system, b.pulses, b.sim))
-                  for p, b in zip(points, bundles) if p.control == "random" and not b.pulses.is_regular),
-                 default=0)
+    CPU), capped at the usable CPUs and at the lane groups summed over the
+    points that reach a pool (those with two or more; a lone group runs in
+    this process). Below 2 the run needs no pool."""
     cpus = usable_cpus()
-    return min(cpus if workers == "auto" else workers, cpus, groups)
+    return min(cpus if workers == "auto" else workers, cpus, sum(g for g in groups if g > 1))
 
 
 def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list[Path]:
@@ -399,10 +418,18 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
 
     The output directory is created only once the run has passed
     validation: every point's bundle and states, or the oracle's settings.
-    workers is "auto" or a count; the manifest records it as given.
+    workers is "auto" or a count; the manifest records it as given, and the
+    start method of the pool when one started.
+
+    Points with two or more lane groups run on the pool. Their first passes
+    are submitted ahead, in point order, while fewer than twice the pool
+    size of first-pass tasks are outstanding, so the workers keep busy while
+    this process integrates the other points, reduces, bootstraps and
+    writes. Each point is still finished and written in point order.
     """
     out_dir = Path(spec.output_dir)
     t0 = time.perf_counter()
+    settings = {**spec.options, "workers": workers}
     if spec.name == "oracle-check":
         seed = int(spec.overrides.get("sim.master_seed", SimConfig.master_seed))
         report = run_oracle_check(step=float(spec.overrides.get("sim.step", SimConfig.step)), seed=seed)
@@ -420,25 +447,43 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
         snapshot = _snapshot(build_bundle(spec.overrides))
         out_dir.mkdir(parents=True, exist_ok=True)
         files, tables = [], {}
+        groups = [_first_pass_groups(p, b) for p, b in zip(points, bundles)]
         # never more processes than CPUs or groups: a fork pool starts all of them at once
-        procs = _pool_size(points, bundles, workers)
-        executor = ProcessPoolExecutor(max_workers=procs) if procs > 1 else None
+        procs = _pool_size(groups, workers)
+        executor = None
+        if procs > 1:
+            context = multiprocessing.get_context(START_METHOD)
+            executor = ProcessPoolExecutor(max_workers=procs, mp_context=context)
+            settings["start_method"] = context.get_start_method()
+        ahead = [i for i, g in enumerate(groups) if g > 1] if executor is not None else []
+        started = {}  # point index -> its EnsembleRun, first pass submitted
+
+        def feed() -> None:
+            while ahead and sum(groups[j] for j in started) < 2 * procs:
+                j = ahead.pop(0)
+                started[j] = start_ensemble(bundles[j].system, bundles[j].pulses, bundles[j].sim,
+                                            executor=executor, until=_until(points[j], bundles[j].sim))
+
         try:
-            for point, bundle in zip(points, bundles):
-                written, row = evaluate(point, bundle, spec.options, out_dir, executor)
+            for i, (point, bundle) in enumerate(zip(points, bundles)):
+                feed()
+                factors = finish_ensemble(started.pop(i)) if i in started else None
+                feed()
+                written, row = evaluate(point, bundle, spec.options, out_dir, factors)
+                del factors  # else this point's stacks live on beside the next one's
                 files += written
                 if row is not None:
                     tables.setdefault(point.row[0], []).append(row)
         finally:
             if executor is not None:
-                executor.shutdown()
+                # a failing point must not wait for the points submitted ahead
+                executor.shutdown(cancel_futures=True)
         for name, rows in tables.items():
             _write_csv(out_dir / name, ROW_HEADER, rows)
             files.append(out_dir / name)
 
     files.append(_write_plot_script(out_dir))
-    spec = ExperimentSpec(spec.name, spec.overrides, spec.output_dir,
-                          {**spec.options, "workers": workers})
+    spec = ExperimentSpec(spec.name, spec.overrides, spec.output_dir, settings)
     manifest = _write_manifest(out_dir, spec, snapshot, files, time.perf_counter() - t0)
     return files + [manifest]
 
@@ -486,7 +531,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     p.add_argument("--threads", type=_threads_value, default="auto",
                    help="worker processes (integer or 'auto', the default: every usable CPU), "
-                        "at most the CPU count and the most lane groups of any point")
+                        "at most the CPU count and the lane groups summed over the run's points")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any documented config key (repeatable)")
 

@@ -221,8 +221,26 @@ def breakpoint_table(schedule: PulseSchedule, times: np.ndarray, t_max: float | 
     """
     h = schedule.horizon
     tol = merge_tol(h)
-    edges = np.sort(np.concatenate([[0.0, h], schedule.starts, schedule.ends[schedule.ends < h]]))
-    edges = edges[np.append(True, np.diff(edges) > tol)]
+    # the edges in pulse order, start i, end i, start i + 1, ..., each with
+    # the c that follows it (an end at or past the horizon is the horizon's)
+    n = len(schedule)
+    x, follow = np.empty(2 * n), np.zeros(2 * n)
+    x[0::2], x[1::2], follow[0::2] = schedule.starts, schedule.ends, schedule.strengths
+    inside = np.ones(2 * n, dtype=bool)
+    inside[1::2] = schedule.ends < h
+    edges = np.concatenate([[0.0], x[inside], [h]])
+    follow = np.concatenate([[0.0], follow[inside], [0.0]])
+    step, held = np.diff(edges), edges
+    if (step < 0.0).any():
+        # a pulse starts (within the tolerance) before the previous one ends:
+        # no edge order to read, every interval's c is looked up below
+        edges = np.sort(edges)
+        step, held = np.diff(edges), np.full(len(edges), np.inf)
+    # a cluster of edges keeps its first; the c after it, that of its last
+    # edge, holds from reach on
+    last = np.append(step > tol, True)
+    after, reach = follow[last], held[last]
+    edges = edges[np.append(True, step > tol)]
     # merge the times in by position: a time goes after the edges <= it
     at = np.searchsorted(edges, times, side="right") + np.arange(len(times))
     is_time = np.zeros(len(edges) + len(times), dtype=bool)
@@ -237,12 +255,16 @@ def breakpoint_table(schedule: PulseSchedule, times: np.ndarray, t_max: float | 
         hi = min(hi, np.searchsorted(pts, t_max + merge_tol(t_max)))
     pts = pts[lo:hi]
     idx = (np.cumsum(keep) - 1 - lo)[at]
+    # interval j's c is the c at its midpoint: the c after the last edge
+    # cluster merged into breakpoint j, unless that cluster reaches past the
+    # midpoint (edges chained within the tolerance); those are looked up
     mids = 0.5 * (pts[:-1] + pts[1:])
-    c = np.zeros(len(mids))
-    if len(schedule):
-        i = np.searchsorted(schedule.starts, mids, side="right") - 1
-        on = (i >= 0) & (mids < schedule.ends[i])
-        c[on] = schedule.strengths[i[on]]
+    k = (np.cumsum(~is_time) - 1)[np.append(keep[1:], True)][lo:lo + len(mids)]
+    c, look = after[k], reach[k] > mids
+    if n and look.any():
+        m = mids[look]
+        i = np.searchsorted(schedule.starts, m, side="right") - 1
+        c[look] = np.where((i >= 0) & (m < schedule.ends[i]), schedule.strengths[i], 0.0)
     if pieces is None:
         return pts, c, idx
     lengths = np.diff(pts)

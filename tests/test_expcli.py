@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import multiprocessing
+import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -487,15 +490,16 @@ def test_threads_are_capped_at_the_cpu_count(tmp_path, monkeypatch, cpus, pools)
     sizes, tasks = [], []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
 
-        def map(self, fn, items):
-            items = list(items)
-            tasks.extend(items)
-            return map(fn, items)
+        def submit(self, fn, *args):
+            tasks.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-        def shutdown(self):
+        def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(expcli, "ProcessPoolExecutor", SerialPool)
@@ -520,18 +524,25 @@ def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
 
 
 class PoolSpy(expcli.ProcessPoolExecutor):
-    """A real process pool that records the size of each one created."""
+    """A real process pool that records the size of each one created and
+    whether its shutdown cancelled the tasks not yet started."""
 
     sizes: list = []
+    cancels: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         PoolSpy.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers)
+        super().__init__(max_workers=max_workers, mp_context=mp_context)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        PoolSpy.cancels.append(cancel_futures)
+        super().shutdown(wait, cancel_futures=cancel_futures)
 
 
 @pytest.fixture
 def pool_spy(monkeypatch):
     monkeypatch.setattr(PoolSpy, "sizes", [])
+    monkeypatch.setattr(PoolSpy, "cancels", [])
     monkeypatch.setattr(expcli, "ProcessPoolExecutor", PoolSpy)
     return PoolSpy.sizes
 
@@ -591,3 +602,91 @@ def test_worker_determinism_across_lane_groups(tmp_path, monkeypatch, pool_spy):
     assert blobs[1] == blobs[2] == blobs[4]
     cpus = expcli.usable_cpus()
     assert pool_spy == [min(w, cpus) for w in (2, 4) if min(w, cpus) > 1]
+
+
+LOOK_AHEAD_RUNS = {
+    # regular points run in this process between the four two-group random ones
+    "curves-delta": ["curves", "--family", "delta", "--ensemble", "40", "--tmax", "5"],
+    # per gamma a deviation-free ratio-0 point, then two two-group points that stop early
+    "sweep-tau": ["sweep", "--param", "tau", "--gammas", "0.5,0.9", "--grid", "0:0.5:0.25", "--ensemble", "40",
+                  "--tmax", "4", "--set", "sim.threshold=0.995"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:pulse-overlap-possible")
+@pytest.mark.parametrize("name", sorted(LOOK_AHEAD_RUNS))
+def test_look_ahead_is_byte_identical_at_any_thread_count(tmp_path, pool_spy, name):
+    # later points' lane groups are submitted while earlier points are
+    # integrated, reduced and written here; every CSV keeps its bytes
+    csvs, methods = {}, {}
+    for threads in (["--threads", "1"], ["--threads", "2"], []):
+        out = tmp_path / "-".join(["t", *threads[1:]])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*LOOK_AHEAD_RUNS[name], *threads, "--out", str(out)]) == 0
+        csvs[out.name] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        methods[out.name] = json.loads((out / "manifest.json").read_text())["settings"].get("start_method")
+    assert len(csvs["t-1"]) == (8 if name == "curves-delta" else 1)
+    assert csvs["t-1"] == csvs["t-2"] == csvs["t"]
+    pool = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
+    assert methods == {"t-1": None, "t-2": pool if min(2, expcli.usable_cpus()) > 1 else None,
+                       "t": pool if expcli.usable_cpus() > 1 else None}
+    assert pool_spy == [n for n in (min(2, expcli.usable_cpus()), min(8, expcli.usable_cpus())) if n > 1]
+
+
+@pytest.mark.filterwarnings("ignore:pulse-overlap-possible")
+def test_blowup_at_a_later_point_exits_4_as_in_one_process(tmp_path, monkeypatch, capsys, pool_spy):
+    # the peak |Q| of the random points grows with delta (r0.5 ~0.02786,
+    # r0.75 ~0.02789); the bound fails the r0.5 point first, which a pool
+    # finishes while the r0.75 point, submitted ahead, may still be queued
+    monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", 0.02785)
+    seen = {}
+    for threads in (["--threads", "1"], []):
+        out = tmp_path / "-".join(["t", *threads[1:]])
+        assert run_cli([*LOOK_AHEAD_RUNS["curves-delta"], *threads, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        seen[out.name] = err, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert seen["t-1"] == seen["t"]
+    err, files = seen["t"]
+    assert "ensemble sample" in err and "master_seed 12345" in err
+    assert sorted(files) == [f"curves_delta_r{r}_{kind}.csv" for r in ("0.3", "0.4") for kind in ("random", "regular")
+                             ] + ["curves_delta_r0.5_regular.csv"]
+    assert PoolSpy.cancels == [True] * len(pool_spy)
+
+
+def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch):
+    # ten two-group points on 8 CPUs: the pool is min(8, 20 groups) and at
+    # most 2 x 8 first-pass tasks (min_col 1) are submitted and not yet read
+    monkeypatch.setattr(expcli, "usable_cpus", lambda: 8)
+    sizes, outstanding = [], [0]
+    peak = [0]
+
+    class Task:
+        def __init__(self, fn, args):
+            self.fn, self.args, self.first = fn, args, args[0][-1] == 1
+
+        def result(self):
+            outstanding[0] -= self.first
+            return self.fn(*self.args)
+
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            task = Task(fn, args)
+            outstanding[0] += task.first
+            peak[0] = max(peak[0], outstanding[0])
+            return task
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(expcli, "ProcessPoolExecutor", InProcessPool)
+    argv = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.05", "--tmax", "2",
+            "--ensemble", "40", "--grid-dt", "0.02", "--set", "sim.threshold=0.995"]
+    assert run_cli([*argv, "--out", str(tmp_path / "fake")]) == 0
+    assert sizes == [8] and outstanding == [0]
+    assert 8 < peak[0] <= 2 * 8
+    assert run_cli([*argv, "--threads", "1", "--out", str(tmp_path / "one")]) == 0
+    assert (tmp_path / "fake" / "sweep_tau.csv").read_bytes() == (tmp_path / "one" / "sweep_tau.csv").read_bytes()

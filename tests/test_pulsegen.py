@@ -24,6 +24,7 @@ from randdd.pulsegen import (
     generate_random,
     generate_regular,
     load_schedule,
+    merge_tol,
     save_schedule,
     segment_table,
 )
@@ -65,6 +66,16 @@ def test_segment_edges_empty():
     pts, c = segment_table(empty_schedule(1.0))
     np.testing.assert_array_equal(pts, [0.0, 1.0])
     np.testing.assert_array_equal(c, [0.0])
+
+
+def test_segment_edges_of_pulses_overlapping_within_tolerance():
+    # check lets a pulse start up to the merge tolerance before the previous
+    # one ends, so the edges are not in pulse order: start 1 before end 0
+    tol = merge_tol(1.0)
+    s = PulseSchedule([0.25, 0.5 - 0.5 * tol], [0.25, 0.25], [0.5, -1.0], 1.0).check()
+    pts, c = segment_table(s, np.linspace(0.0, 1.0, 5))
+    np.testing.assert_array_equal(pts, [0.0, 0.25, 0.5 - 0.5 * tol, 0.75 - 0.5 * tol, 1.0])
+    np.testing.assert_array_equal(c, [0.0, *s.strengths, 0.0])
 
 
 def test_random_determinism(standard_pulses):
