@@ -7,7 +7,8 @@ checksums, and a generic plotting script. Re-running with the same
 configuration reproduces the CSV files byte for byte; --threads changes
 wall time only, never values.
 
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical error.
+Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical error,
+143 terminated by SIGTERM.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,19 +31,18 @@ import numpy as np
 from . import __version__, errors
 from .errors import NumericalError, ValidationError
 from .fidelity import (
+    EnsembleRun,
     bootstrap_threshold_ci,
     ensemble_functionals,
     fidelity_avg,
     fidelity_pure,
-    finish_ensemble,
     mean_crossing_time,
-    start_ensemble,
     threshold_time,
 )
 from .model import SECTIONS, InitialState, PulseParams, SimConfig, ValidatedBundle, validate
 from .oracle import run_oracle_check
 from .pulsegen import RandomStream, empty_schedule, generate_random, generate_regular, load_schedule, save_schedule
-from .riccati import integrate_with, lane_groups
+from .riccati import integrate_with
 
 EXPERIMENT_NAMES = (
     "baseline-nocontrol",
@@ -396,21 +397,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _first_pass_groups(point: Point, bundle: ValidatedBundle) -> int:
-    """The lane groups a point's ensemble runs (0 for one trajectory: no
-    ensemble, or a deviation-free one, which integrates one sample)."""
-    if point.control != "random" or bundle.pulses.is_regular:
-        return 0
-    return len(lane_groups(bundle.sim.ensemble_n, bundle.system, bundle.pulses, bundle.sim))
-
-
-def _pool_size(groups: list[int], workers: int | str) -> int:
+def _pool_size(tasks: list[int], workers: int | str) -> int:
     """Worker processes for the run: the request ("auto" is every usable
-    CPU), capped at the usable CPUs and at the lane groups summed over the
-    points that reach a pool (those with two or more; a lone group runs in
-    this process). Below 2 the run needs no pool."""
+    CPU), capped at the usable CPUs and at the first-pass pool tasks summed
+    over the points (EnsembleRun.pool_tasks). Below 2 the run needs no pool."""
     cpus = usable_cpus()
-    return min(cpus if workers == "auto" else workers, cpus, sum(g for g in groups if g > 1))
+    return min(cpus if workers == "auto" else workers, cpus, sum(tasks))
 
 
 def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list[Path]:
@@ -421,11 +413,11 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
     workers is "auto" or a count; the manifest records it as given, and the
     start method of the pool when one started.
 
-    Points with two or more lane groups run on the pool. Their first passes
-    are submitted ahead, in point order, while fewer than twice the pool
-    size of first-pass tasks are outstanding, so the workers keep busy while
-    this process integrates the other points, reduces, bootstraps and
-    writes. Each point is still finished and written in point order.
+    Points with pool tasks run their first pass on the pool, submitted
+    ahead in point order while fewer than twice the pool size of tasks are
+    outstanding, so the workers keep busy while this process integrates the
+    other points, re-runs short groups, reduces, bootstraps and writes. Each
+    point is still finished and written in point order.
     """
     out_dir = Path(spec.output_dir)
     t0 = time.perf_counter()
@@ -447,27 +439,29 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
         snapshot = _snapshot(build_bundle(spec.overrides))
         out_dir.mkdir(parents=True, exist_ok=True)
         files, tables = [], {}
-        groups = [_first_pass_groups(p, b) for p, b in zip(points, bundles)]
-        # never more processes than CPUs or groups: a fork pool starts all of them at once
-        procs = _pool_size(groups, workers)
+        runs = {i: EnsembleRun(b.system, b.pulses, b.sim, _until(p, b.sim))
+                for i, (p, b) in enumerate(zip(points, bundles)) if p.control == "random"}
+        # never more processes than CPUs or tasks: a fork pool starts all of them at once
+        procs = _pool_size([run.pool_tasks for run in runs.values()], workers)
         executor = None
         if procs > 1:
             context = multiprocessing.get_context(START_METHOD)
-            executor = ProcessPoolExecutor(max_workers=procs, mp_context=context)
+            # workers keep the default SIGTERM: main's handler is for this process
+            executor = ProcessPoolExecutor(max_workers=procs, mp_context=context, initializer=signal.signal,
+                                           initargs=(signal.SIGTERM, signal.SIG_DFL))
             settings["start_method"] = context.get_start_method()
-        ahead = [i for i, g in enumerate(groups) if g > 1] if executor is not None else []
+        ahead = [i for i, run in runs.items() if run.pool_tasks] if executor is not None else []
         started = {}  # point index -> its EnsembleRun, first pass submitted
 
         def feed() -> None:
-            while ahead and sum(groups[j] for j in started) < 2 * procs:
+            while ahead and sum(run.pool_tasks for run in started.values()) < 2 * procs:
                 j = ahead.pop(0)
-                started[j] = start_ensemble(bundles[j].system, bundles[j].pulses, bundles[j].sim,
-                                            executor=executor, until=_until(points[j], bundles[j].sim))
+                started[j] = runs[j].start(executor)
 
         try:
             for i, (point, bundle) in enumerate(zip(points, bundles)):
                 feed()
-                factors = finish_ensemble(started.pop(i)) if i in started else None
+                factors = started.pop(i).finish() if i in started else None
                 feed()
                 written, row = evaluate(point, bundle, spec.options, out_dir, factors)
                 del factors  # else this point's stacks live on beside the next one's
@@ -672,7 +666,15 @@ def main(argv=None) -> int:
             for key, value in sorted(_snapshot(bundle).items()):
                 print(f"  {key} = {value}")
             return 0
-        files = run_experiment(spec, workers=workers)
+        # SIGTERM unwinds the run, so the pool is shut and its workers end
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+        try:
+            files = run_experiment(spec, workers=workers)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+    except SystemExit as exc:  # from SIGTERM
+        print("terminated by SIGTERM", file=sys.stderr)
+        return exc.code
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3

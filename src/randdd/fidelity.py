@@ -180,81 +180,65 @@ def _decided_column(below: list[np.ndarray], width: int) -> tuple[int, list[int]
 
 
 class EnsembleRun:
-    """One point's ensemble between start_ensemble and finish_ensemble: its
-    lane groups and the pass in flight, group index -> a pool Future, or the
-    min_col of a group that fills in this process when collected."""
+    """One point's ensemble: start submits its first pass to a pool, finish
+    collects or runs it, re-runs the groups that stopped short and stacks.
+    pool_tasks, the first-pass tasks it hands a pool, is its lane groups
+    when there are two or more, else 0 (a lone group runs in this process).
+    """
 
-    def __init__(self, system, pulses, sim, executor, level):
-        self.system, self.pulses, self.sim, self.executor, self.level = system, pulses, sim, executor, level
-        self.groups = [] if pulses.is_regular else lane_groups(sim.ensemble_n, system, pulses, sim)
-        self.tasks: dict = {}
+    def __init__(self, system: SystemParams, pulses: PulseParams, sim: SimConfig, until: float | None = None):
+        self.system, self.pulses, self.sim = system, pulses, sim
+        n = sim.ensemble_n
+        # Rounded addition and division are monotone, and each rounding is within a
+        # factor (1 +- eps), so a float mean of n values each <= b is at most
+        # b (1 + eps)^n and one of n values each >= a is at least a (1 - eps)^n
+        # (n - 1 additions and a division). So a mean of n values below
+        # theta (1 - 2 n eps) stays below theta, and one of n values at or above
+        # theta (1 + 2 n eps) stays at or above theta (bootstrap_threshold_ci).
+        self.level = None if until is None else until * (1.0 - 2.0 * n * np.finfo(float).eps)
+        self.groups = [] if pulses.is_regular else lane_groups(n, system, pulses, sim)
+        self.pool_tasks = len(self.groups) if len(self.groups) > 1 else 0
+        self.futures: list = []
 
-    def submit(self, min_cols: dict) -> None:
-        """Fill each group of min_cols (group index -> its min_col) from column 0;
-        a pool takes them only when there are two or more."""
-        if self.executor is not None and len(min_cols) > 1:
-            min_cols = {g: self.executor.submit(_group_factors, (self.system, self.pulses, self.sim,
-                                                                 self.groups[g], self.level, c))
-                        for g, c in min_cols.items()}
-        self.tasks = min_cols
+    def start(self, executor: ProcessPoolExecutor | None = None) -> EnsembleRun:
+        """Submit the first pass, one task per lane group, to executor when
+        one is given and the point has pool tasks."""
+        if executor is not None and self.pool_tasks:
+            self.futures = [executor.submit(_group_factors, (self.system, self.pulses, self.sim, ks, self.level, 1))
+                            for ks in self.groups]
+        return self
 
-    def collect(self, e2: np.ndarray, e1: np.ndarray, filled: list) -> None:
-        """Fill the stacks from the pass in group order, dropping each group's
-        result once copied (a Future keeps its result alive)."""
-        while self.tasks:
-            g = next(iter(self.tasks))
-            task, ks = self.tasks.pop(g), self.groups[g]
-            if isinstance(task, int):
-                filled[g] = _fill_group(self.system, self.pulses, self.sim, ks,
-                                        e2[ks.start:ks.stop], e1[ks.start:ks.stop], self.level, task)
-            else:
-                a, b = task.result()
-                filled[g] = a.shape[1]
-                e2[ks.start:ks.stop, :filled[g]] = a
-                e1[ks.start:ks.stop, :filled[g]] = b
-                del task, a, b
-
-
-def start_ensemble(system: SystemParams, pulses: PulseParams, sim: SimConfig, *,
-                   executor: ProcessPoolExecutor | None = None, until: float | None = None) -> EnsembleRun:
-    """Submit the first pass of a point's lane groups to executor (when there
-    are two or more); finish_ensemble collects it."""
-    n = sim.ensemble_n
-    # Rounded addition and division are monotone, and each rounding is within a
-    # factor (1 +- eps), so a float mean of n values each <= b is at most
-    # b (1 + eps)^n and one of n values each >= a is at least a (1 - eps)^n
-    # (n - 1 additions and a division). So a mean of n values below
-    # theta (1 - 2 n eps) stays below theta, and one of n values at or above
-    # theta (1 + 2 n eps) stays at or above theta (bootstrap_threshold_ci).
-    level = None if until is None else until * (1.0 - 2.0 * n * np.finfo(float).eps)
-    run = EnsembleRun(system, pulses, sim, executor, level)
-    run.submit(dict.fromkeys(range(len(run.groups)), 1))
-    return run
-
-
-def finish_ensemble(run: EnsembleRun) -> EnsembleFactors:
-    """Collect the first pass, run the groups that stopped short again, and
-    stack the factors (see ensemble_functionals)."""
-    system, pulses, sim, groups, level = run.system, run.pulses, run.sim, run.groups, run.level
-    grid = sim.output_grid()
-    e2 = np.empty((sim.ensemble_n, len(grid)))
-    e1 = np.empty_like(e2)
-    if pulses.is_regular:
-        _fill_group(system, pulses, sim, range(1), e2[:1], e1[:1])
-        e2[1:] = e2[0]
-        e1[1:] = e1[0]
-        return EnsembleFactors(grid, e2, e1, {"degenerate": True})
-    filled = [0] * len(groups)
-    run.collect(e2, e1, filled)
-    if level is None:
-        return EnsembleFactors(grid, e2, e1, {})
-    while True:
-        below = [_all_below(level, e2[ks.start:ks.stop, :f], e1[ks.start:ks.stop, :f]) for ks, f in zip(groups, filled)]
-        col, short = _decided_column(below, len(grid))
-        if not short:
-            return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1], {})
-        run.submit(dict.fromkeys(short, col))
-        run.collect(e2, e1, filled)
+    def finish(self) -> EnsembleFactors:
+        """Collect or run the first pass in group order, run the groups that
+        stopped short of C again here, and stack the factors (see
+        ensemble_functionals)."""
+        system, pulses, sim, level = self.system, self.pulses, self.sim, self.level
+        grid = sim.output_grid()
+        e2 = np.empty((sim.ensemble_n, len(grid)))
+        e1 = np.empty_like(e2)
+        if pulses.is_regular:
+            _fill_group(system, pulses, sim, range(1), e2[:1], e1[:1])
+            e2[1:] = e2[0]
+            e1[1:] = e1[0]
+            return EnsembleFactors(grid, e2, e1, {"degenerate": True})
+        filled, short, col = [0] * len(self.groups), range(len(self.groups)), 1
+        while short:  # every group (min_col 1), then the groups that stopped short of C
+            for g in short:
+                ks = self.groups[g]
+                if self.futures:  # the first pass, from the pool
+                    a, b = self.futures.pop(0).result()  # a Future keeps its result alive
+                    filled[g] = a.shape[1]
+                    e2[ks.start:ks.stop, :filled[g]], e1[ks.start:ks.stop, :filled[g]] = a, b
+                    del a, b
+                else:
+                    filled[g] = _fill_group(system, pulses, sim, ks, e2[ks.start:ks.stop], e1[ks.start:ks.stop],
+                                            level, col)
+            if level is None:
+                return EnsembleFactors(grid, e2, e1, {})
+            below = [_all_below(level, e2[ks.start:ks.stop, :f], e1[ks.start:ks.stop, :f])
+                     for ks, f in zip(self.groups, filled)]
+            col, short = _decided_column(below, len(grid))
+        return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1], {})
 
 
 def ensemble_functionals(
@@ -269,11 +253,11 @@ def ensemble_functionals(
 
     Sample k uses schedule stream (master_seed, k); the stack is ordered by
     k regardless of how many workers ran. Samples run in lane groups
-    (riccati.lane_groups); a pool takes whole groups, and a lone group runs
-    in this process. A deviation-free configuration is integrated once and
-    replicated (every sample would be identical). This is start_ensemble
-    followed by finish_ensemble; a caller may start several points before
-    finishing the first.
+    (riccati.lane_groups); a pool takes the first pass of whole groups when
+    there are two or more, and a lone group runs in this process. A
+    deviation-free configuration is integrated once and replicated (every
+    sample would be identical). This is EnsembleRun(...).start(executor)
+    .finish(); a caller may start several points before finishing the first.
 
     With until = theta the factors end at the first grid column C at which
     every sample's state-averaged fidelity is below theta (with room for
@@ -281,11 +265,11 @@ def ensemble_functionals(
     resample mean and every sample then cross theta first at or before C,
     so their threshold times are those of the whole grid. Each group runs
     STOP_MARGIN of the grid past its own first such column; a group that
-    stopped before C is run again from the start with min_col = C, which
-    gives the same bits. Without such a C that min_col is len(grid), where
-    no stop falls, so the grid is whole.
+    stopped before C is run again in this process from the start with
+    min_col = C, which gives the same bits. Without such a C that min_col
+    is len(grid), where no stop falls, so the grid is whole.
     """
-    return finish_ensemble(start_ensemble(system, pulses, sim, executor=executor, until=until))
+    return EnsembleRun(system, pulses, sim, until).start(executor).finish()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import multiprocessing
+import signal
 import sys
 from concurrent.futures import Future
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randdd import expcli, oracle, riccati
+from randdd import expcli, fidelity, oracle, riccati
 from randdd.expcli import (
     CONFIG_KEYS,
     ExperimentSpec,
@@ -440,7 +441,7 @@ def test_oracle_check_step_bound_runs_nothing(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv,until", [
+UNTIL_RUNS = [
     (["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.5", "--tmax", "2"], 0.95),
     (["threshold", "--random", "--gammas", "0.9", "--tmax", "2", "--set", "sim.threshold=0.99",
       "--set", "pulses.d_tau=0.004"], 0.99),
@@ -450,7 +451,10 @@ def test_oracle_check_step_bound_runs_nothing(tmp_path, capsys, monkeypatch):
     (["curves", "--family", "deltatau", "--tmax", "1"], None),
     (["run", "--mu2", "0.3", "--tmax", "1", "--set", "pulses.d_tau=0.004"], None),
     (["run", "--tmax", "1", "--set", "pulses.d_tau=0.004"], None),
-])
+]
+
+
+@pytest.mark.parametrize("argv,until", UNTIL_RUNS)
 def test_only_t_row_points_stop_early(tmp_path, monkeypatch, argv, until):
     # points that write curves need every column; T rows only those up to C
     seen = []
@@ -490,7 +494,7 @@ def test_threads_are_capped_at_the_cpu_count(tmp_path, monkeypatch, cpus, pools)
     sizes, tasks = [], []
 
     class SerialPool:
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
 
         def submit(self, fn, *args):
@@ -524,15 +528,17 @@ def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
 
 
 class PoolSpy(expcli.ProcessPoolExecutor):
-    """A real process pool that records the size of each one created and
+    """A real process pool that records each one created, its size and
     whether its shutdown cancelled the tasks not yet started."""
 
+    pools: list = []
     sizes: list = []
     cancels: list = []
 
-    def __init__(self, max_workers, mp_context=None):
+    def __init__(self, max_workers, **kwargs):
+        PoolSpy.pools.append(self)
         PoolSpy.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers, mp_context=mp_context)
+        super().__init__(max_workers=max_workers, **kwargs)
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         PoolSpy.cancels.append(cancel_futures)
@@ -541,6 +547,7 @@ class PoolSpy(expcli.ProcessPoolExecutor):
 
 @pytest.fixture
 def pool_spy(monkeypatch):
+    monkeypatch.setattr(PoolSpy, "pools", [])
     monkeypatch.setattr(PoolSpy, "sizes", [])
     monkeypatch.setattr(PoolSpy, "cancels", [])
     monkeypatch.setattr(expcli, "ProcessPoolExecutor", PoolSpy)
@@ -654,39 +661,116 @@ def test_blowup_at_a_later_point_exits_4_as_in_one_process(tmp_path, monkeypatch
     assert PoolSpy.cancels == [True] * len(pool_spy)
 
 
-def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch):
-    # ten two-group points on 8 CPUs: the pool is min(8, 20 groups) and at
-    # most 2 x 8 first-pass tasks (min_col 1) are submitted and not yet read
+class InProcessPool:
+    """A pool that starts no process: a task runs in this process when its
+    result is read. Records each pool's size, the min_col of every task
+    submitted, and the most tasks submitted and not yet read."""
+
+    sizes: list = []
+    min_cols: list = []
+    outstanding = peak = 0
+
+    def __init__(self, max_workers, **kwargs):
+        InProcessPool.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        InProcessPool.min_cols.append(args[0][-1])
+        InProcessPool.outstanding += 1
+        InProcessPool.peak = max(InProcessPool.peak, InProcessPool.outstanding)
+        return _InProcessTask(fn, args)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+class _InProcessTask:
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+
+    def result(self):
+        InProcessPool.outstanding -= 1
+        return self.fn(*self.args)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
     monkeypatch.setattr(expcli, "usable_cpus", lambda: 8)
-    sizes, outstanding = [], [0]
-    peak = [0]
-
-    class Task:
-        def __init__(self, fn, args):
-            self.fn, self.args, self.first = fn, args, args[0][-1] == 1
-
-        def result(self):
-            outstanding[0] -= self.first
-            return self.fn(*self.args)
-
-    class InProcessPool:
-        def __init__(self, max_workers, mp_context=None):
-            sizes.append(max_workers)
-
-        def submit(self, fn, *args):
-            task = Task(fn, args)
-            outstanding[0] += task.first
-            peak[0] = max(peak[0], outstanding[0])
-            return task
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
+    for name, value in (("sizes", []), ("min_cols", []), ("outstanding", 0), ("peak", 0)):
+        monkeypatch.setattr(InProcessPool, name, value)
     monkeypatch.setattr(expcli, "ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
+
+
+@pytest.mark.parametrize("argv,until", UNTIL_RUNS)
+def test_pool_points_start_with_their_until(tmp_path, monkeypatch, in_process_pool, argv, until):
+    # at 40 samples every random point has two lane groups, so it starts on the pool
+    init, start, seen = fidelity.EnsembleRun.__init__, fidelity.EnsembleRun.start, []
+
+    def init_spy(self, system, pulses, sim, until=None):
+        self.spied_until = until
+        init(self, system, pulses, sim, until)
+
+    def start_spy(self, executor=None):
+        if executor is not None:
+            seen.append((self.pool_tasks, self.spied_until))
+        return start(self, executor)
+
+    monkeypatch.setattr(fidelity.EnsembleRun, "__init__", init_spy)
+    monkeypatch.setattr(fidelity.EnsembleRun, "start", start_spy)
+    assert run_cli([*argv, "--ensemble", "40", "--grid-dt", "0.02", "--out", str(tmp_path)]) == 0
+    assert seen and set(seen) == {(2, until)}
+    assert len(in_process_pool.min_cols) == 2 * len(seen)
+
+
+def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch, in_process_pool):
+    # ten two-group points on 8 CPUs: the pool is min(8, 20 tasks) and at
+    # most 2 x 8 tasks are submitted and not yet read. With no stop margin
+    # some groups run again, in this process: the pool gets first passes only
+    monkeypatch.setattr(fidelity, "STOP_MARGIN", 0.0)
+    reruns = []
+    fill = fidelity._fill_group
+
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+        if min_col > 1:
+            reruns.append(ks.start)
+        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
+
+    monkeypatch.setattr(fidelity, "_fill_group", spy)
     argv = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.05", "--tmax", "2",
             "--ensemble", "40", "--grid-dt", "0.02", "--set", "sim.threshold=0.995"]
     assert run_cli([*argv, "--out", str(tmp_path / "fake")]) == 0
-    assert sizes == [8] and outstanding == [0]
-    assert 8 < peak[0] <= 2 * 8
+    assert in_process_pool.sizes == [8] and in_process_pool.outstanding == 0
+    assert 8 < in_process_pool.peak <= 2 * 8
+    assert in_process_pool.min_cols == [1] * 20 and reruns
     assert run_cli([*argv, "--threads", "1", "--out", str(tmp_path / "one")]) == 0
     assert (tmp_path / "fake" / "sweep_tau.csv").read_bytes() == (tmp_path / "one" / "sweep_tau.csv").read_bytes()
+
+
+def test_sigterm_shuts_the_pool_and_exits_143(tmp_path, monkeypatch, capsys, pool_spy):
+    # SIGTERM while a pool point finishes unwinds the run through the pool's
+    # shutdown, so no worker outlives it; the workers keep the default SIGTERM
+    monkeypatch.setattr(expcli, "usable_cpus", lambda: 2)
+    finish, handlers = fidelity.EnsembleRun.finish, []
+
+    def finish_then_sigterm(self):
+        handlers.append(PoolSpy.pools[-1].submit(signal.getsignal, signal.SIGTERM).result(timeout=60))
+        signal.raise_signal(signal.SIGTERM)
+        return finish(self)
+
+    def previous(signum, frame):
+        raise AssertionError("SIGTERM reached the handler main replaces")
+
+    monkeypatch.setattr(fidelity.EnsembleRun, "finish", finish_then_sigterm)
+    original = signal.signal(signal.SIGTERM, previous)
+    try:
+        code = run_cli(["run", "--set", "pulses.d_tau=0.004", "--tmax", "2", "--ensemble", "40",
+                        "--grid-dt", "0.02", "--out", str(tmp_path)])
+        restored = signal.getsignal(signal.SIGTERM)
+    finally:
+        signal.signal(signal.SIGTERM, original)
+    assert code == 143 and restored is previous
+    err = capsys.readouterr().err
+    assert err == "terminated by SIGTERM\n"
+    assert handlers == [signal.SIG_DFL]
+    assert pool_spy == [2] and PoolSpy.cancels == [True]
+    assert multiprocessing.active_children() == []

@@ -423,17 +423,28 @@ class _CountingPool:
 
 @pytest.mark.parametrize("margin", [fidelity.STOP_MARGIN, 0.0])
 def test_until_serial_and_pool_agree(monkeypatch, margin):
-    # forked workers inherit the small windows; with no margin some groups run again
+    # forked workers inherit the small windows; with no margin some groups run
+    # again, and only in this process: the pool takes first passes only
     monkeypatch.setattr(fidelity, "STOP_MARGIN", margin)
     monkeypatch.setattr(riccati, "MAX_LANES", 4)
     monkeypatch.setattr(riccati, "WINDOW_ELEMS", 16)
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=33, master_seed=8)
     groups = len(lane_groups(33, SYS9, RAND_PULSES, sim))
     serial = ensemble_functionals(SYS9, RAND_PULSES, sim, until=UNTIL_THETA)
+    reruns = []
+    fill = fidelity._fill_group
+
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+        if min_col > 1:
+            reruns.append(ks.start)  # in this process; a worker's appends stay in the worker
+        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
+
+    monkeypatch.setattr(fidelity, "_fill_group", spy)
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
         counting = _CountingPool(pool)
         parallel, full = _until_matches_full(sim, executor=counting)
-    assert counting.tasks > groups or margin > 0.0
+    assert counting.tasks == groups
+    assert reruns or margin > 0.0
     assert np.array_equal(serial.grid, parallel.grid)
     assert np.array_equal(serial.e2, parallel.e2) and np.array_equal(serial.e1, parallel.e1)
     assert len(serial.grid) == _decided(full, UNTIL_THETA) + 1
