@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -40,7 +41,7 @@ from .fidelity import (
     threshold_time,
 )
 from .model import SECTIONS, InitialState, PulseParams, SimConfig, ValidatedBundle, validate
-from .oracle import run_oracle_check
+from .oracle import oracle_configs, run_oracle_check
 from .pulsegen import RandomStream, empty_schedule, generate_random, generate_regular, load_schedule, save_schedule
 from .riccati import integrate_with
 
@@ -397,12 +398,30 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_size(tasks: list[int], workers: int | str) -> int:
-    """Worker processes for the run: the request ("auto" is every usable
-    CPU), capped at the usable CPUs and at the first-pass pool tasks summed
-    over the points (EnsembleRun.pool_tasks). Below 2 the run needs no pool."""
+def _pool_size(tasks: int, workers: int | str) -> int:
+    """Processes the run may use: the request ("auto" is every usable CPU),
+    capped at the usable CPUs and at the tasks that can run at once."""
     cpus = usable_cpus()
-    return min(cpus if workers == "auto" else workers, cpus, sum(tasks))
+    return min(cpus if workers == "auto" else workers, cpus, tasks)
+
+
+@contextlib.contextmanager
+def _pool(size: int, settings: dict):
+    """A process pool of size workers (None for 0); settings records its
+    start method. On exit the pool is shut and the tasks not yet started
+    are cancelled: a failing run must not wait for work submitted ahead."""
+    if not size:
+        yield None
+        return
+    context = multiprocessing.get_context(START_METHOD)
+    # workers keep the default SIGTERM: main's handler is for this process
+    executor = ProcessPoolExecutor(max_workers=size, mp_context=context, initializer=signal.signal,
+                                   initargs=(signal.SIGTERM, signal.SIG_DFL))
+    settings["start_method"] = context.get_start_method()
+    try:
+        yield executor
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list[Path]:
@@ -411,7 +430,9 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
     The output directory is created only once the run has passed
     validation: every point's bundle and states, or the oracle's settings.
     workers is "auto" or a count; the manifest records it as given, and the
-    start method of the pool when one started.
+    start method of the pool when one started. oracle-check starts a
+    one-worker pool for its no-control reference when two processes are
+    allowed.
 
     Points with pool tasks run their first pass on the pool, submitted
     ahead in point order while fewer than twice the pool size of tasks are
@@ -423,8 +444,12 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
     t0 = time.perf_counter()
     settings = {**spec.options, "workers": workers}
     if spec.name == "oracle-check":
+        step = float(spec.overrides.get("sim.step", SimConfig.step))
         seed = int(spec.overrides.get("sim.master_seed", SimConfig.master_seed))
-        report = run_oracle_check(step=float(spec.overrides.get("sim.step", SimConfig.step)), seed=seed)
+        oracle_configs(step, seed)  # a bad step exits 3 before a pool starts
+        # two checks run at once: the no-control one on the worker, the pulsed one here
+        with _pool(1 if _pool_size(2, workers) > 1 else 0, settings) as executor:
+            report = run_oracle_check(step=step, seed=seed, executor=executor)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "oracle_report.json"
         with open(path, "w", newline="\n") as f:
@@ -442,23 +467,16 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
         runs = {i: EnsembleRun(b.system, b.pulses, b.sim, _until(p, b.sim))
                 for i, (p, b) in enumerate(zip(points, bundles)) if p.control == "random"}
         # never more processes than CPUs or tasks: a fork pool starts all of them at once
-        procs = _pool_size([run.pool_tasks for run in runs.values()], workers)
-        executor = None
-        if procs > 1:
-            context = multiprocessing.get_context(START_METHOD)
-            # workers keep the default SIGTERM: main's handler is for this process
-            executor = ProcessPoolExecutor(max_workers=procs, mp_context=context, initializer=signal.signal,
-                                           initargs=(signal.SIGTERM, signal.SIG_DFL))
-            settings["start_method"] = context.get_start_method()
-        ahead = [i for i, run in runs.items() if run.pool_tasks] if executor is not None else []
-        started = {}  # point index -> its EnsembleRun, first pass submitted
+        procs = _pool_size(sum(run.pool_tasks for run in runs.values()), workers)
+        with _pool(procs if procs > 1 else 0, settings) as executor:
+            ahead = [i for i, run in runs.items() if run.pool_tasks] if executor is not None else []
+            started = {}  # point index -> its EnsembleRun, first pass submitted
 
-        def feed() -> None:
-            while ahead and sum(run.pool_tasks for run in started.values()) < 2 * procs:
-                j = ahead.pop(0)
-                started[j] = runs[j].start(executor)
+            def feed() -> None:
+                while ahead and sum(run.pool_tasks for run in started.values()) < 2 * procs:
+                    j = ahead.pop(0)
+                    started[j] = runs[j].start(executor)
 
-        try:
             for i, (point, bundle) in enumerate(zip(points, bundles)):
                 feed()
                 factors = started.pop(i).finish() if i in started else None
@@ -468,10 +486,6 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
                 files += written
                 if row is not None:
                     tables.setdefault(point.row[0], []).append(row)
-        finally:
-            if executor is not None:
-                # a failing point must not wait for the points submitted ahead
-                executor.shutdown(cancel_futures=True)
         for name, rows in tables.items():
             _write_csv(out_dir / name, ROW_HEADER, rows)
             files.append(out_dir / name)
@@ -525,7 +539,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     p.add_argument("--threads", type=_threads_value, default="auto",
                    help="worker processes (integer or 'auto', the default: every usable CPU), "
-                        "at most the CPU count and the lane groups summed over the run's points")
+                        "at most the CPU count and the lane groups summed over the run's points; "
+                        "oracle-check uses one worker when two processes are allowed")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any documented config key (repeatable)")
 

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,14 +210,20 @@ def pseudomode_evolve(
     eye_d = np.eye(d)
     eye_l = np.eye(d * d)
     jump_part = kappa * np.kron(jump, jump_dag.T)
+
+    # a regular train repeats a few (field, step) pairs over its segments
+    @lru_cache(maxsize=64)
+    def increment(c: float, h: float) -> np.ndarray:
+        G = -1j * (0.5 * (system.omega + c) * sz + coupling) - 0.5 * kappa * n_op
+        hL = h * (np.kron(G, eye_d) + np.kron(eye_d, G.conj()) + jump_part)
+        return hL @ (eye_l + hL @ (eye_l / 2.0 + hL @ (eye_l / 6.0 + hL / 24.0)))
+
     vec = rho.reshape(-1)
     record(0, rho, 0.0)
     for seg in range(len(pts) - 1):
         h_full = pts[seg + 1] - pts[seg]
         n_steps = _steps_for(h_full, sim.step)
-        G = -1j * (0.5 * (system.omega + cs[seg]) * sz + coupling) - 0.5 * kappa * n_op
-        hL = (h_full / n_steps) * (np.kron(G, eye_d) + np.kron(eye_d, G.conj()) + jump_part)
-        inc = hL @ (eye_l + hL @ (eye_l / 2.0 + hL @ (eye_l / 6.0 + hL / 24.0)))
+        inc = increment(cs[seg], h_full / n_steps)
         for _ in range(n_steps):
             vec = vec + inc @ vec
         record(seg + 1, vec.reshape(d, d), float(pts[seg + 1]))
@@ -243,21 +251,9 @@ def compare_frames(
     }
 
 
-def run_oracle_check(
-    *,
-    step: float = SimConfig.step,
-    seed: int = SimConfig.master_seed,
-) -> dict:
-    """Full cross-method closure report (all deviations should be < 1e-6).
-
-    1. no control, gamma = 0.2: RK4 exp(-J) vs closed form on [0, 10];
-    2. regular control on, gamma = 0.3, area 0.2, quasi-period 0.02,
-       width 0.008: mode-oracle populations and coherences vs the
-       Riccati/fidelity pipeline on [0, 3].
-    """
-    report: dict = {"params": {}, "seeds": {"master_seed": seed}}
-
-    # both configurations are validated before either runs
+def oracle_configs(step: float = SimConfig.step, seed: int = SimConfig.master_seed):
+    """The report's two fixed configurations, validated: (system, sim) of
+    the no-control check and (system, pulses, sim, init) of the pulsed one."""
     sys_nc = SystemParams(omega=1.0, Gamma=1.0, gamma=0.2)
     sim_nc = SimConfig(t_max=10.0, step=step, grid_dt=0.01, ensemble_n=1, master_seed=seed, integrator="rk4")
     system = SystemParams(omega=1.0, Gamma=1.0, gamma=0.3)
@@ -267,23 +263,56 @@ def run_oracle_check(
     sys_nc.check()
     sim_nc.check()
     validate(system, pulses, sim, init)
+    return (sys_nc, sim_nc), (system, pulses, sim, init)
 
-    traj = integrate(empty_schedule(sim_nc.t_max), sys_nc, sim_nc)
-    ref = closed_form_barQ(sys_nc, traj.grid)
-    report["max_nocontrol_dev"] = float(np.max(np.abs(np.exp(-traj.j) - ref)))
-    report["params"]["nocontrol"] = {"gamma": 0.2, "t_max": 10.0, "step": step}
 
-    schedule = generate_regular(pulses, sim.t_max)
+def _nocontrol_dev(system: SystemParams, sim: SimConfig) -> float:
+    """Largest |exp(-J) - closed form| of the RK4 run without control."""
+    traj = integrate(empty_schedule(sim.t_max), system, sim)
+    return float(np.max(np.abs(np.exp(-traj.j) - closed_form_barQ(system, traj.grid))))
 
-    traj = integrate(schedule, system, sim)
+
+def run_oracle_check(
+    *,
+    step: float = SimConfig.step,
+    seed: int = SimConfig.master_seed,
+    executor: Executor | None = None,
+) -> dict:
+    """Full cross-method closure report (all deviations should be < 1e-6).
+
+    1. no control, gamma = 0.2: RK4 exp(-J) vs closed form on [0, 10];
+    2. regular control on, gamma = 0.3, area 0.2, quasi-period 0.02,
+       width 0.008: mode-oracle populations and coherences vs the
+       Riccati/fidelity pipeline on [0, 3].
+
+    Both configurations are validated before either runs. With an
+    executor, check 1 runs on it while check 2 runs here; an error in
+    check 2 waits for check 1, so a failing run reports the error the
+    serial order would.
+    """
+    (sys_nc, sim_nc), (system, pulses, sim, init) = oracle_configs(step, seed)
+    if executor is None:
+        nocontrol = Future()
+        nocontrol.set_result(_nocontrol_dev(sys_nc, sim_nc))
+    else:
+        nocontrol = executor.submit(_nocontrol_dev, sys_nc, sim_nc)
+    try:
+        schedule = generate_regular(pulses, sim.t_max)
+        traj = integrate(schedule, system, sim)
+        pm = pseudomode_evolve(schedule, system, init, sim)
+    except Exception:
+        nocontrol.result()
+        raise
     pop_pipeline = init.mu2 * traj.decay_factor()
     coh_pipeline = init.mu * np.conj(init.nu) * traj.coherence_factor()
-
-    pm = pseudomode_evolve(schedule, system, init, sim)
-    report["max_pop_dev"] = float(np.max(np.abs(pm.qubit_population() - pop_pipeline)))
-    report.update(compare_frames(traj.grid, coh_pipeline, pm.qubit_coherence(), schedule, system))
-    report["params"]["pulsed"] = {
-        "gamma": 0.3, "tau": 0.02, "delta": 0.008, "phi": 0.2,
-        "t_max": 3.0, "step": step, "mu2": init.mu2,
+    return {
+        "max_nocontrol_dev": nocontrol.result(),
+        "max_pop_dev": float(np.max(np.abs(pm.qubit_population() - pop_pipeline))),
+        **compare_frames(traj.grid, coh_pipeline, pm.qubit_coherence(), schedule, system),
+        "params": {
+            "nocontrol": {"gamma": 0.2, "t_max": 10.0, "step": step},
+            "pulsed": {"gamma": 0.3, "tau": 0.02, "delta": 0.008, "phi": 0.2,
+                       "t_max": 3.0, "step": step, "mu2": init.mu2},
+        },
+        "seeds": {"master_seed": seed},
     }
-    return report

@@ -62,11 +62,8 @@ class QTrajectory:
     def save(self, path) -> None:
         with open(path, "w", newline="\n") as f:
             f.write("t,re_q,im_q,re_j,im_j\n")
-            for t, q, j in zip(self.grid, self.q, self.j):
-                f.write(
-                    f"{float(t)!r},{float(q.real)!r},{float(q.imag)!r},"
-                    f"{float(j.real)!r},{float(j.imag)!r}\n"
-                )
+            f.writelines(map("{!r},{!r},{!r},{!r},{!r}\n".format, self.grid.tolist(), self.q.real.tolist(),
+                             self.q.imag.tolist(), self.j.real.tolist(), self.j.imag.tolist()))
 
 
 def _steps_for(length: float, step: float) -> int:
@@ -105,8 +102,13 @@ def integrate(
     *,
     sample_index: int | None = None,
 ) -> QTrajectory:
-    """Fixed-step RK4 for (Q, J), edge-aligned, sampled on the output grid."""
+    """Fixed-step RK4 for (Q, J), edge-aligned, sampled on the output grid.
+
+    The loop runs on Python floats and complexes: numpy scalars give the
+    same bits through the same textbook formulas, at twice the cost per op.
+    """
     grid, pts, cs, gi = _breakpoints(schedule, system, sim)
+    pts, cs = pts.tolist(), cs.tolist()
     k0 = 0.5 * system.Gamma * system.gamma
     base = -system.gamma + 1j * system.omega
 

@@ -22,7 +22,7 @@ from randdd.expcli import (
     parse_config_file,
     run_experiment,
 )
-from randdd.errors import ValidationError
+from randdd.errors import BlowUpError, ValidationError
 from randdd.model import PulseParams, SimConfig, SystemParams
 
 
@@ -430,15 +430,17 @@ def test_oracle_check_rejects_ignored_overrides(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_oracle_check_step_bound_runs_nothing(tmp_path, capsys, monkeypatch):
+def test_oracle_check_step_bound_runs_nothing(tmp_path, capsys, monkeypatch, pool_spy):
     def never(*args, **kwargs):
         raise AssertionError("integrated before validation")
 
     monkeypatch.setattr(oracle, "integrate", never)
+    monkeypatch.setattr(expcli, "usable_cpus", lambda: 8)
     out = tmp_path / "oracle"
     assert run_cli(["oracle-check", "--step", "1e-9", "--out", str(out)]) == 3
     assert "step-count-too-large" in capsys.readouterr().err
     assert not out.exists()
+    assert pool_spy == []
 
 
 UNTIL_RUNS = [
@@ -559,7 +561,6 @@ def test_default_starts_no_pool_without_two_lane_groups(tmp_path, monkeypatch, p
     monkeypatch.setattr(expcli, "usable_cpus", lambda: 8)
     small = ["--tmax", "3", "--seed", "7"]
     calls = {
-        "oracle": ["oracle-check", "--step", "1e-3"],
         "threshold-regular": ["threshold", "--regular", "--gammas", "0.9", *small],
         "threshold-nocontrol": ["threshold", "--no-control", "--gammas", "0.9", *small],
         "run-regular": ["run", "--regular", "--save-schedule", *small],
@@ -774,3 +775,62 @@ def test_sigterm_shuts_the_pool_and_exits_143(tmp_path, monkeypatch, capsys, poo
     assert handlers == [signal.SIG_DFL]
     assert pool_spy == [2] and PoolSpy.cancels == [True]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_oracle_check_pool_is_one_worker_and_byte_identical(tmp_path, monkeypatch, pool_spy, cpus):
+    # the no-control reference runs on a one-worker pool whenever two
+    # processes are allowed; the report keeps its bytes either way
+    monkeypatch.setattr(expcli, "usable_cpus", lambda: cpus)
+    reports, methods = {}, {}
+    for threads in (["--threads", "1"], ["--threads", "2"], []):
+        out = tmp_path / "-".join(["t", *threads[1:]])
+        assert run_cli(["oracle-check", "--step", "1e-3", *threads, "--out", str(out)]) == 0
+        reports[out.name] = (out / "oracle_report.json").read_bytes()
+        methods[out.name] = json.loads((out / "manifest.json").read_text())["settings"].get("start_method")
+    assert reports["t-1"] == reports["t-2"] == reports["t"]
+    pool = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
+    started = pool if cpus > 1 else None
+    assert methods == {"t-1": None, "t-2": started, "t": started}
+    assert pool_spy == ([1, 1] if cpus > 1 else [])
+    assert PoolSpy.cancels == [True] * len(pool_spy)
+    assert multiprocessing.active_children() == []
+
+
+def test_oracle_check_failure_reports_the_serial_error(tmp_path, monkeypatch, capsys, pool_spy):
+    # both RK4 runs leave the bound at their first step; the serial order
+    # reports the no-control run's error, which the pool runs elsewhere
+    monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", 1e-5)
+    monkeypatch.setattr(expcli, "usable_cpus", lambda: 2)
+    (sys_nc, sim_nc), _ = oracle.oracle_configs(1e-3)
+    with pytest.raises(BlowUpError) as nocontrol:
+        oracle._nocontrol_dev(sys_nc, sim_nc)
+    errs = {}
+    for threads in (["--threads", "1"], []):
+        out = tmp_path / "-".join(["t", *threads[1:]])
+        assert run_cli(["oracle-check", "--step", "1e-3", *threads, "--out", str(out)]) == 4
+        errs[out.name] = capsys.readouterr().err
+        assert not out.exists()
+    assert errs["t-1"] == errs["t"] == f"numerical error: {nocontrol.value}\n"
+    assert pool_spy == [1] and PoolSpy.cancels == [True]
+
+
+def test_oracle_check_sigterm_shuts_the_pool_and_exits_143(tmp_path, monkeypatch, capsys, pool_spy):
+    # SIGTERM while the pulsed check runs here unwinds through the pool's
+    # shutdown while the worker holds the no-control check
+    monkeypatch.setattr(expcli, "usable_cpus", lambda: 2)
+    evolve, handlers = oracle.pseudomode_evolve, []
+
+    def evolve_then_sigterm(*args, **kwargs):
+        handlers.append(PoolSpy.pools[-1].submit(signal.getsignal, signal.SIGTERM).result(timeout=60))
+        signal.raise_signal(signal.SIGTERM)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "pseudomode_evolve", evolve_then_sigterm)
+    code = run_cli(["oracle-check", "--step", "1e-3", "--out", str(tmp_path / "oracle")])
+    assert code == 143
+    assert capsys.readouterr().err == "terminated by SIGTERM\n"
+    assert handlers == [signal.SIG_DFL]
+    assert pool_spy == [1] and PoolSpy.cancels == [True]
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "oracle").exists()

@@ -38,6 +38,11 @@ CALLS = {
     "run-nocontrol-traj": ["run", "--no-control", "--dump-traj", "--tmax", "3", "--seed", "777"],
     "run-regular-mu2-traj": ["run", "--regular", "--mu2", "0.7", "--dump-traj", "--tmax", "3",
                              "--seed", "777"],
+    "run-nocontrol-rk4-traj": ["run", "--no-control", "--dump-traj", "--set", "sim.integrator=rk4",
+                               "--tmax", "2", "--seed", "777"],
+    "run-regular-mu2-rk4-traj": ["run", "--regular", "--mu2", "0.7", "--dump-traj", "--set",
+                                 "sim.integrator=rk4", "--tmax", "2", "--seed", "777"],
+    "oracle-check-threads1": ["oracle-check", "--step", "1e-3", "--threads", "1"],
 }
 
 
