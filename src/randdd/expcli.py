@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -409,7 +410,9 @@ def _pool_size(tasks: int, workers: int | str) -> int:
 def _pool(size: int, settings: dict):
     """A process pool of size workers (None for 0); settings records its
     start method. On exit the pool is shut and the tasks not yet started
-    are cancelled: a failing run must not wait for work submitted ahead."""
+    are cancelled: a failing run must not wait for work submitted ahead.
+    A running task cannot be cancelled, so a failing run first terminates
+    this pool's workers."""
     if not size:
         yield None
         return
@@ -420,6 +423,11 @@ def _pool(size: int, settings: dict):
     settings["start_method"] = context.get_start_method()
     try:
         yield executor
+    except BaseException:
+        # this pool's workers only (ProcessPoolExecutor.terminate_workers is Python 3.14+)
+        for process in list(executor._processes.values()):
+            process.terminate()
+        raise
     finally:
         executor.shutdown(cancel_futures=True)
 
@@ -567,6 +575,7 @@ def _grid_spec(text: str) -> list[float]:
     return [float(x) for x in np.round(np.arange(start, stop + 1e-9, step), 10)]
 
 
+@functools.cache  # one parser per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="randdd",

@@ -122,10 +122,10 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
 
     An exact group advances as lanes of one kernel call; with a level, the
     call ends STOP_MARGIN of the grid past the first column from min_col on
-    where every lane's state-averaged fidelity is below it. rk4, a lone
-    sample, or a group in which any lane failed a check runs one sample at
-    a time in k order over the whole grid, so a BlowUpError names the first
-    failing sample and the seed.
+    where every lane's state-averaged fidelity is below it. rk4, or a group
+    in which any lane failed a check, runs one sample at a time in k order
+    over the whole grid, so a BlowUpError names the first failing sample
+    and the seed.
     """
     def schedules():
         return (generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, k)) for k in ks)
@@ -142,7 +142,7 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
                 seen = filled
             return first is not None and filled > first + extra
 
-    if sim.integrator == "exact" and len(ks) > 1:
+    if sim.integrator == "exact":
         try:
             return exact_factors(schedules(), system, sim, e2, e1, list(ks), stop)
         except BlowUpError:
@@ -182,8 +182,9 @@ def _decided_column(below: list[np.ndarray], width: int) -> tuple[int, list[int]
 class EnsembleRun:
     """One point's ensemble: start submits its first pass to a pool, finish
     collects or runs it, re-runs the groups that stopped short and stacks.
-    pool_tasks, the first-pass tasks it hands a pool, is its lane groups
-    when there are two or more, else 0 (a lone group runs in this process).
+    A deviation-free point is the one group range(1). pool_tasks, the
+    first-pass tasks it hands a pool, is its lane groups when there are two
+    or more, else 0 (a lone group runs in this process).
     """
 
     def __init__(self, system: SystemParams, pulses: PulseParams, sim: SimConfig, until: float | None = None):
@@ -196,7 +197,7 @@ class EnsembleRun:
         # theta (1 - 2 n eps) stays below theta, and one of n values at or above
         # theta (1 + 2 n eps) stays at or above theta (bootstrap_threshold_ci).
         self.level = None if until is None else until * (1.0 - 2.0 * n * np.finfo(float).eps)
-        self.groups = [] if pulses.is_regular else lane_groups(n, system, pulses, sim)
+        self.groups = [range(1)] if pulses.is_regular else lane_groups(n, system, pulses, sim)
         self.pool_tasks = len(self.groups) if len(self.groups) > 1 else 0
         self.futures: list = []
 
@@ -216,11 +217,6 @@ class EnsembleRun:
         grid = sim.output_grid()
         e2 = np.empty((sim.ensemble_n, len(grid)))
         e1 = np.empty_like(e2)
-        if pulses.is_regular:
-            _fill_group(system, pulses, sim, range(1), e2[:1], e1[:1])
-            e2[1:] = e2[0]
-            e1[1:] = e1[0]
-            return EnsembleFactors(grid, e2, e1, {"degenerate": True})
         filled, short, col = [0] * len(self.groups), range(len(self.groups)), 1
         while short:  # every group (min_col 1), then the groups that stopped short of C
             for g in short:
@@ -234,11 +230,15 @@ class EnsembleRun:
                     filled[g] = _fill_group(system, pulses, sim, ks, e2[ks.start:ks.stop], e1[ks.start:ks.stop],
                                             level, col)
             if level is None:
-                return EnsembleFactors(grid, e2, e1, {})
+                col = len(grid)
+                break
             below = [_all_below(level, e2[ks.start:ks.stop, :f], e1[ks.start:ks.stop, :f])
                      for ks, f in zip(self.groups, filled)]
             col, short = _decided_column(below, len(grid))
-        return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1], {})
+        if pulses.is_regular:  # every sample is the deviation-free one
+            e2[1:, :col + 1] = e2[0, :col + 1]
+            e1[1:, :col + 1] = e1[0, :col + 1]
+        return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1], {"degenerate": pulses.is_regular})
 
 
 def ensemble_functionals(
@@ -255,9 +255,9 @@ def ensemble_functionals(
     k regardless of how many workers ran. Samples run in lane groups
     (riccati.lane_groups); a pool takes the first pass of whole groups when
     there are two or more, and a lone group runs in this process. A
-    deviation-free configuration is integrated once and replicated (every
-    sample would be identical). This is EnsembleRun(...).start(executor)
-    .finish(); a caller may start several points before finishing the first.
+    deviation-free configuration is one group, range(1), copied to every
+    row. This is EnsembleRun(...).start(executor).finish(); a caller may
+    start several points before finishing the first.
 
     With until = theta the factors end at the first grid column C at which
     every sample's state-averaged fidelity is below theta (with room for

@@ -193,20 +193,23 @@ def lane_groups(n: int, system: SystemParams, pulses: PulseParams, sim: SimConfi
     return [range(k, min(k + size, n)) for k in range(0, n, size)]
 
 
-def _scalar_steps(m00, m01, m10, m11) -> tuple[np.ndarray, np.ndarray]:
+class _ScalarSteps:
     """CPython's complex recurrence u, v = a00*u + a01*v, a10*u + a11*v from
-    (u, v) = (1, 0), for one lane (propagator columns of width 1)."""
-    a00, a01, a10, a11 = (m[:, 0].tolist() for m in (m00, m01, m10, m11))
-    n = len(a00)
-    us = np.empty((n + 1, 1), dtype=complex)
-    vs = np.empty((n + 1, 1), dtype=complex)
-    u, v = 1.0 + 0.0j, 0.0 + 0.0j
-    us[0, 0], vs[0, 0] = u, v
-    for k in range(n):
-        u, v = a00[k] * u + a01[k] * v, a10[k] * u + a11[k] * v
-        us[k + 1, 0] = u
-        vs[k + 1, 0] = v
-    return us, vs
+    (u, v) = (1, 0), for one lane (propagator columns of width 1). The last
+    (u, v) carries over to the next window."""
+
+    def __init__(self):
+        self.u, self.v = 1.0 + 0.0j, 0.0 + 0.0j
+
+    def __call__(self, m00, m01, m10, m11) -> tuple[np.ndarray, np.ndarray]:
+        u, v = self.u, self.v
+        us, vs = [u], [v]
+        for a00, a01, a10, a11 in zip(*(m[:, 0].tolist() for m in (m00, m01, m10, m11))):
+            u, v = a00 * u + a01 * v, a10 * u + a11 * v
+            us.append(u)
+            vs.append(v)
+        self.u, self.v = u, v
+        return np.array(us)[:, None], np.array(vs)[:, None]
 
 
 class _LaneSteps:
@@ -262,9 +265,9 @@ def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: t
 
     Lane l has breakpoints pts[l], fields cs[l] and output-grid breakpoint
     indices gi[l]; its grid samples go to row l of out, as (Q, J) or, with
-    factors, as (exp(-2 Re J), Re exp(-J)). One lane runs the scalar
-    recurrence over its whole table as one window; more lanes run
-    _LaneSteps over windows of WINDOW_ELEMS lane-steps. Every other stage
+    factors, as (exp(-2 Re J), Re exp(-J)). The lanes run windows of
+    WINDOW_ELEMS lane-steps: one lane the scalar recurrence, more lanes
+    _LaneSteps, each carrying its last (u, u') over. Every other stage
     is elementwise or runs along the steps of each lane (the phase unwrap
     carries its running sum from window to window), so each lane is
     bitwise its one-lane run. A failed check raises BlowUpError for the
@@ -276,8 +279,8 @@ def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: t
     """
     lanes = len(pts)
     n_seg = max(len(c) for c in cs)
-    width = n_seg if lanes == 1 else max(1, WINDOW_ELEMS // lanes)
-    steps = _scalar_steps if lanes == 1 else _LaneSteps(lanes, width)
+    width = max(1, WINDOW_ELEMS // lanes)
+    steps = _ScalarSteps() if lanes == 1 else _LaneSteps(lanes, width)
     starts = range(0, n_seg, width)
     # lane l's grid samples pos[l, w]:pos[l, w + 1] sit in the states of window w
     ends = [-1] + [min(w0 + width, n_seg) for w0 in starts]

@@ -1,0 +1,151 @@
+"""Mutation gate: every mutant of src/randdd must fail the tests named for it.
+
+Run from the repository root:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py carry row    # the mutants whose name holds a word given
+
+Each mutant replaces one exact snippet of a module in a temporary copy of
+src/ and runs only its test nodes against that copy (pytest's pythonpath
+is pointed at it). The gate fails when a mutant survives, that is its
+nodes all pass, or when its snippet is not found exactly once: a refactor
+that moves the code must move the mutant with it. pytest does not collect
+this file. Exit status 0 when every mutant is killed, else 1.
+"""
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # a mutant that hangs its tests counts as killed, and says so
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # under src/randdd
+    snippet: str
+    replacement: str
+    nodes: tuple[str, ...]
+
+
+FIDELITY = "tests/test_fidelity.py::"
+RICCATI = "tests/test_riccati.py::"
+
+MUTANTS = [
+    Mutant("unwrap carry dropped", "riccati.py",
+           "            dph[0] += cum\n", "",
+           (RICCATI + "test_one_lane_windows_are_bitwise_the_default[random-w64]",
+            RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-w7]")),
+    Mutant("numpy complex multiply in the lane step", "riccati.py",
+           "        us.real, us.imag = st[:, 0, 0], st[:, 0, 1]\n"
+           "        vs.real, vs.imag = st[:, 1, 0], st[:, 1, 1]\n",
+           "        us[0] = st[0, 0, 0] + 1j * st[0, 0, 1]\n"
+           "        vs[0] = st[0, 1, 0] + 1j * st[0, 1, 1]\n"
+           "        for k in range(n):\n"
+           "            us[k + 1] = m00[k] * us[k] + m01[k] * vs[k]\n"
+           "            vs[k + 1] = m10[k] * us[k] + m11[k] * vs[k]\n"
+           "        st[:, 0, 0], st[:, 0, 1], st[:, 1, 0], st[:, 1, 1] = us.real, us.imag, vs.real, vs.imag\n",
+           (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",)),
+    Mutant("no one-by-one re-run after a blow-up", "fidelity.py",
+           "        except BlowUpError:\n            pass\n",
+           "        except BlowUpError:\n            raise\n",
+           (FIDELITY + "test_exact_ensemble_blowup_matches_per_sample_path",)),
+    Mutant("cut at C instead of C+1", "fidelity.py",
+           "EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1],",
+           "EnsembleFactors(grid[:col], e2[:, :col], e1[:, :col],",
+           (FIDELITY + "test_until_cuts_at_the_decided_column_inside_a_window",)),
+    Mutant("early-stop re-run skipped", "fidelity.py",
+           "            col, short = _decided_column(below, len(grid))\n",
+           "            col, short = _decided_column(below, len(grid))[0], []\n",
+           (FIDELITY + "test_until_reruns_a_group_that_stopped_short",)),
+    Mutant("min_col ignored", "fidelity.py",
+           "int(STOP_MARGIN * e2.shape[1]), min_col, None",
+           "int(STOP_MARGIN * e2.shape[1]), 1, None",
+           (FIDELITY + "test_kernel_stop_ends_in_the_window_after_its_column",)),
+    Mutant("any lane instead of every lane", "fidelity.py",
+           "    return (_combine(e2, e1, None) < level).all(axis=0)\n",
+           "    return (_combine(e2, e1, None) < level).any(axis=0)\n",
+           (FIDELITY + "test_until_cuts_at_the_decided_column_inside_a_window",)),
+    Mutant("last-piece assignment dropped", "pulsegen.py",
+           "    inner[first[1:] - 1] = pts[1:]\n", "",
+           ("tests/test_breakpoints.py::test_split_pieces_end_on_their_breakpoints",)),
+    Mutant("bootstrap window starts at j0", "fidelity.py",
+           "if dips.any() else len(factors.grid)) - 1, 0)",
+           "if dips.any() else len(factors.grid)), 0)",
+           (FIDELITY + "test_bootstrap_window_keeps_an_early_dip_that_recovers",
+            FIDELITY + "test_bootstrap_window_sees_a_mean_rounded_below_theta")),
+    Mutant("2n eps room dropped", "fidelity.py",
+           "    dips = (curves < theta * (1.0 + 2.0 * n * np.finfo(float).eps)).any(axis=0)\n",
+           "    dips = (curves < theta).any(axis=0)\n",
+           (FIDELITY + "test_bootstrap_window_sees_a_mean_rounded_below_theta",)),
+    Mutant("Horner 1/24 -> 1/25", "oracle.py",
+           "hL / 24.0", "hL / 25.0",
+           ("tests/test_oracle.py::test_transfer_matrix_matches_stepwise_rk4",)),
+    Mutant("lane-group cap on the pool dropped", "expcli.py",
+           "    return min(cpus if workers == \"auto\" else workers, cpus, tasks)\n",
+           "    return min(cpus if workers == \"auto\" else workers, cpus)\n",
+           ("tests/test_expcli.py::test_default_starts_no_pool_without_two_lane_groups",)),
+    Mutant("lone group mapped to the pool", "fidelity.py",
+           "self.pool_tasks = len(self.groups) if len(self.groups) > 1 else 0",
+           "self.pool_tasks = len(self.groups)",
+           (FIDELITY + "test_a_lone_lane_group_never_reaches_the_pool",)),
+    Mutant("scalar carry reset each window", "riccati.py",
+           "        self.u, self.v = u, v\n", "",
+           (RICCATI + "test_one_lane_windows_are_bitwise_the_default[random-w64]",)),
+    Mutant("deviation-free row copy dropped", "fidelity.py",
+           "        if pulses.is_regular:  # every sample is the deviation-free one\n"
+           "            e2[1:, :col + 1] = e2[0, :col + 1]\n"
+           "            e1[1:, :col + 1] = e1[0, :col + 1]\n", "",
+           (FIDELITY + "test_until_stops_a_degenerate_ensemble_at_the_decided_column",)),
+    Mutant("len(ks) > 1 gate restored", "fidelity.py",
+           "    if sim.integrator == \"exact\":\n",
+           "    if sim.integrator == \"exact\" and len(ks) > 1:\n",
+           (FIDELITY + "test_a_lone_lane_stops_early_in_the_exact_kernel",)),
+]
+
+
+def run(mutant: Mutant, scratch: Path) -> str:
+    """Apply mutant to a fresh copy of src/ and run its nodes: "killed",
+    "killed (timed out)", "SURVIVED" or an error naming what went wrong."""
+    src = scratch / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = src / "randdd" / mutant.module
+    text = path.read_text()
+    if text.count(mutant.snippet) != 1:
+        return f"ERROR: snippet found {text.count(mutant.snippet)} times in {mutant.module}"
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "-o", f"pythonpath={src}", *mutant.nodes]
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "killed (timed out)"
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    return f"ERROR: pytest exit {proc.returncode}\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+
+
+def main(words: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="randdd-mutants-") as tmp:
+        for mutant in chosen:
+            t0 = time.perf_counter()
+            outcome = run(mutant, Path(tmp))
+            failed += not outcome.startswith("killed")
+            print(f"{outcome:<20} {time.perf_counter() - t0:5.1f} s  {mutant.name}", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    return 1 if failed or not chosen else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import signal
 import sys
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -163,6 +164,21 @@ def test_validate_subcommand(tmp_path, capsys):
     assert run_cli(["validate", "--set", "system.gamma=0.4"]) == 0
     out = capsys.readouterr().out
     assert "configuration valid" in out and "system.gamma = 0.4" in out
+
+
+def test_one_parser_serves_calls_with_independent_overrides(capsys):
+    # the parser is built once per process; one call's --set list never
+    # reaches the next call
+    assert expcli.build_parser() is expcli.build_parser()
+    assert run_cli(["validate", "--set", "system.gamma=0.4", "--set", "pulses.phi=0.3"]) == 0
+    first = capsys.readouterr().out
+    assert run_cli(["validate"]) == 0
+    second = capsys.readouterr().out
+    assert "system.gamma = 0.4" in first and "pulses.phi = 0.3" in first
+    assert "system.gamma = 0.2" in second and "pulses.phi = 0.2" in second
+    assert parse_cli(["validate"])[0].overrides == {}
+    assert parse_cli(["run", "--set", "sim.t_max=2"])[0].overrides == {"sim.t_max": 2.0}
+    assert parse_cli(["run"])[0].overrides == {}
 
 
 def test_baseline_experiment_rows(tmp_path):
@@ -773,6 +789,38 @@ def test_sigterm_shuts_the_pool_and_exits_143(tmp_path, monkeypatch, capsys, poo
     err = capsys.readouterr().err
     assert err == "terminated by SIGTERM\n"
     assert handlers == [signal.SIG_DFL]
+    assert pool_spy == [2] and PoolSpy.cancels == [True]
+    assert multiprocessing.active_children() == []
+
+
+def _touch_and_sleep(path):
+    """A pool task that marks its start, then outlasts any test."""
+    open(path, "w").close()
+    time.sleep(60)
+
+
+def test_sigterm_ends_a_running_pool_task(tmp_path, monkeypatch, capsys, pool_spy):
+    # a task a worker is running cannot be cancelled: SIGTERM terminates the
+    # pool's workers rather than waiting for it
+    monkeypatch.setattr(expcli, "usable_cpus", lambda: 2)
+    finish, started, sent = fidelity.EnsembleRun.finish, tmp_path / "started", []
+
+    def finish_then_sigterm(self):
+        factors = finish(self)  # the point's groups are collected; the workers are idle
+        task = PoolSpy.pools[-1].submit(_touch_and_sleep, str(started))
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists() and task.running()
+        sent.append(time.monotonic())
+        signal.raise_signal(signal.SIGTERM)
+        return factors
+
+    monkeypatch.setattr(fidelity.EnsembleRun, "finish", finish_then_sigterm)
+    code = run_cli(["run", "--set", "pulses.d_tau=0.004", "--tmax", "2", "--ensemble", "40",
+                    "--grid-dt", "0.02", "--out", str(tmp_path / "out")])
+    assert code == 143 and time.monotonic() - sent[0] < 5
+    assert capsys.readouterr().err == "terminated by SIGTERM\n"
     assert pool_spy == [2] and PoolSpy.cancels == [True]
     assert multiprocessing.active_children() == []
 

@@ -19,7 +19,7 @@ from randdd.model import InitialState, PulseParams, SimConfig, SystemParams
 from randdd.oracle import closed_form_barQ
 from randdd import fidelity, riccati
 from randdd.errors import BlowUpError
-from randdd.pulsegen import RandomStream, empty_schedule, generate_random
+from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular
 from randdd.riccati import QTrajectory, integrate_exact, lane_groups
 
 
@@ -458,10 +458,48 @@ def test_until_never_reached_keeps_the_whole_grid():
     assert _t_outputs(cut, theta)[1] is False
 
 
-def test_until_leaves_a_degenerate_ensemble_whole():
+def test_until_stops_a_degenerate_ensemble_at_the_decided_column():
+    # a deviation-free point is the one group range(1): it stops at C like any
+    # group, and its row is copied to the other rows over the decided columns
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=4)
-    factors = ensemble_functionals(SYS9, PulseParams(0.02, 0.008, 0.2), sim, until=UNTIL_THETA)
-    assert len(factors.grid) == sim.grid_size() and factors.meta["degenerate"]
+    regular = PulseParams(0.02, 0.008, 0.2)
+    full = ensemble_functionals(SYS9, regular, sim)
+    cut = ensemble_functionals(SYS9, regular, sim, until=UNTIL_THETA)
+    m = _decided(full, UNTIL_THETA) + 1
+    assert len(cut.grid) == m < sim.grid_size() and cut.meta["degenerate"] and full.meta["degenerate"]
+    assert cut.e2.shape == cut.e1.shape == (sim.ensemble_n, m)
+    assert np.array_equal(cut.grid, full.grid[:m])
+    assert np.array_equal(cut.e2, full.e2[:, :m]) and np.array_equal(cut.e1, full.e1[:, :m])
+    assert _t_outputs(cut, UNTIL_THETA) == _t_outputs(full, UNTIL_THETA)
+    # every row is the regular train's one trajectory
+    traj = integrate_exact(generate_regular(regular, sim.t_max), SYS9, sim)
+    assert (full.e2 == traj.decay_factor()).all() and (full.e1 == np.real(traj.coherence_factor())).all()
+
+
+@pytest.mark.parametrize("n,table_bytes", [(1, riccati.LANE_TABLE_BYTES), (3, 1)], ids=["n1", "one-lane-groups"])
+def test_a_lone_lane_stops_early_in_the_exact_kernel(monkeypatch, n, table_bytes):
+    # a group of one lane runs windows of the exact kernel and stops past its
+    # column like any group; no sample is integrated on its own
+    monkeypatch.setattr(riccati, "LANE_TABLE_BYTES", table_bytes)
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 8)
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=n, master_seed=5)
+    assert [len(g) for g in lane_groups(n, SYS9, RAND_PULSES, sim)] == [1] * n
+    fills = []
+    fill = fidelity._fill_group
+
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+        fills.append((level, fill(system, pulses, sim, ks, e2, e1, level, min_col)))
+        return fills[-1][1]
+
+    def single(*args, **kwargs):
+        raise AssertionError("a sample was integrated on its own")
+
+    monkeypatch.setattr(fidelity, "_fill_group", spy)
+    monkeypatch.setattr(fidelity, "integrate_with", single)
+    cut, full = _until_matches_full(sim)
+    assert len(cut.grid) == _decided(full, UNTIL_THETA) + 1 < len(full.grid)
+    stopped = [filled for level, filled in fills if level is not None]
+    assert len(stopped) >= n and max(stopped) < len(full.grid)
 
 
 # --- bootstrap resample means from the first possible bracket on ----------------

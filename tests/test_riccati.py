@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from randdd import riccati
 from randdd.errors import BlowUpError, ValidationError
+from randdd.fidelity import ensemble_functionals
 from randdd.model import PulseParams, SimConfig, SystemParams
 from randdd.oracle import closed_form_barQ
 from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular
@@ -229,6 +230,63 @@ def test_lanes_are_bitwise_one_lane_runs(monkeypatch, case, width):
         assert np.array_equal(q[k], traj.q) and np.array_equal(j[k], traj.j)
         assert np.array_equal(e2[k], traj.decay_factor())
         assert np.array_equal(e1[k], np.real(traj.coherence_factor()))
+
+
+WINDOW_TRAINS = {
+    # (system, pulses, regular train)
+    "regular": (SystemParams(gamma=0.2), PulseParams(0.02, 0.008, 0.2), True),
+    "random": (SystemParams(gamma=0.2), PulseParams(0.02, 0.008, 0.2, d_tau=0.006, d_phi=0.1), False),
+    "clamped": LANE_CASES["clamped"][:2] + (False,),
+    "subdivided": LANE_CASES["subdivided"][:2] + (False,),
+}
+
+
+@pytest.mark.parametrize("width", [1, 7, 64, 10**7], ids=["w1", "w7", "w64", "whole-table"])
+@pytest.mark.parametrize("case", sorted(WINDOW_TRAINS))
+def test_one_lane_windows_are_bitwise_the_default(monkeypatch, case, width):
+    # a lone trajectory runs windows too, carrying (u, u') and the unwrap over;
+    # the tables span more than one default window, and 10**7 is one window
+    system, pulses, regular = WINDOW_TRAINS[case]
+    sim = SimConfig(t_max=28.0, grid_dt=0.01, ensemble_n=1)
+    schedule = (generate_regular(pulses, sim.t_max) if regular
+                else generate_random(pulses, sim.t_max, RandomStream.for_schedule(11, 0)))
+    assert len(_breakpoints(schedule, system, sim, subdivide=True)[1]) > riccati.WINDOW_ELEMS + 1
+    default = integrate_exact(schedule, system, sim)
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", width)
+    traj = integrate_exact(schedule, system, sim)
+    assert np.array_equal(traj.q, default.q) and np.array_equal(traj.j, default.j)
+
+
+def test_one_lane_blowup_is_its_first_failing_window(monkeypatch):
+    # a lone trajectory fails as a lane does: at the peak |Q| of the first
+    # window that leaves the bound, not at the peak of its whole table
+    system = SystemParams(gamma=0.3)
+    pulses = PulseParams(0.02, 0.008, 0.2, d_tau=0.004, d_delta=0.004)
+    sim = SimConfig(t_max=2.0, grid_dt=0.02, ensemble_n=1, master_seed=3)
+    schedule = generate_random(pulses, sim.t_max, RandomStream.for_schedule(3, 0))
+    _, pts, cs, _ = _breakpoints(schedule, system, sim, subdivide=True)
+    q, j = np.empty((1, len(pts)), dtype=complex), np.empty((1, len(pts)), dtype=complex)
+    _propagate([pts], [cs], np.arange(len(pts))[None], system, (q, j), [0])  # Q at every breakpoint
+    aq = np.abs(q[0])
+    bound, width = 0.75 * aq.max(), 8
+    # window w0 holds breakpoints w0 .. w0 + width, the first one carried over
+    w0 = next(w0 for w0 in range(0, len(pts), width) if aq[w0:w0 + width + 1].max() > bound)
+    k = w0 + int(np.argmax(aq[w0:w0 + width + 1]))
+    assert aq[k] < aq.max()
+    monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", bound)
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", width)
+    with pytest.raises(BlowUpError) as err:
+        integrate_exact(schedule, system, sim, sample_index=0)
+    assert (err.value.t, err.value.magnitude) == (pts[k], aq[k])
+    with pytest.raises(BlowUpError) as in_ensemble:
+        ensemble_functionals(system, pulses, sim)
+    assert (in_ensemble.value.t, in_ensemble.value.magnitude, in_ensemble.value.sample_index,
+            in_ensemble.value.master_seed) == (pts[k], aq[k], 0, 3)
+    # one window over the whole table names the peak
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 10**7)
+    with pytest.raises(BlowUpError) as whole:
+        integrate_exact(schedule, system, sim, sample_index=0)
+    assert (whole.value.t, whole.value.magnitude) == (pts[int(np.argmax(aq))], aq.max())
 
 
 def test_lane_blowup_names_a_failing_lane(monkeypatch):
