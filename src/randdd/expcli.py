@@ -23,7 +23,7 @@ import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -45,22 +45,6 @@ from .model import SECTIONS, InitialState, PulseParams, SimConfig, ValidatedBund
 from .oracle import oracle_configs, run_oracle_check
 from .pulsegen import RandomStream, empty_schedule, generate_random, generate_regular, load_schedule, save_schedule
 from .riccati import integrate_with
-
-EXPERIMENT_NAMES = (
-    "baseline-nocontrol",
-    "sweep-phi",
-    "sweep-tau",
-    "sweep-delta",
-    "curves-delta",
-    "curves-deltatau",
-    "curves-mu",
-    "oracle-check",
-    # ad-hoc single runs, beyond the fixed experiment set
-    "run-curve",
-    "threshold-control",
-    # checks the configuration only: main() prints it and runs nothing
-    "validate",
-)
 
 # every "section.field" key of model.SECTIONS, cast by its annotation
 CONFIG_KEYS = {f"{section}.{name}": caster for section, cls in SECTIONS.items()
@@ -90,7 +74,7 @@ class ExperimentSpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in EXPERIMENT_NAMES:
+        if self.name not in experiment_names():
             raise ValidationError(errors.UNKNOWN_KEY, f"unknown experiment {self.name!r}")
         for key in self.overrides:
             if key not in CONFIG_KEYS:
@@ -238,13 +222,37 @@ def _write_plot_script(out_dir: Path) -> Path:
 # ---------------------------------------------------------------------------
 # experiments as point lists
 
+# sweep-X: T against the deviation d_X, on these ratios d_X / |X|
 SWEEP_GRIDS = {
-    "sweep-phi": ("d_phi", "phi", np.round(np.arange(0.0, 1.0 + 1e-9, 0.1), 10)),
-    "sweep-tau": ("d_tau", "tau", np.round(np.arange(0.0, 0.55 + 1e-9, 0.05), 10)),
-    "sweep-delta": ("d_delta", "delta", np.round(np.arange(0.0, 0.9 + 1e-9, 0.1), 10)),
+    "phi": np.round(np.arange(0.0, 1.0 + 1e-9, 0.1), 10),
+    "tau": np.round(np.arange(0.0, 0.55 + 1e-9, 0.05), 10),
+    "delta": np.round(np.arange(0.0, 0.9 + 1e-9, 0.1), 10),
 }
 SWEEP_GAMMAS = (0.2, 0.5, 0.9)
 ROW_HEADER = "label,gamma,d_over_x,T,crossed,ci_low,ci_high"
+
+# curves-F: the pulse keys family F defaults in units of tau (an override
+# wins), then one row per point: file stem, control, the pulse keys the
+# point fixes in units of tau, allow_overlap, and the mu2 of its curves
+# (None: the state average, written to stem.csv; else to stem_mu2.csv)
+CURVE_FAMILIES = {
+    "delta": ({}, [(f"curves_delta_r{r}_{control}", control, {"delta": r, **dev}, control == "random", (None,))
+                   for r in (0.3, 0.4, 0.5, 0.75)
+                   for control, dev in (("regular", {}), ("random", {"d_delta": 0.2, "d_tau": 0.2}))]),
+    "deltatau": ({}, [("curves_deltatau_regular", "regular", {}, False, (None,))] + [
+        (f"curves_deltatau_dd{dd}_dt{dt}", "random", {"d_delta": dd, "d_tau": dt}, False, (None,))
+        for dd, dt in ((0.2, 0.0), (0.0, 0.2), (0.2, 0.2))]),
+    "mu": ({"d_delta": 0.2, "d_tau": 0.2},
+           [("curves_mu", "random", {}, False, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))]),
+}
+# beside the table rows: run-curve and threshold-control are ad-hoc single
+# runs, and validate only checks the configuration (main prints it)
+OTHER_EXPERIMENTS = ("baseline-nocontrol", "oracle-check", "run-curve", "threshold-control", "validate")
+
+
+def experiment_names() -> tuple[str, ...]:
+    """The names ExperimentSpec accepts."""
+    return (*(f"sweep-{x}" for x in SWEEP_GRIDS), *(f"curves-{f}" for f in CURVE_FAMILIES), *OTHER_EXPERIMENTS)
 
 
 def _sweep_tmax(gamma: float) -> float:
@@ -257,72 +265,62 @@ def _sweep_tmax(gamma: float) -> float:
 class Point:
     """One configuration of an experiment and the outputs it feeds.
 
-    control: "none", "regular" or "replay" integrate one trajectory;
-    "random" integrates the ensemble. row = (csv name, label, gamma,
-    d_over_x) adds a T row to that table; boot is its bootstrap stream
-    index (None: an ensemble row's interval collapses to T). curves lists
-    (file name, mu2) pairs, mu2 None for the state average.
+    Its configuration is the user's overrides between the point's defaults
+    and its fixed keys (overrides_with); parse_cli rejects an override of a
+    fixed key. control: "none", "regular" or "replay" integrate one
+    trajectory; "random" integrates the ensemble. row = (csv name, label,
+    gamma, d_over_x) adds a T row to that table; boot is its bootstrap
+    stream index. curves lists (file name, mu2) pairs, mu2 None for the
+    state average.
     """
 
-    overrides: dict
+    defaults: dict
+    fixed: dict
     control: str = "random"
     allow_overlap: bool = False
     row: tuple | None = None
-    boot: int | None = None
+    boot: int = 0
     curves: tuple = ()
+
+    def overrides_with(self, user: dict) -> dict:
+        return {**self.defaults, **user, **self.fixed}
 
 
 def expand(spec: ExperimentSpec) -> list[Point]:
-    """The experiment's points, in evaluation and output order."""
-    name, opt, ov = spec.name, spec.options, dict(spec.overrides)
-    gammas = opt.get("gammas") or list(SWEEP_GAMMAS)
-    if name in SWEEP_GRIDS:
-        d_field, mean_field, ratios = SWEEP_GRIDS[name]
-        ratios = ratios if opt.get("grid") is None else np.asarray(opt["grid"], dtype=float)
-        base = build_bundle(ov).pulses
-        points = []
-        for gi, gamma in enumerate(gammas):
-            for ri, ratio in enumerate(ratios):
-                dev = replace(base, **{d_field: float(ratio) * abs(getattr(base, mean_field))})
-                points.append(Point(
-                    {"sim.t_max": _sweep_tmax(gamma), "sim.grid_dt": 0.02, **ov,
-                     "system.gamma": gamma, f"pulses.{d_field}": getattr(dev, d_field)},
-                    row=(f"{name.replace('-', '_')}.csv", name, gamma, float(ratio)),
-                    boot=None if dev.is_regular else gi * 10_000 + ri))
-        return points
-    if name in ("baseline-nocontrol", "threshold-control"):
-        control = "none" if name == "baseline-nocontrol" else opt.get("control", "regular")
+    """The experiment's points, in evaluation and output order (validate
+    and oracle-check have none). Builds no bundle: parse_cli reads them."""
+    kind, _, variant = spec.name.partition("-")
+    opt, ov = spec.options, resolve_overrides(spec.overrides)
+    gammas = opt.get("gammas") or SWEEP_GAMMAS
+    if kind == "sweep":
+        ratios = SWEEP_GRIDS[variant] if opt.get("grid") is None else np.asarray(opt["grid"], dtype=float)
+        scale = abs(ov.get(f"pulses.{variant}", getattr(PulseParams, variant)))
+        return [Point({"sim.t_max": _sweep_tmax(gamma), "sim.grid_dt": 0.02},
+                      {"system.gamma": gamma, f"pulses.d_{variant}": float(ratio) * scale},
+                      row=(f"sweep_{variant}.csv", spec.name, gamma, float(ratio)), boot=gi * 10_000 + ri)
+                for gi, gamma in enumerate(gammas) for ri, ratio in enumerate(ratios)]
+    if kind in ("baseline", "threshold"):
+        control = "none" if kind == "baseline" else opt.get("control", "regular")
         if control == "none":
             csv, label, defaults = "baseline_nocontrol.csv", "nocontrol", {"sim.t_max": 3.0, "sim.grid_dt": 0.002}
         else:
             csv, label, defaults = f"threshold_{control}.csv", control, {}
-        return [Point({"sim.t_max": _sweep_tmax(gamma), **defaults, **ov, "system.gamma": gamma}, control,
-                      row=(csv, label, gamma, 0.0), boot=gi if control == "random" else None)
+        return [Point({"sim.t_max": _sweep_tmax(gamma), **defaults}, {"system.gamma": gamma}, control,
+                      row=(csv, label, gamma, 0.0), boot=gi)
                 for gi, gamma in enumerate(gammas)]
-    if name == "run-curve":
-        return [Point(ov, opt.get("control", "random"), curves=(("curve.csv", opt.get("mu2")),))]
-    ov.setdefault("system.gamma", 0.3)
-    tau = float(ov.get("pulses.tau", PulseParams.tau))
-    if name == "curves-delta":
-        points = []
-        for ratio in (0.3, 0.4, 0.5, 0.75):
-            reg = {**ov, "pulses.delta": ratio * tau}
-            points += [
-                Point(reg, "regular", curves=((f"curves_delta_r{ratio}_regular.csv", None),)),
-                Point({**reg, "pulses.d_delta": 0.2 * tau, "pulses.d_tau": 0.2 * tau}, allow_overlap=True,
-                      curves=((f"curves_delta_r{ratio}_random.csv", None),)),
-            ]
-        return points
-    if name == "curves-deltatau":
-        return [Point(ov, "regular", curves=(("curves_deltatau_regular.csv", None),))] + [
-            Point({**ov, "pulses.d_delta": dd * tau, "pulses.d_tau": dt * tau},
-                  curves=((f"curves_deltatau_dd{dd}_dt{dt}.csv", None),))
-            for dd, dt in ((0.2, 0.0), (0.0, 0.2), (0.2, 0.2))]
-    if name == "curves-mu":
-        mu2s = [float(m) for m in np.round(np.arange(0.1, 0.9 + 1e-9, 0.1), 10)]
-        return [Point({"pulses.d_delta": 0.2 * tau, "pulses.d_tau": 0.2 * tau, **ov},
-                      curves=tuple((f"curves_mu_{m2}.csv", m2) for m2 in mu2s))]
-    raise ValidationError(errors.UNKNOWN_KEY, f"{name!r} has no point list")
+    if kind == "run":
+        return [Point({}, {}, opt.get("control", "random"), curves=(("curve.csv", opt.get("mu2")),))]
+    if kind != "curves":
+        return []
+    defaults, rows = CURVE_FAMILIES[variant]
+    tau = ov.get("pulses.tau", PulseParams.tau)
+
+    def in_tau(multiples: dict) -> dict:
+        return {f"pulses.{key}": m * tau for key, m in multiples.items()}
+
+    return [Point({"system.gamma": 0.3, **in_tau(defaults)}, in_tau(fixed), control, allow_overlap,
+                  curves=tuple((f"{stem}.csv" if mu2 is None else f"{stem}_{mu2}.csv", mu2) for mu2 in mu2s))
+            for stem, control, fixed, allow_overlap, mu2s in rows]
 
 
 def _point_states(point: Point) -> dict:
@@ -383,7 +381,7 @@ def evaluate(point: Point, bundle: ValidatedBundle, options: dict, out_dir: Path
         t_val, crossed = res.time, res.crossed
     if point.control != "random":
         ci = (None, None)
-    elif point.boot is None:
+    elif pulses.is_regular:  # every sample is the regular train: the interval is T
         ci = (t_val, t_val)
     else:
         stream = RandomStream.for_bootstrap(sim.master_seed, point.boot)
@@ -466,7 +464,7 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
         files, snapshot = [path], {"sim.master_seed": seed}
     else:
         points = expand(spec)
-        bundles = [build_bundle(p.overrides, allow_overlap=p.allow_overlap) for p in points]
+        bundles = [build_bundle(p.overrides_with(spec.overrides), allow_overlap=p.allow_overlap) for p in points]
         for point in points:
             _point_states(point)
         snapshot = _snapshot(build_bundle(spec.overrides))
@@ -609,13 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="T vs fluctuation-scale sweeps")
     _add_common(p)
-    p.add_argument("--param", choices=("phi", "tau", "delta"), required=True)
+    p.add_argument("--param", choices=tuple(SWEEP_GRIDS), required=True)
     p.add_argument("--gammas", type=_gamma_list)
     p.add_argument("--grid", type=_grid_spec, help="ratio grid start:stop:step")
 
     p = sub.add_parser("curves", help="fidelity-curve families")
     _add_common(p)
-    p.add_argument("--family", choices=("delta", "deltatau", "mu"), required=True)
+    p.add_argument("--family", choices=tuple(CURVE_FAMILIES), required=True)
 
     p = sub.add_parser("oracle-check", help="cross-method closure report")
     _add_common(p)
@@ -646,13 +644,6 @@ def parse_cli(argv) -> tuple[ExperimentSpec, int | str]:
     if args.command == "threshold" and args.t_mode != "mean-curve" and not args.random:
         parser.error(f"--t-mode {args.t_mode} needs --random: only an ensemble has per-sample crossings")
     overrides = _collect_overrides(args)
-    if args.command == "oracle-check":
-        flags = {key: "--" + dest.replace("_", "-")
-                 for dest, key in FLAG_KEYS.items() if vars(args)[dest] is not None}
-        ignored = [flags.get(k, k) for k in overrides if k not in ORACLE_KEYS]
-        if ignored:
-            parser.error(f"oracle-check runs fixed configurations and reads only --step and --seed; "
-                         f"it would ignore {', '.join(ignored)}")
     name, options = args.command, {}
     if name == "run":
         name = "run-curve"
@@ -669,8 +660,15 @@ def parse_cli(argv) -> tuple[ExperimentSpec, int | str]:
         name, options = f"sweep-{args.param}", {"gammas": args.gammas or None, "grid": args.grid}
     elif name == "curves":
         name = f"curves-{args.family}"
-    options = {k: v for k, v in options.items() if v is not None}
-    return ExperimentSpec(name, overrides, args.out, options), args.threads
+    spec = ExperimentSpec(name, overrides, args.out, {k: v for k, v in options.items() if v is not None})
+    # an override of a key the experiment sets itself would be ignored
+    fixed = (CONFIG_KEYS.keys() - set(ORACLE_KEYS) if name == "oracle-check"
+             else {key for point in expand(spec) for key in point.fixed})
+    flags = {key: "--" + dest.replace("_", "-") for dest, key in FLAG_KEYS.items() if vars(args)[dest] is not None}
+    ignored = [flags.get(key, key) for key in overrides if key in fixed]
+    if ignored:
+        parser.error(f"{name} sets {', '.join(ignored)} itself and would ignore the override")
+    return spec, args.threads
 
 
 def main(argv=None) -> int:

@@ -5,12 +5,15 @@ Run from the repository root:
     python tests/mutants.py              # every mutant
     python tests/mutants.py carry row    # the mutants whose name holds a word given
 
-Each mutant replaces one exact snippet of a module in a temporary copy of
-src/ and runs only its test nodes against that copy (pytest's pythonpath
-is pointed at it). The gate fails when a mutant survives, that is its
-nodes all pass, or when its snippet is not found exactly once: a refactor
-that moves the code must move the mutant with it. pytest does not collect
-this file. Exit status 0 when every mutant is killed, else 1.
+First the union of the chosen mutants' test nodes runs on an unmutated
+copy of src/: if any of them fails there, a failure under a mutant would
+prove nothing, so the gate stops with ERROR. Then each mutant replaces one
+exact snippet of a module in a fresh copy of src/ and runs only its test
+nodes against that copy (pytest's pythonpath is pointed at it). The gate
+fails when a mutant survives, that is its nodes all pass, or when its
+snippet is not found exactly once: a refactor that moves the code must
+move the mutant with it. pytest does not collect this file. Exit status 0
+when every mutant is killed, else 1.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ class Mutant(NamedTuple):
     nodes: tuple[str, ...]
 
 
+EXPCLI = "tests/test_expcli.py::"
 FIDELITY = "tests/test_fidelity.py::"
 RICCATI = "tests/test_riccati.py::"
 
@@ -107,25 +111,50 @@ MUTANTS = [
            "    if sim.integrator == \"exact\":\n",
            "    if sim.integrator == \"exact\" and len(ks) > 1:\n",
            (FIDELITY + "test_a_lone_lane_stops_early_in_the_exact_kernel",)),
+    Mutant("curves-delta tau multiple 0.2 -> 0.25", "expcli.py",
+           '("random", {"d_delta": 0.2, "d_tau": 0.2})',
+           '("random", {"d_delta": 0.25, "d_tau": 0.2})',
+           ("tests/test_golden.py::test_outputs_match_golden[curves-delta]",)),
+    Mutant("fixed-key check dropped", "expcli.py",
+           "    ignored = [flags.get(key, key) for key in overrides if key in fixed]\n",
+           "    ignored = []\n",
+           (EXPCLI + "test_every_override_reaches_every_point_or_exits_2[threshold-regular]",
+            EXPCLI + "test_every_override_reaches_every_point_or_exits_2[curves-delta]")),
+    Mutant("deviation-free interval rule dropped", "expcli.py",
+           "    elif pulses.is_regular:  # every sample is the regular train: the interval is T\n"
+           "        ci = (t_val, t_val)\n", "",
+           (EXPCLI + "test_deviation_free_rows_are_not_bootstrapped[threshold-mean-curve]",)),
 ]
+
+
+def fresh_src(scratch: Path) -> Path:
+    """A clean copy of src/ under scratch."""
+    src = scratch / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def run_nodes(src: Path, nodes) -> subprocess.CompletedProcess | None:
+    """pytest on nodes against the package in src (None: timed out)."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "-o", f"pythonpath={src}", *nodes]
+    try:
+        return subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def run(mutant: Mutant, scratch: Path) -> str:
     """Apply mutant to a fresh copy of src/ and run its nodes: "killed",
     "killed (timed out)", "SURVIVED" or an error naming what went wrong."""
-    src = scratch / "src"
-    shutil.rmtree(src, ignore_errors=True)
-    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    path = src / "randdd" / mutant.module
+    path = fresh_src(scratch) / "randdd" / mutant.module
     text = path.read_text()
     if text.count(mutant.snippet) != 1:
         return f"ERROR: snippet found {text.count(mutant.snippet)} times in {mutant.module}"
     path.write_text(text.replace(mutant.snippet, mutant.replacement))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "-o", f"pythonpath={src}", *mutant.nodes]
-    try:
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+    proc = run_nodes(path.parent.parent, mutant.nodes)
+    if proc is None:
         return "killed (timed out)"
     if proc.returncode == 1:
         return "killed"
@@ -136,15 +165,25 @@ def run(mutant: Mutant, scratch: Path) -> str:
 
 def main(words: list[str]) -> int:
     chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
+    if not chosen:
+        print("no mutant matches", *words)
+        return 1
     failed = 0
     with tempfile.TemporaryDirectory(prefix="randdd-mutants-") as tmp:
+        nodes = list(dict.fromkeys(node for mutant in chosen for node in mutant.nodes))
+        proc = run_nodes(fresh_src(Path(tmp)), nodes)
+        if proc is None or proc.returncode != 0:
+            tail = "timed out" if proc is None else f"pytest exit {proc.returncode}\n{proc.stdout[-2000:]}"
+            print(f"ERROR: the unmutated source fails the mutants' nodes: {tail}")
+            return 1
+        print(f"{len(nodes)} nodes pass on the unmutated source", flush=True)
         for mutant in chosen:
             t0 = time.perf_counter()
             outcome = run(mutant, Path(tmp))
             failed += not outcome.startswith("killed")
             print(f"{outcome:<20} {time.perf_counter() - t0:5.1f} s  {mutant.name}", flush=True)
     print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
-    return 1 if failed or not chosen else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -446,6 +446,116 @@ def test_oracle_check_rejects_ignored_overrides(tmp_path, capsys):
     assert not out.exists()
 
 
+# one valid value per config key, unlike its default
+OVERRIDES = {"system.omega": "1.1", "system.Gamma": "1.2", "system.gamma": "0.7",
+             "pulses.tau": "0.025", "pulses.delta": "0.009", "pulses.phi": "0.25",
+             "pulses.d_tau": "0.001", "pulses.d_delta": "0.001", "pulses.d_phi": "0.01",
+             "sim.t_max": "2.5", "sim.step": "2e-4", "sim.grid_dt": "0.025", "sim.ensemble_n": "3",
+             "sim.master_seed": "7", "sim.threshold": "0.9", "sim.integrator": "rk4"}
+EXPERIMENT_ARGV = {
+    **{f"sweep-{x}": ["sweep", "--param", x] for x in expcli.SWEEP_GRIDS},
+    **{f"curves-{f}": ["curves", "--family", f] for f in expcli.CURVE_FAMILIES},
+    "baseline": ["threshold", "--no-control"],
+    "threshold-regular": ["threshold", "--regular"],
+    "threshold-random": ["threshold", "--random"],
+    "run-random": ["run"],
+    "run-regular": ["run", "--regular"],
+    "oracle-check": ["oracle-check"],
+    "validate": ["validate"],
+}
+# the keys each experiment sets itself (the others: none)
+FIXED_KEYS = {
+    "sweep-phi": {"system.gamma", "pulses.d_phi"},
+    "sweep-tau": {"system.gamma", "pulses.d_tau"},
+    "sweep-delta": {"system.gamma", "pulses.d_delta"},
+    "baseline": {"system.gamma"},
+    "threshold-regular": {"system.gamma"},
+    "threshold-random": {"system.gamma"},
+    "curves-delta": {"pulses.delta", "pulses.d_tau", "pulses.d_delta"},
+    "curves-deltatau": {"pulses.d_tau", "pulses.d_delta"},
+    "oracle-check": set(CONFIG_KEYS) - {"sim.step", "sim.master_seed"},
+}
+
+
+@pytest.mark.parametrize("label", sorted(EXPERIMENT_ARGV))
+def test_every_override_reaches_every_point_or_exits_2(capsys, label):
+    # an override the experiment would replace is a usage error, never a silent no-op
+    assert OVERRIDES.keys() == CONFIG_KEYS.keys()
+    rejected = set()
+    for key, value in OVERRIDES.items():
+        try:
+            spec, _ = parse_cli([*EXPERIMENT_ARGV[label], "--set", f"{key}={value}"])
+        except SystemExit as exc:
+            assert exc.code == 2 and key in capsys.readouterr().err
+            rejected.add(key)
+            continue
+        want = CONFIG_KEYS[key](value)
+        assert spec.overrides == {key: want}
+        for point in expcli.expand(spec):
+            assert point.overrides_with(spec.overrides)[key] == want
+    assert rejected == FIXED_KEYS.get(label, set())
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["threshold", "--regular", "--gammas", "0.5", "--set", "system.gamma=0.9"], "system.gamma"),
+    (["curves", "--family", "delta", "--set", "pulses.delta=0.001"], "pulses.delta"),
+    (["sweep", "--param", "tau", "--gammas", "0.9", "--set", "pulses.d_tau=0.01"], "pulses.d_tau"),
+], ids=["threshold", "curves", "sweep"])
+def test_override_of_a_fixed_key_exits_2(tmp_path, capsys, argv, name):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_curves_family_is_one_table_row(tmp_path, monkeypatch):
+    # the experiment name, the --family choice and the points follow from the row
+    monkeypatch.setitem(expcli.CURVE_FAMILIES, "extra", ({"d_delta": 0.1}, [
+        ("curves_extra_regular", "regular", {}, False, (None, 0.5)),
+        ("curves_extra_random", "random", {"d_tau": 0.1}, False, (None,)),
+    ]))
+    expcli.build_parser.cache_clear()
+    try:
+        out = tmp_path / "out"
+        argv = ["curves", "--family", "extra", "--tmax", "1", "--grid-dt", "0.02", "--ensemble", "3"]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        assert run_cli([*argv, "--set", "pulses.d_tau=0.001", "--out", str(tmp_path / "fixed")]) == 2
+        spec, _ = parse_cli(argv)
+    finally:
+        expcli.build_parser.cache_clear()
+    assert sorted(p.name for p in out.glob("*.csv")) == [
+        "curves_extra_random.csv", "curves_extra_regular.csv", "curves_extra_regular_0.5.csv"]
+    assert json.loads((out / "manifest.json").read_text())["experiment"] == "curves-extra"
+    random_point = build_bundle(expcli.expand(spec)[1].overrides_with(spec.overrides)).pulses
+    assert (random_point.d_tau, random_point.d_delta) == (0.1 * PulseParams.tau, 0.1 * PulseParams.tau)
+
+
+@pytest.mark.parametrize("argv, boots", [
+    (["threshold", "--random"], 0),
+    (["threshold", "--random", "--t-mode", "mean-crossings"], 0),
+    (["sweep", "--param", "tau", "--grid", "0:0.5:0.5"], 2),
+], ids=["threshold-mean-curve", "threshold-mean-crossings", "sweep"])
+def test_deviation_free_rows_are_not_bootstrapped(tmp_path, monkeypatch, argv, boots):
+    # every sample of a deviation-free point is the regular train: its interval is T
+    calls = []
+    full = expcli.bootstrap_threshold_ci
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(expcli, "bootstrap_threshold_ci", spy)
+    common = ["--gammas", "0.5,0.9", "--tmax", "6", "--grid-dt", "0.02", "--ensemble", "6",
+              "--seed", "777", "--set", "sim.threshold=0.995"]
+    assert run_cli([*argv, *common, "--out", str(tmp_path)]) == 0
+    assert len(calls) == boots  # the sweep's ratio 0.5 rows still bootstrap
+    (table,) = tmp_path.glob("*.csv")
+    rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+    free = [row for row in rows if row[2] == "0"]
+    assert len(free) == 2 and all(row[5] == row[3] == row[6] != "" for row in free)
+
+
 def test_oracle_check_step_bound_runs_nothing(tmp_path, capsys, monkeypatch, pool_spy):
     def never(*args, **kwargs):
         raise AssertionError("integrated before validation")

@@ -1,4 +1,4 @@
-"""Byte-identity of CLI outputs on paths the benchmark does not run.
+"""Byte-identity of CLI outputs for every experiment, at small sizes.
 
 Each call below runs at a small size and its output files are compared,
 by sha256, against the hashes in `golden_expcli.json`. A manifest is
@@ -43,6 +43,22 @@ CALLS = {
     "run-regular-mu2-rk4-traj": ["run", "--regular", "--mu2", "0.7", "--dump-traj", "--set",
                                  "sim.integrator=rk4", "--tmax", "2", "--seed", "777"],
     "oracle-check-threads1": ["oracle-check", "--step", "1e-3", "--threads", "1"],
+    "curves-delta": ["curves", "--family", "delta", "--tmax", "1", "--grid-dt", "0.02", *SMALL],
+    "curves-deltatau": ["curves", "--family", "deltatau", "--tmax", "1", "--grid-dt", "0.02", *SMALL],
+    "curves-mu": ["curves", "--family", "mu", "--tmax", "1", "--grid-dt", "0.02", *SMALL],
+    "threshold-nocontrol": ["threshold", "--no-control", "--gammas", "0.5,0.9", "--tmax", "2",
+                            "--seed", "777"],
+    "threshold-regular": ["threshold", "--regular", "--gammas", "0.5,0.9", "--tmax", "6",
+                          "--grid-dt", "0.02", "--seed", "777", *EARLY],
+    "sweep-tau": ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.5",
+                  "--tmax", "4", *SMALL, *EARLY],
+    # deviation-free random points: every sample is the regular train
+    "threshold-random-regular": ["threshold", "--random", "--gammas", "0.5,0.9", "--tmax", "6",
+                                 "--grid-dt", "0.02", *SMALL, *EARLY],
+    "threshold-random-regular-crossings": ["threshold", "--random", "--gammas", "0.5,0.9", "--tmax", "6",
+                                           "--grid-dt", "0.02", "--t-mode", "mean-crossings", *SMALL,
+                                           *EARLY],
+    "run-random-regular-mu2": ["run", "--mu2", "0.3", "--tmax", "3", *SMALL],
 }
 
 
