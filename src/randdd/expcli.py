@@ -381,7 +381,7 @@ def evaluate(point: Point, bundle: ValidatedBundle, options: dict, out_dir: Path
         t_val, crossed = res.time, res.crossed
     if point.control != "random":
         ci = (None, None)
-    elif pulses.is_regular:  # every sample is the regular train: the interval is T
+    elif factors.n == 1:  # a one-sample ensemble has no spread: its interval is (T, T)
         ci = (t_val, t_val)
     else:
         stream = RandomStream.for_bootstrap(sim.master_seed, point.boot)
@@ -467,7 +467,8 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
         bundles = [build_bundle(p.overrides_with(spec.overrides), allow_overlap=p.allow_overlap) for p in points]
         for point in points:
             _point_states(point)
-        snapshot = _snapshot(build_bundle(spec.overrides))
+        # params: the library defaults plus the overrides, not validated together (each point's bundle is)
+        snapshot = {**_snapshot(build_bundle({})), **resolve_overrides(spec.overrides)}
         out_dir.mkdir(parents=True, exist_ok=True)
         files, tables = [], {}
         runs = {i: EnsembleRun(b.system, b.pulses, b.sim, _until(p, b.sim))

@@ -83,7 +83,7 @@ class EnsembleFactors:
     grid: np.ndarray
     e2: np.ndarray   # exp(-2 Re J), shape (n, len(grid))
     e1: np.ndarray   # Re exp(-J),   shape (n, len(grid))
-    meta: dict       # "degenerate": every row is the one deviation-free sample
+    meta: dict | None = None  # unread: benchmark/workloads.py's replay still passes it
 
     @property
     def n(self) -> int:
@@ -91,7 +91,7 @@ class EnsembleFactors:
 
     def mean_curve(self, mu2: float | None = None) -> FidelityCurve:
         vals = _combine(self.e2, self.e1, mu2)
-        if self.n == 1 or self.meta.get("degenerate"):
+        if self.n == 1:
             mean = vals[0].copy()
             se = np.zeros_like(mean)
         else:
@@ -182,14 +182,14 @@ def _decided_column(below: list[np.ndarray], width: int) -> tuple[int, list[int]
 class EnsembleRun:
     """One point's ensemble: start submits its first pass to a pool, finish
     collects or runs it, re-runs the groups that stopped short and stacks.
-    A deviation-free point is the one group range(1). pool_tasks, the
-    first-pass tasks it hands a pool, is its lane groups when there are two
-    or more, else 0 (a lone group runs in this process).
+    n, its sample count, is 1 for a deviation-free point, else ensemble_n.
+    pool_tasks, the first-pass tasks it hands a pool, is its lane groups
+    when there are two or more, else 0 (a lone group runs in this process).
     """
 
     def __init__(self, system: SystemParams, pulses: PulseParams, sim: SimConfig, until: float | None = None):
         self.system, self.pulses, self.sim = system, pulses, sim
-        n = sim.ensemble_n
+        self.n = n = 1 if pulses.is_regular else sim.ensemble_n
         # Rounded addition and division are monotone, and each rounding is within a
         # factor (1 +- eps), so a float mean of n values each <= b is at most
         # b (1 + eps)^n and one of n values each >= a is at least a (1 - eps)^n
@@ -197,7 +197,7 @@ class EnsembleRun:
         # theta (1 - 2 n eps) stays below theta, and one of n values at or above
         # theta (1 + 2 n eps) stays at or above theta (bootstrap_threshold_ci).
         self.level = None if until is None else until * (1.0 - 2.0 * n * np.finfo(float).eps)
-        self.groups = [range(1)] if pulses.is_regular else lane_groups(n, system, pulses, sim)
+        self.groups = lane_groups(n, system, pulses, sim)
         self.pool_tasks = len(self.groups) if len(self.groups) > 1 else 0
         self.futures: list = []
 
@@ -215,7 +215,7 @@ class EnsembleRun:
         ensemble_functionals)."""
         system, pulses, sim, level = self.system, self.pulses, self.sim, self.level
         grid = sim.output_grid()
-        e2 = np.empty((sim.ensemble_n, len(grid)))
+        e2 = np.empty((self.n, len(grid)))
         e1 = np.empty_like(e2)
         filled, short, col = [0] * len(self.groups), range(len(self.groups)), 1
         while short:  # every group (min_col 1), then the groups that stopped short of C
@@ -235,10 +235,7 @@ class EnsembleRun:
             below = [_all_below(level, e2[ks.start:ks.stop, :f], e1[ks.start:ks.stop, :f])
                      for ks, f in zip(self.groups, filled)]
             col, short = _decided_column(below, len(grid))
-        if pulses.is_regular:  # every sample is the deviation-free one
-            e2[1:, :col + 1] = e2[0, :col + 1]
-            e1[1:, :col + 1] = e1[0, :col + 1]
-        return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1], {"degenerate": pulses.is_regular})
+        return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1])
 
 
 def ensemble_functionals(
@@ -255,8 +252,8 @@ def ensemble_functionals(
     k regardless of how many workers ran. Samples run in lane groups
     (riccati.lane_groups); a pool takes the first pass of whole groups when
     there are two or more, and a lone group runs in this process. A
-    deviation-free configuration is one group, range(1), copied to every
-    row. This is EnsembleRun(...).start(executor).finish(); a caller may
+    deviation-free configuration is one sample (any sample is the regular
+    train). This is EnsembleRun(...).start(executor).finish(); a caller may
     start several points before finishing the first.
 
     With until = theta the factors end at the first grid column C at which

@@ -61,8 +61,8 @@ MUTANTS = [
            "        except BlowUpError:\n            raise\n",
            (FIDELITY + "test_exact_ensemble_blowup_matches_per_sample_path",)),
     Mutant("cut at C instead of C+1", "fidelity.py",
-           "EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1],",
-           "EnsembleFactors(grid[:col], e2[:, :col], e1[:, :col],",
+           "EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1])",
+           "EnsembleFactors(grid[:col], e2[:, :col], e1[:, :col])",
            (FIDELITY + "test_until_cuts_at_the_decided_column_inside_a_window",)),
     Mutant("early-stop re-run skipped", "fidelity.py",
            "            col, short = _decided_column(below, len(grid))\n",
@@ -102,11 +102,10 @@ MUTANTS = [
     Mutant("scalar carry reset each window", "riccati.py",
            "        self.u, self.v = u, v\n", "",
            (RICCATI + "test_one_lane_windows_are_bitwise_the_default[random-w64]",)),
-    Mutant("deviation-free row copy dropped", "fidelity.py",
-           "        if pulses.is_regular:  # every sample is the deviation-free one\n"
-           "            e2[1:, :col + 1] = e2[0, :col + 1]\n"
-           "            e1[1:, :col + 1] = e1[0, :col + 1]\n", "",
-           (FIDELITY + "test_until_stops_a_degenerate_ensemble_at_the_decided_column",)),
+    Mutant("deviation-free sample count back to N", "fidelity.py",
+           "self.n = n = 1 if pulses.is_regular else sim.ensemble_n",
+           "self.n = n = sim.ensemble_n",
+           (FIDELITY + "test_a_deviation_free_point_is_one_row_at_any_ensemble_size[whole-grid]",)),
     Mutant("len(ks) > 1 gate restored", "fidelity.py",
            "    if sim.integrator == \"exact\":\n",
            "    if sim.integrator == \"exact\" and len(ks) > 1:\n",
@@ -120,10 +119,15 @@ MUTANTS = [
            "    ignored = []\n",
            (EXPCLI + "test_every_override_reaches_every_point_or_exits_2[threshold-regular]",
             EXPCLI + "test_every_override_reaches_every_point_or_exits_2[curves-delta]")),
-    Mutant("deviation-free interval rule dropped", "expcli.py",
-           "    elif pulses.is_regular:  # every sample is the regular train: the interval is T\n"
+    Mutant("one-sample interval rule dropped", "expcli.py",
+           "    elif factors.n == 1:  # a one-sample ensemble has no spread: its interval is (T, T)\n"
            "        ci = (t_val, t_val)\n", "",
-           (EXPCLI + "test_deviation_free_rows_are_not_bootstrapped[threshold-mean-curve]",)),
+           (EXPCLI + "test_deviation_free_rows_are_not_bootstrapped[threshold-mean-curve]",
+            "tests/test_golden.py::test_outputs_match_golden[threshold-random-ensemble1]")),
+    Mutant("base bundle validated again", "expcli.py",
+           "        snapshot = {**_snapshot(build_bundle({})), **resolve_overrides(spec.overrides)}\n",
+           "        snapshot = _snapshot(build_bundle(spec.overrides))\n",
+           (EXPCLI + "test_an_invalid_base_configuration_does_not_fail_valid_points",)),
 ]
 
 

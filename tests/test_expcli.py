@@ -556,6 +556,21 @@ def test_deviation_free_rows_are_not_bootstrapped(tmp_path, monkeypatch, argv, b
     assert len(free) == 2 and all(row[5] == row[3] == row[6] != "" for row in free)
 
 
+def test_an_invalid_base_configuration_does_not_fail_valid_points(tmp_path):
+    # the manifest's params are the base configuration under each point's
+    # defaults; only the points' own bundles are validated
+    sweep = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0:1", "--ensemble", "4"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        # the points run at grid_dt 0.002 and 0.02, not the library's 0.01
+        assert main(["threshold", "--no-control", "--tmax", "0.005", "--out", str(tmp_path / "nc")]) == 0
+        assert main([*sweep, "--step", "0.015", "--out", str(tmp_path / "step")]) == 0
+        assert main([*sweep, "--out", str(tmp_path / "default")]) == 0
+    params = json.loads((tmp_path / "step" / "manifest.json").read_text())["params"]
+    assert (params["sim.step"], params["sim.grid_dt"]) == (0.015, SimConfig.grid_dt)
+    # the exact integrator does not read step
+    assert (tmp_path / "step" / "sweep_tau.csv").read_bytes() == (tmp_path / "default" / "sweep_tau.csv").read_bytes()
+
+
 def test_oracle_check_step_bound_runs_nothing(tmp_path, capsys, monkeypatch, pool_spy):
     def never(*args, **kwargs):
         raise AssertionError("integrated before validation")
@@ -745,6 +760,24 @@ LOOK_AHEAD_RUNS = {
     "sweep-tau": ["sweep", "--param", "tau", "--gammas", "0.5,0.9", "--grid", "0:0.5:0.25", "--ensemble", "40",
                   "--tmax", "4", "--set", "sim.threshold=0.995"],
 }
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_every_start_method_is_byte_identical(tmp_path, monkeypatch, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    monkeypatch.setattr(expcli, "START_METHOD", method)
+    monkeypatch.setattr(expcli, "usable_cpus", lambda: 2)
+    # 40 samples at gamma 0.9 are two lane groups per random point
+    argv = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.25", "--ensemble", "40"]
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--threads", threads, "--out", str(out)]) == 0
+        settings = json.loads((out / "manifest.json").read_text())["settings"]
+        runs[threads] = (out / "sweep_tau.csv").read_bytes(), settings.get("start_method")
+    assert runs["2"] == (runs["1"][0], method) and runs["1"][1] is None
 
 
 @pytest.mark.filterwarnings("ignore:pulse-overlap-possible")

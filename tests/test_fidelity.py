@@ -136,9 +136,11 @@ def test_ensemble_degenerate_equals_regular():
     curve = ensemble_functionals(SYS3, pulses, sim).mean_curve()
     traj = ie(generate_regular(pulses, 2.0), SYS3, sim)
     np.testing.assert_array_equal(curve.values, fidelity_avg(traj).values)
-    # a larger degenerate ensemble replicates the same sample (zero spread)
+    # a larger deviation-free ensemble is the same one sample (zero spread)
     sim5 = SimConfig(t_max=2.0, grid_dt=0.01, ensemble_n=5)
-    curve5 = ensemble_functionals(SYS3, pulses, sim5).mean_curve()
+    factors5 = ensemble_functionals(SYS3, pulses, sim5)
+    assert factors5.n == 1
+    curve5 = factors5.mean_curve()
     np.testing.assert_array_equal(curve5.values, curve.values)
     np.testing.assert_array_equal(curve5.stderr, 0.0)
 
@@ -189,13 +191,13 @@ def test_mean_crossing_time_agrees_for_degenerate_ensemble():
     factors = ensemble_functionals(sys_p, pulses, sim)
     t_curve = threshold_time(factors.mean_curve(), 0.95).time
     t_mean = mean_crossing_time(factors, 0.95)
-    assert t_mean == pytest.approx(t_curve, rel=1e-12)
+    assert t_mean == t_curve
 
 
 def test_mean_crossing_time_is_mean_of_per_sample_thresholds():
     grid = np.linspace(0.0, 4.0, 81)
     rates = np.array([[0.1], [0.3], [0.02], [0.5]])  # the 0.02 row never reaches 0.95
-    factors = EnsembleFactors(grid, np.exp(-rates * grid), np.exp(-rates * grid), {})
+    factors = EnsembleFactors(grid, np.exp(-rates * grid), np.exp(-rates * grid))
     per_sample = [threshold_time(FidelityCurve(grid, row), 0.95) for row in factors.sample_curves()]
     assert [r.crossed for r in per_sample] == [True, True, False, True]
     assert mean_crossing_time(factors, 0.95) == np.mean([r.time for r in per_sample])
@@ -459,21 +461,31 @@ def test_until_never_reached_keeps_the_whole_grid():
 
 
 def test_until_stops_a_degenerate_ensemble_at_the_decided_column():
-    # a deviation-free point is the one group range(1): it stops at C like any
-    # group, and its row is copied to the other rows over the decided columns
+    # a deviation-free point is one sample, one lane group: it stops at C like any group
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=4)
     regular = PulseParams(0.02, 0.008, 0.2)
     full = ensemble_functionals(SYS9, regular, sim)
     cut = ensemble_functionals(SYS9, regular, sim, until=UNTIL_THETA)
     m = _decided(full, UNTIL_THETA) + 1
-    assert len(cut.grid) == m < sim.grid_size() and cut.meta["degenerate"] and full.meta["degenerate"]
-    assert cut.e2.shape == cut.e1.shape == (sim.ensemble_n, m)
+    assert len(cut.grid) == m < sim.grid_size()
+    assert cut.e2.shape == cut.e1.shape == (1, m)
     assert np.array_equal(cut.grid, full.grid[:m])
     assert np.array_equal(cut.e2, full.e2[:, :m]) and np.array_equal(cut.e1, full.e1[:, :m])
     assert _t_outputs(cut, UNTIL_THETA) == _t_outputs(full, UNTIL_THETA)
-    # every row is the regular train's one trajectory
+    # the row is the regular train's one trajectory
     traj = integrate_exact(generate_regular(regular, sim.t_max), SYS9, sim)
-    assert (full.e2 == traj.decay_factor()).all() and (full.e1 == np.real(traj.coherence_factor())).all()
+    assert np.array_equal(full.e2, [traj.decay_factor()])
+    assert np.array_equal(full.e1, [np.real(traj.coherence_factor())])
+
+
+@pytest.mark.parametrize("until", [None, UNTIL_THETA], ids=["whole-grid", "until"])
+def test_a_deviation_free_point_is_one_row_at_any_ensemble_size(until):
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=200)
+    factors = ensemble_functionals(SYS9, PulseParams(0.02, 0.008, 0.2), sim, until=until)
+    assert factors.n == 1
+    assert factors.e2.nbytes == factors.e1.nbytes == 8 * len(factors.grid)
+    curve = factors.mean_curve()
+    assert np.array_equal(curve.values, factors.sample_curves()[0]) and not curve.stderr.any()
 
 
 @pytest.mark.parametrize("n,table_bytes", [(1, riccati.LANE_TABLE_BYTES), (3, 1)], ids=["n1", "one-lane-groups"])
@@ -540,14 +552,14 @@ def test_bootstrap_window_keeps_an_early_dip_that_recovers():
         dipped[2, 6:10] = depth
         dipped[5, 3] = theta  # at theta exactly: below theta (1 + 2 n eps), not below theta
         # F_avg = 0.5 + e2 / 6 with e1 = 0
-        factors = EnsembleFactors(grid, 6.0 * (dipped - 0.5), np.zeros_like(dipped), {})
+        factors = EnsembleFactors(grid, 6.0 * (dipped - 0.5), np.zeros_like(dipped))
         for b in range(4):
             stream = RandomStream.for_bootstrap(11, b)
             ci = bootstrap_threshold_ci(factors, theta, stream, 100)
             assert ci == _bootstrap_whole_grid(factors, theta, stream, 100)
         assert (ci[0] < grid[10]) == (depth == 0.5)  # one draw of a 0.5 dip pulls the mean below theta
     # no sample ever below theta: no bracket, every draw at the grid end
-    factors = EnsembleFactors(grid, 6.0 * (curves - 0.5), np.zeros_like(curves), {})
+    factors = EnsembleFactors(grid, 6.0 * (curves - 0.5), np.zeros_like(curves))
     stream = RandomStream.for_bootstrap(11, 0)
     assert bootstrap_threshold_ci(factors, 0.9, stream, 50) == (4.0, 4.0) == _bootstrap_whole_grid(factors, 0.9, stream, 50)
 
@@ -562,7 +574,7 @@ def test_bootstrap_window_sees_a_mean_rounded_below_theta():
     curves = 1.0 - 0.08 * grid / 4.0 * np.linspace(0.9, 1.1, n)[:, None]
     e2 = 6.0 * (curves - 0.5)
     e2[:, 5] = 6.0 * (theta - 0.5)
-    factors = EnsembleFactors(grid, e2, np.zeros_like(e2), {})
+    factors = EnsembleFactors(grid, e2, np.zeros_like(e2))
     assert (factors.sample_curves()[:, 5] == theta).all()
     stream = RandomStream.for_bootstrap(11, 0)
     ci = bootstrap_threshold_ci(factors, theta, stream, 50)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from randdd import expcli
 from randdd.expcli import main
 
 GOLDEN = Path(__file__).with_name("golden_expcli.json")
@@ -59,7 +60,14 @@ CALLS = {
                                            "--grid-dt", "0.02", "--t-mode", "mean-crossings", *SMALL,
                                            *EARLY],
     "run-random-regular-mu2": ["run", "--mu2", "0.3", "--tmax", "3", *SMALL],
+    # one-sample random ensembles: the interval is T, with no bootstrap
+    "threshold-random-ensemble1": ["threshold", "--random", "--gammas", "0.5,0.9", "--tmax", "6",
+                                   "--grid-dt", "0.02", "--ensemble", "1", "--seed", "777", *RANDOM, *EARLY],
+    "threshold-random-ensemble1-crossings": ["threshold", "--random", "--gammas", "0.5,0.9", "--tmax", "6",
+                                             "--grid-dt", "0.02", "--t-mode", "mean-crossings", "--ensemble",
+                                             "1", "--seed", "777", *RANDOM, *EARLY],
 }
+ONE_SAMPLE = ("threshold-random-ensemble1", "threshold-random-ensemble1-crossings")
 
 
 def _digest(path: Path) -> str:
@@ -74,8 +82,14 @@ def run_call(argv, out: Path) -> dict:
     return {p.name: _digest(p) for p in sorted(out.iterdir())}
 
 
+def _no_bootstrap(*args, **kwargs):
+    raise AssertionError("a one-sample ensemble was bootstrapped")
+
+
 @pytest.mark.parametrize("label", sorted(CALLS))
-def test_outputs_match_golden(tmp_path, label):
+def test_outputs_match_golden(tmp_path, monkeypatch, label):
+    if label in ONE_SAMPLE:
+        monkeypatch.setattr(expcli, "bootstrap_threshold_ci", _no_bootstrap)
     golden = json.loads(GOLDEN.read_text())
     assert run_call(CALLS[label], tmp_path) == golden[label]
 
