@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -127,8 +128,7 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
     over the whole grid, so a BlowUpError names the first failing sample
     and the seed.
     """
-    def schedules():
-        return (generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, k)) for k in ks)
+    trains = [partial(generate_random, pulses, stream=RandomStream.for_schedule(sim.master_seed, k)) for k in ks]
 
     stop = None
     if level is not None:
@@ -144,12 +144,12 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
 
     if sim.integrator == "exact":
         try:
-            return exact_factors(schedules(), system, sim, e2, e1, list(ks), stop)
+            return exact_factors(trains, system, sim, e2, e1, list(ks), stop)
         except BlowUpError:
             pass
-    for row, (k, schedule) in enumerate(zip(ks, schedules())):
+    for row, (k, train) in enumerate(zip(ks, trains)):
         try:
-            traj = integrate_with(schedule, system, sim, sample_index=k)
+            traj = integrate_with(train(sim.t_max), system, sim, sample_index=k)
         except BlowUpError as exc:
             raise BlowUpError(exc.t, exc.magnitude, k, sim.master_seed) from exc
         e2[row] = traj.decay_factor()

@@ -263,7 +263,8 @@ def validate(
         raise ValidationError(
             errors.PULSES_TOO_MANY, f"t_max / tau = {sim.t_max / pulses.tau:.6g} pulses, limit {MAX_PULSES}"
         )
-    cells = sim.ensemble_n * sim.grid_size()
+    # a deviation-free point stacks one sample (fidelity.EnsembleRun)
+    cells = (1 if pulses.is_regular else sim.ensemble_n) * sim.grid_size()
     if cells > MAX_ENSEMBLE_CELLS:
         raise ValidationError(
             errors.ENSEMBLE_TOO_LARGE,

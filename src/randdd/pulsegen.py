@@ -160,7 +160,8 @@ def generate_random(params: PulseParams, horizon: float, stream: RandomStream) -
     With all deviation scales zero the output is bit-for-bit the regular
     schedule. A width that would reach past the next start (possible only
     when validation was relaxed) or past the horizon is clamped with its
-    area prorated.
+    area prorated. Up to the last pulse, a train to a shorter horizon is
+    the start of this one.
     """
     if params.is_regular:
         return generate_regular(params, horizon)
@@ -209,15 +210,17 @@ def merge_tol(t: float) -> float:
 
 
 def breakpoint_table(schedule: PulseSchedule, times: np.ndarray, t_max: float | None = None,
-                     pieces=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     pieces=None, start: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Breakpoints, the constant c on each interval, and the breakpoint index of each time.
 
     The breakpoints are 0, the horizon and every on/off edge of c(t), merged
     with the ascending times so integrators land on them. In the sorted union
     a time within merge_tol(horizon) of its predecessor joins its cluster,
     which keeps its first time; times[k]'s index is its cluster's breakpoint.
-    With t_max, breakpoints from t_max + merge_tol(t_max) on are cut.
-    pieces(lengths, c) gives the equal pieces each interval is split into.
+    With t_max, breakpoints from t_max + merge_tol(t_max) on are cut; with
+    start, those before it (the times must not be).
+    pieces(lengths, c) gives the equal pieces each interval is split into; it
+    must not decrease as a length or |c| grows.
     """
     h = schedule.horizon
     tol = merge_tol(h)
@@ -249,7 +252,7 @@ def breakpoint_table(schedule: PulseSchedule, times: np.ndarray, t_max: float | 
     merged[at], merged[~is_time] = times, edges
     keep = np.append(True, np.diff(merged) > tol)
     pts = merged[keep]
-    lo = np.searchsorted(pts, -tol)
+    lo = np.searchsorted(pts, -tol if start is None else start)
     hi = np.searchsorted(pts, h * (1 + _REL_TOL), side="right")
     if t_max is not None:
         hi = min(hi, np.searchsorted(pts, t_max + merge_tol(t_max)))
@@ -268,6 +271,9 @@ def breakpoint_table(schedule: PulseSchedule, times: np.ndarray, t_max: float | 
     if pieces is None:
         return pts, c, idx
     lengths = np.diff(pts)
+    # rounding is monotone: no interval has more pieces than the longest one at the largest |c|
+    if not len(c) or np.ceil(pieces(lengths.max(), np.abs(c).max()) - 1e-12) <= 1:
+        return pts, c, idx
     nsub = np.maximum(1, np.ceil(pieces(lengths, c) - 1e-12).astype(int))
     if not (nsub > 1).any():
         return pts, c, idx

@@ -143,15 +143,17 @@ def integrate(
     return QTrajectory(grid, qs[gi], js[gi])
 
 
-def _segment_propagators(cs: np.ndarray, lengths: np.ndarray, system: SystemParams):
+def _segment_propagators(cs: np.ndarray, lengths: np.ndarray, system: SystemParams) -> np.ndarray:
     """Exact 2x2 propagators for (u, u') across constant-c segments, vectorized.
 
     Roots l1, l2 of l^2 + (gamma - i(omega+c)) l + Gamma*gamma/2 = 0;
     u(s) = (l1 e^{l2 s} - l2 e^{l1 s})/(l1 - l2) * u0 + (e^{l1 s} - e^{l2 s})/(l1 - l2) * u0'.
+    Returns one (step, 4, lane) buffer of m00, m10, m01, m11: entry term * 2 + out
+    is what u (term 0) or u' (term 1) adds to the new u (out 0) or u' (out 1).
     """
     gt = system.gamma - 1j * (system.omega + cs)
     disc = gt * gt - 2.0 * system.Gamma * system.gamma
-    s = np.sqrt(disc.astype(complex))
+    s = np.sqrt(disc)
     l1 = 0.5 * (-gt + s)
     l2 = 0.5 * (-gt - s)
     d = l1 - l2
@@ -165,19 +167,22 @@ def _segment_propagators(cs: np.ndarray, lengths: np.ndarray, system: SystemPara
         d = l1 - l2
     e1 = np.exp(l1 * lengths)
     e2 = np.exp(l2 * lengths)
-    m00 = (l1 * e2 - l2 * e1) / d
-    m01 = (e1 - e2) / d
-    m10 = l1 * l2 * (e2 - e1) / d
-    m11 = (l1 * e1 - l2 * e2) / d
-    return m00, m01, m10, m11
+    m = np.empty((len(cs), 4, *np.shape(cs)[1:]), dtype=complex)
+    np.divide(l1 * e2 - l2 * e1, d, out=m[:, 0])
+    np.divide(l1 * l2 * (e2 - e1), d, out=m[:, 1])
+    np.divide(e1 - e2, d, out=m[:, 2])
+    np.divide(l1 * e1 - l2 * e2, d, out=m[:, 3])
+    return m
 
 
 # Lane groups: at most MAX_LANES schedules advance together, and no more than
 # fit LANE_TABLE_BYTES of segment tables (16 B per segment and lane). A window
 # holds WINDOW_ELEMS lane-steps, so its temporaries stay small next to the tables.
+# A group that may stop early builds its tables to FIRST_HORIZON of t_max first.
 MAX_LANES = 32
 LANE_TABLE_BYTES = 8 << 20
 WINDOW_ELEMS = 1 << 12
+FIRST_HORIZON = 0.75
 
 
 def lane_groups(n: int, system: SystemParams, pulses: PulseParams, sim: SimConfig) -> list[range]:
@@ -193,18 +198,127 @@ def lane_groups(n: int, system: SystemParams, pulses: PulseParams, sim: SimConfi
     return [range(k, min(k + size, n)) for k in range(0, n, size)]
 
 
+# the row of a grid time in rows not built yet
+UNBUILT = np.iinfo(np.intp).max
+
+
+class _LaneTables:
+    """The window source: a lane group's segment tables packed as (row, lane) arrays.
+
+    Row r of pts holds every lane's breakpoint base + r and row r of cs the
+    field on the interval after it, so a window is a slice. A lane past its
+    last breakpoint repeats it with field 0, so it takes zero-length,
+    field-free steps. gi[l, k] is the row of lane l's grid time k, or
+    UNBUILT. rest, when given, builds the per-lane rows from end on and
+    fills in gi; extend puts them in place of the rows held.
+    """
+
+    def __init__(self, pts: list, cs: list, gi: np.ndarray, rest=None):
+        self.gi, self.rest, self.base = gi, rest, 0
+        self._pack(pts, cs)
+
+    def _pack(self, pts: list, cs: list) -> None:
+        rows = max(map(len, cs))
+        self.pts = np.empty((rows + 1, len(cs)))
+        self.cs = np.zeros((rows, len(cs)))
+        for l, (p, c) in enumerate(zip(pts, cs)):
+            self.pts[:len(p), l] = p
+            self.pts[len(p):, l] = p[-1]
+            self.cs[:len(c), l] = c
+
+    @property
+    def end(self) -> int:
+        return self.base + len(self.cs)
+
+    def extend(self) -> bool:
+        """Hold the rows from end on instead; false when there are none."""
+        if self.rest is None:
+            return False
+        rest, self.rest, self.base = self.rest, None, self.end
+        self._pack(*rest())
+        return True
+
+    def window(self, w0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fields and lengths of rows w0 .. w0 + n - 1, as (step, lane)."""
+        r = w0 - self.base
+        return self.cs[r:r + n], self.pts[r + 1:r + n + 1] - self.pts[r:r + n]
+
+    def time(self, lane: int, row: int) -> float:
+        return float(self.pts[row - self.base, lane])
+
+
+def _lane_tables(trains, system: SystemParams, sim: SimConfig, first: float | None = None) -> _LaneTables:
+    """The subdivided segment tables of the trains, packed; trains[l](horizon)
+    is lane l's pulse train on [0, horizon].
+
+    Without a first horizon every table runs to t_max. With one, below
+    t_max, each train is generated to it, and the tables hold the rows that
+    every lane has as in its whole table; extending them builds the rest.
+    That needs trains as generate_random gives them: pulses that do not
+    overlap, and up to its last pulse a train to a shorter horizon is the
+    start of a longer one.
+    """
+    grid = sim.output_grid()
+    pieces = partial(_phase_pieces, system)
+    gi = np.empty((len(trains), len(grid)), dtype=np.intp)
+    pts, cs = [], []
+    if first is None:
+        for l, train in enumerate(trains):
+            p, c, gi[l] = breakpoint_table(train(sim.t_max), grid, sim.t_max, pieces)
+            pts.append(p)
+            cs.append(c)
+        return _LaneTables(pts, cs, gi)
+
+    # before the start of the last pulse generated, a train's edges and the
+    # grid times are those of the whole train, and so are the table rows up
+    # to the breakpoint of the last grid time there
+    ready = []
+    for l, train in enumerate(trains):
+        s = train(first)
+        m = max(len(s) - 1, 0)
+        cut = s.starts[m] if len(s) else 0.0
+        k = max(np.searchsorted(grid, cut), 1)  # grid time 0 is row 0 of every table
+        head = PulseSchedule(s.starts[:m], s.widths[:m], s.areas[:m], sim.t_max)
+        p, c, gi[l, :k] = breakpoint_table(head, grid[:k], cut, pieces)
+        gi[l, k:] = UNBUILT
+        ready.append(gi[l, k - 1])
+        pts.append(p)
+        cs.append(c)
+    r = min(ready)
+    # lane l's rest starts at row g, the breakpoint x of its last grid time at or before row r
+    seams = [g[np.searchsorted(g, r, side="right") - 1] for g in gi]
+    seams = [(g, pts[l][g]) for l, g in enumerate(seams)]
+
+    def rest() -> tuple[list, list]:
+        # from a breakpoint x on, a table is that of the pulses that reach x
+        # and the grid times from x
+        rest_pts, rest_cs = [], []
+        for l, (train, (g, x)) in enumerate(zip(trains, seams)):
+            s = train(sim.t_max)
+            p = np.searchsorted(s.ends, x)
+            k = np.searchsorted(grid, x)
+            tail = PulseSchedule(s.starts[p:], s.widths[p:], s.areas[p:], sim.t_max)
+            tp, tc, gi[l, k:] = breakpoint_table(tail, grid[k:], sim.t_max, pieces, start=x)
+            gi[l, k:] += g
+            rest_pts.append(tp[r - g:])
+            rest_cs.append(tc[r - g:])
+        return rest_pts, rest_cs
+
+    return _LaneTables([p[:r + 1] for p in pts], [c[:r] for c in cs], gi, rest)
+
+
 class _ScalarSteps:
     """CPython's complex recurrence u, v = a00*u + a01*v, a10*u + a11*v from
-    (u, v) = (1, 0), for one lane (propagator columns of width 1). The last
-    (u, v) carries over to the next window."""
+    (u, v) = (1, 0), for one lane (propagators of one lane). The last (u, v)
+    carries over to the next window."""
 
     def __init__(self):
         self.u, self.v = 1.0 + 0.0j, 0.0 + 0.0j
 
-    def __call__(self, m00, m01, m10, m11) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u, v = self.u, self.v
         us, vs = [u], [v]
-        for a00, a01, a10, a11 in zip(*(m[:, 0].tolist() for m in (m00, m01, m10, m11))):
+        for a00, a10, a01, a11 in zip(*ms[:, :, 0].T.tolist()):
             u, v = a00 * u + a01 * v, a10 * u + a11 * v
             us.append(u)
             vs.append(v)
@@ -234,9 +348,8 @@ class _LaneSteps:
         self.state[0, 0, 0] = 1.0
         self.rows = list(self.state.reshape(width + 1, -1))
 
-    def __call__(self, m00, m01, m10, m11) -> tuple[np.ndarray, np.ndarray]:
-        n, lanes = m00.shape
-        ms = np.stack([m00, m10, m01, m11], axis=1)  # (step, term * 2 + out, lane)
+    def __call__(self, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n, _, lanes = ms.shape  # (step, term * 2 + out, lane)
         coef = np.empty((n, 2, 4, 2, lanes))
         coef[:, 0, :, 0] = ms.real
         coef[:, 0, :, 1] = ms.real
@@ -259,86 +372,98 @@ class _LaneSteps:
         return us, vs
 
 
-def _propagate(pts: list, cs: list, gi: np.ndarray, system: SystemParams, out: tuple,
-               samples: list, factors: bool = False, stop: Callable[[int], bool] | None = None) -> int:
+class _Sink:
+    """The window sink: checks a window's states, unwraps the phase of u and
+    writes the lanes' grid samples to the rows of out, as (Q, J) or, with
+    factors, as (exp(-2 Re J), Re exp(-J)).
+
+    The unwrap carries its running sum from window to window: phase[k] =
+    ph[0] + cumsum(dph)[k - 1] over the whole table. J = -(log|u| + i phase)
+    is taken only at the grid rows. A failed check raises BlowUpError for
+    the first failing lane of the window.
+    """
+
+    def __init__(self, out: tuple, samples: list, factors: bool):
+        self.out, self.samples, self.factors = out, samples, factors
+        self.lane_ids = np.arange(len(samples))
+        self.ph0 = self.cum = None
+
+    def __call__(self, tables: _LaneTables, w0: int, us: np.ndarray, vs: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray) -> None:
+        """States us, vs of rows w0 .. w0 + n; lane l's grid samples lo[l]:hi[l] lie among them."""
+        mag = np.abs(us)
+        bad = ~(mag > 0.0)
+        if bad.any():
+            l = int(np.argmax(bad.any(axis=0)))
+            raise BlowUpError(tables.time(l, w0 + int(np.argmax(bad[:, l]))), float("inf"), self.samples[l])
+        ph = np.angle(us)
+        dph = np.diff(ph, axis=0)
+        dph -= 2.0 * np.pi * np.round(dph / (2.0 * np.pi))
+        phase = np.empty_like(ph)
+        if self.cum is None:
+            self.ph0 = phase[0] = ph[0].copy()
+        else:
+            phase[0] = self.ph0 + self.cum
+            dph[0] += self.cum
+        cum_dph = np.cumsum(dph, axis=0)
+        self.cum = cum_dph[-1]
+        phase[1:] = self.ph0 + cum_dph
+        q = -vs / us
+        aq = np.abs(q)
+        bad = ~(np.max(aq, axis=0) <= DEFAULT_BLOWUP)  # a non-finite Q has an inf or nan |Q|
+        if bad.any():
+            l = int(np.argmax(bad))
+            raise BlowUpError(tables.time(l, w0 + int(np.argmax(aq[:, l]))), float(np.max(aq[:, l])),
+                              self.samples[l])
+
+        cnt = hi - lo
+        lane = np.repeat(self.lane_ids, cnt)
+        col = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+        row = tables.gi[lane, col] - w0
+        j = -(np.log(mag[row, lane]) + 1j * phase[row, lane])
+        out = self.out
+        if self.factors:
+            out[0][lane, col] = np.exp(-2.0 * np.real(j))
+            out[1][lane, col] = np.real(np.exp(-j))
+        else:
+            out[0][lane, col] = q[row, lane]
+            out[1][lane, col] = j
+
+
+def _propagate(tables: _LaneTables, system: SystemParams, out: tuple, samples: list, factors: bool = False,
+               stop: Callable[[int], bool] | None = None) -> int:
     """Advance (u, u') of every lane through its segment table, window by window.
 
-    Lane l has breakpoints pts[l], fields cs[l] and output-grid breakpoint
-    indices gi[l]; its grid samples go to row l of out, as (Q, J) or, with
-    factors, as (exp(-2 Re J), Re exp(-J)). The lanes run windows of
-    WINDOW_ELEMS lane-steps: one lane the scalar recurrence, more lanes
-    _LaneSteps, each carrying its last (u, u') over. Every other stage
-    is elementwise or runs along the steps of each lane (the phase unwrap
-    carries its running sum from window to window), so each lane is
-    bitwise its one-lane run. A failed check raises BlowUpError for the
-    first failing lane of the window.
+    The source, tables, gives each window's fields and lengths; the lanes
+    run windows of WINDOW_ELEMS lane-steps: one lane the scalar recurrence,
+    more lanes _LaneSteps, each carrying its last (u, u') over; the sink
+    (_Sink) checks them and writes lane l's grid samples to row l of out.
+    Every stage is elementwise or runs along the steps of each lane, so
+    each lane is bitwise its one-lane run. Tables built to a first horizon
+    are extended when the windows reach their end.
 
     After each window stop, if given, is called with the number of columns
     every lane has filled; once it returns true the run ends there. Returns
     the number of columns every lane has filled.
     """
-    lanes = len(pts)
-    n_seg = max(len(c) for c in cs)
+    lanes = tables.pts.shape[1]
     width = max(1, WINDOW_ELEMS // lanes)
     steps = _ScalarSteps() if lanes == 1 else _LaneSteps(lanes, width)
-    starts = range(0, n_seg, width)
-    # lane l's grid samples pos[l, w]:pos[l, w + 1] sit in the states of window w
-    ends = [-1] + [min(w0 + width, n_seg) for w0 in starts]
-    pos = np.array([np.searchsorted(g, ends, side="right") for g in gi])
-    lane_ids = np.arange(lanes)
-    for w, w0 in enumerate(starts):
-        n = min(width, n_seg - w0)
-        # a lane past its last segment takes zero-length, field-free steps
-        lengths = np.zeros((n, lanes))
-        fields = np.zeros((n, lanes))
-        for l in range(lanes):
-            k = max(0, min(n, len(cs[l]) - w0))
-            np.subtract(pts[l][w0 + 1:w0 + k + 1], pts[l][w0:w0 + k], out=lengths[:k, l])
-            fields[:k, l] = cs[l][w0:w0 + k]
-        us, vs = steps(*_segment_propagators(fields, lengths, system))
-
-        mag = np.abs(us)
-        bad = ~(mag > 0.0)
-        if bad.any():
-            l = int(np.argmax(bad.any(axis=0)))
-            t_bad = pts[l][min(w0 + int(np.argmax(bad[:, l])), len(pts[l]) - 1)]
-            raise BlowUpError(float(t_bad), float("inf"), samples[l])
-        # continuous phase of u: phase[k] = ph[0] + cumsum(dph)[k - 1] over the whole table
-        ph = np.angle(us)
-        dph = np.diff(ph, axis=0)
-        dph -= 2.0 * np.pi * np.round(dph / (2.0 * np.pi))
-        phase = np.empty_like(ph)
-        if w == 0:
-            ph0 = phase[0] = ph[0].copy()
-        else:
-            phase[0] = ph0 + cum
-            dph[0] += cum
-        cum_dph = np.cumsum(dph, axis=0)
-        cum = cum_dph[-1]
-        phase[1:] = ph0 + cum_dph
-        j = -(np.log(mag) + 1j * phase)
-        q = -vs / us
-        aq = np.abs(q)
-        bad = ~np.all(np.isfinite(q), axis=0) | (np.max(aq, axis=0) > DEFAULT_BLOWUP)
-        if bad.any():
-            l = int(np.argmax(bad))
-            t_bad = pts[l][min(w0 + int(np.argmax(aq[:, l])), len(pts[l]) - 1)]
-            raise BlowUpError(float(t_bad), float(np.max(aq[:, l])), samples[l])
-
-        cnt = pos[:, w + 1] - pos[:, w]
-        lane = np.repeat(lane_ids, cnt)
-        col = np.arange(cnt.sum()) + np.repeat(pos[:, w] - np.cumsum(cnt) + cnt, cnt)
-        row = gi[lane, col] - w0
-        j_grid = j[row, lane]
-        if factors:
-            out[0][lane, col] = np.exp(-2.0 * np.real(j_grid))
-            out[1][lane, col] = np.real(np.exp(-j_grid))
-        else:
-            out[0][lane, col] = q[row, lane]
-            out[1][lane, col] = j_grid
-        if stop is not None and stop(int(pos[:, w + 1].min())):
-            return int(pos[:, w + 1].min())
-    return gi.shape[1]
+    sink = _Sink(out, samples, factors)
+    last = -1  # the grid samples of rows up to last are written
+    while True:
+        starts = range(tables.base, tables.end, width)
+        # lane l's grid samples pos[l, w]:pos[l, w + 1] sit in the states of window w
+        ends = [last] + [min(w0 + width, tables.end) for w0 in starts]
+        pos = np.array([np.searchsorted(g, ends, side="right") for g in tables.gi])
+        for w, w0 in enumerate(starts):
+            us, vs = steps(_segment_propagators(*tables.window(w0, ends[w + 1] - w0), system))
+            sink(tables, w0, us, vs, pos[:, w], pos[:, w + 1])
+            if stop is not None and stop(int(pos[:, w + 1].min())):
+                return int(pos[:, w + 1].min())
+        if not tables.extend():
+            return tables.gi.shape[1]
+        last = ends[-1]
 
 
 def integrate_exact(
@@ -357,27 +482,24 @@ def integrate_exact(
     grid, pts, cs, gi = _breakpoints(schedule, system, sim, subdivide=True)
     q = np.empty((1, len(grid)), dtype=complex)
     j = np.empty_like(q)
-    _propagate([pts], [cs], gi[None], system, (q, j), [sample_index])
+    _propagate(_LaneTables([pts], [cs], gi[None]), system, (q, j), [sample_index])
     return QTrajectory(grid, q[0], j[0])
 
 
-def exact_factors(schedules, system: SystemParams, sim: SimConfig, e2: np.ndarray, e1: np.ndarray,
+def exact_factors(trains, system: SystemParams, sim: SimConfig, e2: np.ndarray, e1: np.ndarray,
                   samples: list, stop: Callable[[int], bool] | None = None) -> int:
-    """Write exp(-2 Re J) and Re exp(-J) of each schedule into the rows of e2 and e1.
+    """Write exp(-2 Re J) and Re exp(-J) of each train into the rows of e2 and e1.
 
-    All schedules advance together as lanes of the exact kernel, bitwise as
-    integrate_exact would give them one by one. schedules may be an iterator:
-    each one is cut into its segment table and then dropped. Returns the
-    number of filled columns: all of them, or fewer once stop (see
-    _propagate) has ended the run.
+    trains[l](horizon) is lane l's pulse train on [0, horizon]. All lanes
+    advance together as lanes of the exact kernel, bitwise as integrate_exact
+    would give the trains on [0, t_max] one by one. With stop (see
+    _propagate) the tables are built to the first horizon FIRST_HORIZON *
+    t_max, and on to t_max only if the run gets there. Returns the number of
+    filled columns: all of them, or fewer once stop has ended the run.
     """
-    pts, cs = [], []
-    gi = np.empty(e2.shape, dtype=np.intp)
-    for l, schedule in enumerate(schedules):
-        _, p, c, gi[l] = _breakpoints(schedule, system, sim, subdivide=True)
-        pts.append(p)
-        cs.append(c)
-    return _propagate(pts, cs, gi, system, (e2, e1), samples, factors=True, stop=stop)
+    first = None if stop is None else FIRST_HORIZON * sim.t_max
+    tables = _lane_tables(trains, system, sim, first)
+    return _propagate(tables, system, (e2, e1), samples, factors=True, stop=stop)
 
 
 def integrate_with(

@@ -43,7 +43,7 @@ RICCATI = "tests/test_riccati.py::"
 
 MUTANTS = [
     Mutant("unwrap carry dropped", "riccati.py",
-           "            dph[0] += cum\n", "",
+           "            dph[0] += self.cum\n", "",
            (RICCATI + "test_one_lane_windows_are_bitwise_the_default[random-w64]",
             RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-w7]")),
     Mutant("numpy complex multiply in the lane step", "riccati.py",
@@ -56,6 +56,22 @@ MUTANTS = [
            "            vs[k + 1] = m10[k] * us[k] + m11[k] * vs[k]\n"
            "        st[:, 0, 0], st[:, 0, 1], st[:, 1, 0], st[:, 1, 1] = us.real, us.imag, vs.real, vs.imag\n",
            (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",)),
+    Mutant("first horizon never extended", "riccati.py",
+           "        if not tables.extend():\n            return tables.gi.shape[1]\n",
+           "        return tables.gi.shape[1]\n",
+           (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",
+            FIDELITY + "test_until_never_reached_keeps_the_whole_grid",
+            "tests/test_golden.py::test_outputs_match_golden[sweep-tau-uncrossed]")),
+    Mutant("seam shifted by one breakpoint", "riccati.py",
+           "    seams = [(g, pts[l][g]) for l, g in enumerate(seams)]\n",
+           "    seams = [(g, pts[l][g + 1]) for l, g in enumerate(seams)]\n",
+           (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",
+            RICCATI + "test_first_horizon_and_extension_are_the_whole_table")),
+    Mutant("J gathered from the wrong row", "riccati.py",
+           "        j = -(np.log(mag[row, lane]) + 1j * phase[row, lane])\n",
+           "        j = -(np.log(mag[row - 1, lane]) + 1j * phase[row, lane])\n",
+           (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-w7]",
+            RICCATI + "test_one_lane_windows_are_bitwise_the_default[random-w64]")),
     Mutant("no one-by-one re-run after a blow-up", "fidelity.py",
            "        except BlowUpError:\n            pass\n",
            "        except BlowUpError:\n            raise\n",
@@ -79,6 +95,9 @@ MUTANTS = [
     Mutant("last-piece assignment dropped", "pulsegen.py",
            "    inner[first[1:] - 1] = pts[1:]\n", "",
            ("tests/test_breakpoints.py::test_split_pieces_end_on_their_breakpoints",)),
+    Mutant("piece-count shortcut loosened", "pulsegen.py",
+           "np.abs(c).max()) - 1e-12) <= 1:", "np.abs(c).max()) - 1e-12) <= 2:",
+           ("tests/test_breakpoints.py::test_piece_counts_at_the_split_boundaries[1.5]",)),
     Mutant("bootstrap window starts at j0", "fidelity.py",
            "if dips.any() else len(factors.grid)) - 1, 0)",
            "if dips.any() else len(factors.grid)), 0)",

@@ -119,6 +119,20 @@ def test_random_streams_match_reference(params):
         assert_same_tables(schedule, SYS, sim)
 
 
+# the interval length that is one phase piece at c = 0 under SYS
+ONE_PIECE = 1.5 / (1.0 + 0.2 + math.sqrt(0.4))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 5e-13, 1.0 + 2e-12, 1.5, 2.0, 2.5])
+def test_piece_counts_at_the_split_boundaries(scale):
+    # grid intervals of scale x one piece: the longest interval has one piece,
+    # one within the 1e-12 slack, just over one, or two or three
+    sim = SimConfig(t_max=7 * scale * ONE_PIECE, grid_dt=scale * ONE_PIECE, ensemble_n=1)
+    weak = PulseParams(3 * sim.grid_dt, sim.grid_dt / 4, 0.05)
+    for schedule in (empty_schedule(sim.t_max), generate_regular(weak, sim.t_max)):
+        assert_same_tables(schedule, SYS, sim)
+
+
 def test_split_pieces_end_on_their_breakpoints():
     # short strong pulses off the grid lattice: a + (b - a) * n / n != b for
     # some pieces, so the last piece must be set to b as the loop did

@@ -389,7 +389,7 @@ def test_set_violation_exits_3(tmp_path, capsys, setting, code):
 @pytest.mark.parametrize("argv, code", [
     (["--tmax", "1e12"], "grid-too-large"),
     (["--set", "pulses.tau=1e-9", "--set", "pulses.delta=1e-10"], "pulse-count-too-large"),
-    (["--ensemble", "100000", "--tmax", "2000"], "ensemble-too-large"),
+    (["--ensemble", "100000", "--tmax", "2000", "--set", "pulses.d_tau=0.004"], "ensemble-too-large"),
     (["--set", "sim.integrator=rk4", "--step", "1e-12"], "step-count-too-large"),
 ], ids=["grid", "pulses", "ensemble-cells", "rk4-steps"])
 def test_oversized_run_fails_validation(tmp_path, capsys, monkeypatch, argv, code):
@@ -406,6 +406,13 @@ def test_oversized_run_fails_validation(tmp_path, capsys, monkeypatch, argv, cod
     err = capsys.readouterr().err
     assert code in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_deviation_free_run_validates_at_any_ensemble_size(tmp_path):
+    # the point stacks one row, so 10000 x 3001 cells are never allocated
+    for n in ("10000", "6000"):
+        assert run_cli(["run", "--ensemble", n, "--out", str(tmp_path / n)]) == 0
+    assert (tmp_path / "10000" / "curve.csv").read_bytes() == (tmp_path / "6000" / "curve.csv").read_bytes()
 
 
 def test_grid_finer_than_merge_tolerance_exits_3(tmp_path, capsys):

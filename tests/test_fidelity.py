@@ -1,5 +1,6 @@
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,11 @@ from randdd import fidelity, riccati
 from randdd.errors import BlowUpError
 from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular
 from randdd.riccati import QTrajectory, integrate_exact, lane_groups
+
+
+def _trains(pulses, seed, n):
+    """exact_factors' lanes: sample k's train on [0, horizon], for any horizon."""
+    return [partial(generate_random, pulses, stream=RandomStream.for_schedule(seed, k)) for k in range(n)]
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +267,7 @@ def test_exact_ensemble_blowup_matches_per_sample_path(monkeypatch):
     want = (per_sample.value.t, per_sample.value.magnitude, k, 42)
     e2, e1 = np.empty((6, sim.grid_size())), np.empty((6, sim.grid_size()))
     with pytest.raises(BlowUpError) as in_lanes:
-        riccati.exact_factors(iter(schedules), SYS3, sim, e2, e1, list(range(6)))
+        riccati.exact_factors(_trains(RAND_PULSES, 42, 6), SYS3, sim, e2, e1, list(range(6)))
     assert (in_lanes.value.t, in_lanes.value.magnitude) != want[:2]
     with pytest.raises(BlowUpError) as err:
         ensemble_functionals(SYS3, RAND_PULSES, sim)
@@ -322,9 +328,9 @@ def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
     monkeypatch.setattr(riccati, "WINDOW_ELEMS", 6 * 8)
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
     width = sim.grid_size()
-    schedules = [generate_random(RAND_PULSES, sim.t_max, RandomStream.for_schedule(5, k)) for k in range(6)]
+    trains = _trains(RAND_PULSES, 5, 6)
     e2, e1 = np.empty((6, width)), np.empty((6, width))
-    assert riccati.exact_factors(iter(schedules), SYS9, sim, e2, e1, list(range(6))) == width
+    assert riccati.exact_factors(trains, SYS9, sim, e2, e1, list(range(6))) == width
     # the hook sees each window's filled count and ends the run in the window where it turns true
     for at in (1, 40, width - 3, width + 1):
         counts = []
@@ -334,7 +340,7 @@ def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
             return filled >= at
 
         a2, a1 = np.empty_like(e2), np.empty_like(e1)
-        filled = riccati.exact_factors(iter(schedules), SYS9, sim, a2, a1, list(range(6)), stop)
+        filled = riccati.exact_factors(trains, SYS9, sim, a2, a1, list(range(6)), stop)
         assert np.all(np.diff(counts) >= 0) and counts[-1] == filled
         assert all(c < at for c in counts[:-1]) and (filled >= at or filled == width)
         assert np.array_equal(a2[:, :filled], e2[:, :filled]) and np.array_equal(a1[:, :filled], e1[:, :filled])

@@ -145,7 +145,7 @@ def test_grid_dt_must_exceed_twice_the_merge_tolerance():
 
 def test_size_limits_are_inclusive():
     # exactly at each limit passes, one past it fails; nothing is allocated
-    few = PulseParams(tau=10.0, delta=1.0, phi=0.2)
+    few = PulseParams(tau=10.0, delta=1.0, phi=0.2, d_tau=1.0)  # random: ensemble_n samples
     many = PulseParams(tau=1.0, delta=0.5, phi=0.2)
     validate(SystemParams(), few, SimConfig(t_max=9_999_999.0, grid_dt=1.0, ensemble_n=2))
     validate(SystemParams(), many, SimConfig(t_max=10_000_000.0, grid_dt=10.0, ensemble_n=1))
@@ -158,6 +158,15 @@ def test_size_limits_are_inclusive():
         with pytest.raises(ValidationError) as err:
             validate(SystemParams(), pulses, sim)
         assert err.value.code == code
+
+
+def test_ensemble_limit_counts_the_samples_a_point_stacks():
+    # a deviation-free point is one sample, one row of the grid, at any ensemble_n
+    sim = SimConfig(ensemble_n=10_000)  # 10000 x 3001 cells for a random point
+    assert validate(SystemParams(), PulseParams(), sim).sim.ensemble_n == 10_000
+    with pytest.raises(ValidationError) as err:
+        validate(SystemParams(), PulseParams(d_tau=0.004), sim)
+    assert err.value.code == ENSEMBLE_TOO_LARGE
 
 
 def test_initial_state_normalization():

@@ -154,6 +154,30 @@ def test_random_schedule_invariants(params, seed, k):
     assert np.all(np.diff(edges) > 0)
 
 
+# widths may reach past the next start and are clamped to the gap
+overlapping_params = st.builds(
+    PulseParams,
+    tau=st.just(0.02),
+    delta=st.floats(0.012, 0.019),
+    phi=st.floats(-0.5, 0.5),
+    d_tau=st.floats(0.001, 0.006),
+    d_delta=st.floats(0.0, 0.004),
+    d_phi=st.floats(0.0, 0.3),
+)
+
+
+@given(params=st.one_of(valid_params, overlapping_params, st.just(PulseParams(0.02, 0.008, 0.2))),
+       seed=st.integers(0, 2**32), short=st.floats(0.001, 1.0), longer=st.floats(0.0, 2.0))
+def test_a_shorter_horizon_is_the_start_of_the_train(params, seed, short, longer):
+    # up to its last pulse, which the horizon may cut, a train to a shorter
+    # horizon is the start of the longer one
+    stream = RandomStream(seed, 3)
+    a, b = generate_random(params, short, stream), generate_random(params, short + longer, stream)
+    m = len(a) - 1
+    assert np.array_equal(a.starts, b.starts[:m + 1])
+    assert np.array_equal(a.widths[:m], b.widths[:m]) and np.array_equal(a.areas[:m], b.areas[:m])
+
+
 @given(params=valid_params, seed=st.integers(0, 2**32))
 @settings(max_examples=20)
 def test_field_integral_equals_area(params, seed):

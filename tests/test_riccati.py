@@ -1,6 +1,8 @@
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randdd import riccati
@@ -8,9 +10,10 @@ from randdd.errors import BlowUpError, ValidationError
 from randdd.fidelity import ensemble_functionals
 from randdd.model import PulseParams, SimConfig, SystemParams
 from randdd.oracle import closed_form_barQ
-from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular
+from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular, merge_tol
 from randdd.riccati import (
     _breakpoints,
+    _LaneTables,
     _propagate,
     exact_factors,
     integrate,
@@ -222,14 +225,20 @@ def test_lanes_are_bitwise_one_lane_runs(monkeypatch, case, width):
 
     g = sim.grid_size()
     q, j = np.empty((n, g), dtype=complex), np.empty((n, g), dtype=complex)
-    _propagate([t[1] for t in tables], [t[2] for t in tables], np.array([t[3] for t in tables]),
-               system, (q, j), list(range(n)))
+    packed = _LaneTables([t[1] for t in tables], [t[2] for t in tables], np.array([t[3] for t in tables]))
+    _propagate(packed, system, (q, j), list(range(n)))
+    # exact_factors' lanes generate their trains; a stop that never holds runs
+    # the tables of the first horizon and then their extension
+    trains = [partial(generate_random, pulses, stream=RandomStream.for_schedule(11, k)) for k in range(n)]
     e2, e1 = np.empty((n, g)), np.empty((n, g))
-    exact_factors(iter(schedules), system, sim, e2, e1, list(range(n)))
+    exact_factors(trains, system, sim, e2, e1, list(range(n)))
+    s2, s1 = np.empty((n, g)), np.empty((n, g))
+    assert exact_factors(trains, system, sim, s2, s1, list(range(n)), stop=lambda filled: False) == g
     for k, traj in enumerate(singles):
         assert np.array_equal(q[k], traj.q) and np.array_equal(j[k], traj.j)
-        assert np.array_equal(e2[k], traj.decay_factor())
-        assert np.array_equal(e1[k], np.real(traj.coherence_factor()))
+        for a2, a1 in ((e2, e1), (s2, s1)):
+            assert np.array_equal(a2[k], traj.decay_factor())
+            assert np.array_equal(a1[k], np.real(traj.coherence_factor()))
 
 
 WINDOW_TRAINS = {
@@ -266,7 +275,7 @@ def test_one_lane_blowup_is_its_first_failing_window(monkeypatch):
     schedule = generate_random(pulses, sim.t_max, RandomStream.for_schedule(3, 0))
     _, pts, cs, _ = _breakpoints(schedule, system, sim, subdivide=True)
     q, j = np.empty((1, len(pts)), dtype=complex), np.empty((1, len(pts)), dtype=complex)
-    _propagate([pts], [cs], np.arange(len(pts))[None], system, (q, j), [0])  # Q at every breakpoint
+    _propagate(_LaneTables([pts], [cs], np.arange(len(pts))[None]), system, (q, j), [0])  # Q at every breakpoint
     aq = np.abs(q[0])
     bound, width = 0.75 * aq.max(), 8
     # window w0 holds breakpoints w0 .. w0 + width, the first one carried over
@@ -293,10 +302,82 @@ def test_lane_blowup_names_a_failing_lane(monkeypatch):
     system = SystemParams(gamma=0.3)
     pulses = PulseParams(0.02, 0.008, 0.2, d_tau=0.004, d_delta=0.004)
     sim = SimConfig(t_max=2.0, grid_dt=0.02, ensemble_n=4)
-    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(3, k)) for k in range(4)]
-    peaks = [np.max(np.abs(integrate_exact(s, system, sim).q)) for s in schedules]
+    trains = [partial(generate_random, pulses, stream=RandomStream.for_schedule(3, k)) for k in range(4)]
+    peaks = [np.max(np.abs(integrate_exact(train(sim.t_max), system, sim).q)) for train in trains]
     monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", float(np.median(peaks)))
     e2, e1 = np.empty((4, sim.grid_size())), np.empty((4, sim.grid_size()))
     with pytest.raises(BlowUpError) as err:
-        exact_factors(iter(schedules), system, sim, e2, e1, [10, 11, 12, 13])
+        exact_factors(trains, system, sim, e2, e1, [10, 11, 12, 13])
     assert peaks[err.value.sample_index - 10] > riccati.DEFAULT_BLOWUP
+
+
+# --- first horizon and extension of the window source ------------------------
+
+SEAM_TRAINS = {
+    # (system, pulses, grid_dt)
+    "random": (SystemParams(gamma=0.2), PulseParams(0.02, 0.008, 0.2, d_tau=0.006, d_delta=0.003, d_phi=0.1), 0.02),
+    # deviation-free, every edge on or within the merge tolerance of a grid time
+    "on-grid": (SystemParams(gamma=0.5), PulseParams(0.04, 0.02, 0.2), 0.02),
+    "clamped": (SystemParams(gamma=0.5), PulseParams(0.02, 0.014, 0.2, d_tau=0.004, d_delta=0.004), 0.01),
+    "subdivided": (SystemParams(gamma=0.3), PulseParams(0.5, 0.2, 60.0, d_tau=0.1, d_delta=0.05), 0.05),
+}
+
+
+def _source_tables(trains, system, sim, first):
+    """The rows a first-horizon source gives, then those of its extension:
+    per lane (breakpoints, fields) and the grid rows known before and after."""
+    tables = riccati._lane_tables(trains, system, sim, first)
+    head_pts, head_cs, known, r = tables.pts, tables.cs, tables.gi.copy(), tables.end
+    assert head_pts.shape == (r + 1, len(trains))
+    assert tables.extend() and tables.base == r and not tables.extend()
+    lanes = []
+    for l in range(len(trains)):
+        n = int(np.searchsorted(tables.pts[:, l], tables.pts[-1, l]))  # the rest's rows before its padding
+        assert not tables.cs[n:, l].any()
+        pts = np.concatenate([head_pts[:r, l], tables.pts[:n + 1, l]])
+        lanes.append((pts, np.concatenate([head_cs[:, l], tables.cs[:n, l]])))
+    return lanes, known, tables.gi
+
+
+@given(kind=st.sampled_from(sorted(SEAM_TRAINS)), seed=st.integers(0, 2**32), t_max=st.floats(0.5, 6.0),
+       lanes=st.integers(1, 3), at=st.sampled_from(["fraction", "edge", "grid"]), fraction=st.floats(0.0, 0.999),
+       offset=st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]))
+@settings(max_examples=80, deadline=None)
+def test_first_horizon_and_extension_are_the_whole_table(kind, seed, t_max, lanes, at, fraction, offset):
+    # first horizons anywhere: at a share of t_max, or within 1.5 merge
+    # tolerances of a pulse edge or of a grid time (inside their clusters)
+    system, pulses, grid_dt = SEAM_TRAINS[kind]
+    sim = SimConfig(t_max=t_max, grid_dt=grid_dt, ensemble_n=lanes)
+    trains = [partial(generate_random, pulses, stream=RandomStream.for_schedule(seed, k)) for k in range(lanes)]
+    whole = [_breakpoints(train(sim.t_max), system, sim, subdivide=True) for train in trains]
+    schedule = trains[0](sim.t_max)
+    times = {"fraction": [fraction * t_max], "edge": np.concatenate([schedule.starts, schedule.ends]),
+             "grid": sim.output_grid()}[at]
+    first = times[int(fraction * len(times))] + offset * merge_tol(t_max)
+    assume(0.0 < first < t_max)
+    got, known, gi = _source_tables(trains, system, sim, first)
+    for (pts, cs), (_, want_pts, want_cs, want_gi), k, g in zip(got, whole, known, gi):
+        assert np.array_equal(pts, want_pts) and np.array_equal(cs, want_cs)
+        assert np.array_equal(g, want_gi)
+        built = k != riccati.UNBUILT
+        assert np.array_equal(k[built], want_gi[built])
+    if kind == "subdivided":
+        assert len(whole[0][1]) > len(_breakpoints(schedule, system, sim)[1])
+
+
+def test_first_horizon_builds_a_share_of_the_tables():
+    # a group that may stop generates its trains and builds its tables to
+    # the first horizon; the rows every lane holds are most of the way there
+    system, pulses, _ = SEAM_TRAINS["random"]
+    sim = SimConfig(t_max=40.0, grid_dt=0.02, ensemble_n=4)
+    asked = []
+
+    def train(k, horizon):
+        asked.append(horizon)
+        return generate_random(pulses, horizon, RandomStream.for_schedule(5, k))
+
+    first = riccati.FIRST_HORIZON * sim.t_max
+    tables = riccati._lane_tables([partial(train, k) for k in range(4)], system, sim, first)
+    assert asked == [first] * 4
+    rows = max(len(_breakpoints(train(k, sim.t_max), system, sim, subdivide=True)[2]) for k in range(4))
+    assert 0.7 * rows < tables.end < 0.75 * rows and tables.pts[-1].max() < first
