@@ -434,7 +434,8 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
     """Execute one experiment; returns the written files (manifest last).
 
     The output directory is created only once the run has passed
-    validation: every point's bundle and states, or the oracle's settings.
+    validation: every point's bundle, states and ensemble size, or the
+    oracle's settings.
     workers is "auto" or a count; the manifest records it as given, and the
     start method of the pool when one started. oracle-check starts a
     one-worker pool for its no-control reference when two processes are
@@ -469,10 +470,10 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
             _point_states(point)
         # params: the library defaults plus the overrides, not validated together (each point's bundle is)
         snapshot = {**_snapshot(build_bundle({})), **resolve_overrides(spec.overrides)}
-        out_dir.mkdir(parents=True, exist_ok=True)
-        files, tables = [], {}
         runs = {i: EnsembleRun(b.system, b.pulses, b.sim, _until(p, b.sim))
                 for i, (p, b) in enumerate(zip(points, bundles)) if p.control == "random"}
+        out_dir.mkdir(parents=True, exist_ok=True)
+        files, tables = [], {}
         # never more processes than CPUs or tasks: a fork pool starts all of them at once
         procs = _pool_size(sum(run.pool_tasks for run in runs.values()), workers)
         with _pool(procs if procs > 1 else 0, settings) as executor:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -121,14 +120,15 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
     """Factor rows of samples ks into e2 and e1 (one row per sample); returns
     the number of filled columns.
 
-    An exact group advances as lanes of one kernel call; with a level, the
-    call ends STOP_MARGIN of the grid past the first column from min_col on
-    where every lane's state-averaged fidelity is below it. rk4, or a group
-    in which any lane failed a check, runs one sample at a time in k order
-    over the whole grid, so a BlowUpError names the first failing sample
-    and the seed.
+    Each sample's train is generated once, to t_max. An exact group
+    advances as lanes of one kernel call; with a level, the call ends
+    STOP_MARGIN of the grid past the first column from min_col on where
+    every lane's state-averaged fidelity is below it. rk4, or a group in
+    which any lane failed a check, runs the same trains one at a time in k
+    order over the whole grid, so a BlowUpError names the first failing
+    sample and the seed.
     """
-    trains = [partial(generate_random, pulses, stream=RandomStream.for_schedule(sim.master_seed, k)) for k in ks]
+    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, k)) for k in ks]
 
     stop = None
     if level is not None:
@@ -144,12 +144,12 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
 
     if sim.integrator == "exact":
         try:
-            return exact_factors(trains, system, sim, e2, e1, list(ks), stop)
+            return exact_factors(schedules, system, sim, e2, e1, list(ks), stop)
         except BlowUpError:
             pass
-    for row, (k, train) in enumerate(zip(ks, trains)):
+    for row, (k, schedule) in enumerate(zip(ks, schedules)):
         try:
-            traj = integrate_with(train(sim.t_max), system, sim, sample_index=k)
+            traj = integrate_with(schedule, system, sim, sample_index=k)
         except BlowUpError as exc:
             raise BlowUpError(exc.t, exc.magnitude, k, sim.master_seed) from exc
         e2[row] = traj.decay_factor()
@@ -179,10 +179,16 @@ def _decided_column(below: list[np.ndarray], width: int) -> tuple[int, list[int]
     return col, [g for g, m in enumerate(below) if len(m) <= col and len(m) < width]
 
 
+# a point's factor rows, samples times grid points, checked before they are
+# allocated; the largest default runs stack ~1e6
+MAX_ENSEMBLE_CELLS = 2 * 10**7
+
+
 class EnsembleRun:
     """One point's ensemble: start submits its first pass to a pool, finish
     collects or runs it, re-runs the groups that stopped short and stacks.
-    n, its sample count, is 1 for a deviation-free point, else ensemble_n.
+    n, its sample count, is 1 for a deviation-free point, else ensemble_n;
+    n times the grid points above MAX_ENSEMBLE_CELLS is a ValidationError.
     pool_tasks, the first-pass tasks it hands a pool, is its lane groups
     when there are two or more, else 0 (a lone group runs in this process).
     """
@@ -190,6 +196,10 @@ class EnsembleRun:
     def __init__(self, system: SystemParams, pulses: PulseParams, sim: SimConfig, until: float | None = None):
         self.system, self.pulses, self.sim = system, pulses, sim
         self.n = n = 1 if pulses.is_regular else sim.ensemble_n
+        cells = n * sim.grid_size()  # checked before anything is allocated
+        if cells > MAX_ENSEMBLE_CELLS:
+            raise ValidationError(errors.ENSEMBLE_TOO_LARGE,
+                                  f"ensemble_n x output samples = {cells}, limit {MAX_ENSEMBLE_CELLS}")
         # Rounded addition and division are monotone, and each rounding is within a
         # factor (1 +- eps), so a float mean of n values each <= b is at most
         # b (1 + eps)^n and one of n values each >= a is at least a (1 - eps)^n

@@ -151,11 +151,10 @@ class PulseParams:
 _INTEGRATORS = ("exact", "rk4")
 
 # size limits checked before anything is allocated or run; the largest
-# default runs use ~9e3 samples, ~4.5e3 pulses, ~1e6 ensemble cells and
-# 1e5 RK4 steps per trajectory
+# default runs use ~9e3 samples, ~4.5e3 pulses and 1e5 RK4 steps per
+# trajectory
 MAX_GRID_POINTS = 10**7
 MAX_PULSES = 10**7
-MAX_ENSEMBLE_CELLS = 2 * 10**7
 MAX_RK4_STEPS = 10**7
 
 
@@ -262,13 +261,6 @@ def validate(
     if sim.t_max / pulses.tau > MAX_PULSES:  # ceil(t_max / tau) pulses
         raise ValidationError(
             errors.PULSES_TOO_MANY, f"t_max / tau = {sim.t_max / pulses.tau:.6g} pulses, limit {MAX_PULSES}"
-        )
-    # a deviation-free point stacks one sample (fidelity.EnsembleRun)
-    cells = (1 if pulses.is_regular else sim.ensemble_n) * sim.grid_size()
-    if cells > MAX_ENSEMBLE_CELLS:
-        raise ValidationError(
-            errors.ENSEMBLE_TOO_LARGE,
-            f"ensemble_n x output samples = {cells}, limit {MAX_ENSEMBLE_CELLS}",
         )
     if init is not None:
         init = init.normalized()

@@ -178,7 +178,8 @@ def _segment_propagators(cs: np.ndarray, lengths: np.ndarray, system: SystemPara
 # Lane groups: at most MAX_LANES schedules advance together, and no more than
 # fit LANE_TABLE_BYTES of segment tables (16 B per segment and lane). A window
 # holds WINDOW_ELEMS lane-steps, so its temporaries stay small next to the tables.
-# A group that may stop early builds its tables to FIRST_HORIZON of t_max first.
+# A group that may stop early first builds the tables of the pulses that start
+# before FIRST_HORIZON of t_max.
 MAX_LANES = 32
 LANE_TABLE_BYTES = 8 << 20
 WINDOW_ELEMS = 1 << 12
@@ -209,15 +210,11 @@ class _LaneTables:
     field on the interval after it, so a window is a slice. A lane past its
     last breakpoint repeats it with field 0, so it takes zero-length,
     field-free steps. gi[l, k] is the row of lane l's grid time k, or
-    UNBUILT. rest, when given, builds the per-lane rows from end on and
-    fills in gi; extend puts them in place of the rows held.
+    UNBUILT. rest, when given, packs the rows of the whole tables from end
+    on and fills in gi; extend holds them in place of the rows held.
     """
 
     def __init__(self, pts: list, cs: list, gi: np.ndarray, rest=None):
-        self.gi, self.rest, self.base = gi, rest, 0
-        self._pack(pts, cs)
-
-    def _pack(self, pts: list, cs: list) -> None:
         rows = max(map(len, cs))
         self.pts = np.empty((rows + 1, len(cs)))
         self.cs = np.zeros((rows, len(cs)))
@@ -225,6 +222,7 @@ class _LaneTables:
             self.pts[:len(p), l] = p
             self.pts[len(p):, l] = p[-1]
             self.cs[:len(c), l] = c
+        self.gi, self.rest, self.base = gi, rest, 0
 
     @property
     def end(self) -> int:
@@ -234,8 +232,8 @@ class _LaneTables:
         """Hold the rows from end on instead; false when there are none."""
         if self.rest is None:
             return False
-        rest, self.rest, self.base = self.rest, None, self.end
-        self._pack(*rest())
+        rest, self.base = self.rest(), self.end
+        self.pts, self.cs, self.rest = rest.pts, rest.cs, None
         return True
 
     def window(self, w0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,62 +245,52 @@ class _LaneTables:
         return float(self.pts[row - self.base, lane])
 
 
-def _lane_tables(trains, system: SystemParams, sim: SimConfig, first: float | None = None) -> _LaneTables:
-    """The subdivided segment tables of the trains, packed; trains[l](horizon)
-    is lane l's pulse train on [0, horizon].
+def _lane_tables(schedules: list, system: SystemParams, sim: SimConfig, first: float | None = None) -> _LaneTables:
+    """The subdivided segment tables of the schedules on [0, t_max], packed.
 
-    Without a first horizon every table runs to t_max. With one, below
-    t_max, each train is generated to it, and the tables hold the rows that
-    every lane has as in its whole table; extending them builds the rest.
-    That needs trains as generate_random gives them: pulses that do not
-    overlap, and up to its last pulse a train to a shorter horizon is the
-    start of a longer one.
+    Without a first horizon the tables are whole. With one, lane l's table
+    is first that of its pulses that start before first, cut at the start
+    of its next pulse (t_max if there is none), and the tables hold the rows
+    every lane has as in its whole table; extending them builds the rest of
+    the whole tables from the same schedules. That needs pulses that do not
+    overlap, as generate_random gives.
     """
     grid = sim.output_grid()
     pieces = partial(_phase_pieces, system)
-    gi = np.empty((len(trains), len(grid)), dtype=np.intp)
-    pts, cs = [], []
-    if first is None:
-        for l, train in enumerate(trains):
-            p, c, gi[l] = breakpoint_table(train(sim.t_max), grid, sim.t_max, pieces)
-            pts.append(p)
-            cs.append(c)
-        return _LaneTables(pts, cs, gi)
-
-    # before the start of the last pulse generated, a train's edges and the
-    # grid times are those of the whole train, and so are the table rows up
-    # to the breakpoint of the last grid time there
-    ready = []
-    for l, train in enumerate(trains):
-        s = train(first)
-        m = max(len(s) - 1, 0)
-        cut = s.starts[m] if len(s) else 0.0
-        k = max(np.searchsorted(grid, cut), 1)  # grid time 0 is row 0 of every table
-        head = PulseSchedule(s.starts[:m], s.widths[:m], s.areas[:m], sim.t_max)
-        p, c, gi[l, :k] = breakpoint_table(head, grid[:k], cut, pieces)
-        gi[l, k:] = UNBUILT
-        ready.append(gi[l, k - 1])
+    gi = np.empty((len(schedules), len(grid)), dtype=np.intp)
+    pts, cs, ready = [], [], []
+    for l, s in enumerate(schedules):
+        if first is None:
+            p, c, gi[l] = breakpoint_table(s, grid, sim.t_max, pieces)
+        else:
+            # before the start of its next pulse, a train's edges and the grid
+            # times are those of the whole train, and so are the table rows up
+            # to the breakpoint of the last grid time there
+            m = np.searchsorted(s.starts, first)
+            cut = s.starts[m] if m < len(s) else sim.t_max
+            k = max(np.searchsorted(grid, cut), 1)  # grid time 0 is row 0 of every table
+            head = PulseSchedule(s.starts[:m], s.widths[:m], s.areas[:m], sim.t_max)
+            p, c, gi[l, :k] = breakpoint_table(head, grid[:k], cut, pieces)
+            gi[l, k:] = UNBUILT
+            ready.append(gi[l, k - 1])
         pts.append(p)
         cs.append(c)
+    if first is None:
+        return _LaneTables(pts, cs, gi)
     r = min(ready)
-    # lane l's rest starts at row g, the breakpoint x of its last grid time at or before row r
-    seams = [g[np.searchsorted(g, r, side="right") - 1] for g in gi]
-    seams = [(g, pts[l][g]) for l, g in enumerate(seams)]
 
-    def rest() -> tuple[list, list]:
-        # from a breakpoint x on, a table is that of the pulses that reach x
-        # and the grid times from x
-        rest_pts, rest_cs = [], []
-        for l, (train, (g, x)) in enumerate(zip(trains, seams)):
-            s = train(sim.t_max)
-            p = np.searchsorted(s.ends, x)
-            k = np.searchsorted(grid, x)
-            tail = PulseSchedule(s.starts[p:], s.widths[p:], s.areas[p:], sim.t_max)
-            tp, tc, gi[l, k:] = breakpoint_table(tail, grid[k:], sim.t_max, pieces, start=x)
-            gi[l, k:] += g
-            rest_pts.append(tp[r - g:])
-            rest_cs.append(tc[r - g:])
-        return rest_pts, rest_cs
+    def rest() -> _LaneTables:
+        # from a breakpoint x on, a table is that of the pulses that end at or
+        # after x and the grid times from x; lane l's rest is built from the
+        # breakpoint x, row g, of its last grid time at or before row r
+        for l, s in enumerate(schedules):
+            k = np.searchsorted(gi[l], r, side="right") - 1
+            g, x = gi[l, k], pts[l][gi[l, k]]
+            i = np.searchsorted(s.ends, x)
+            tail = PulseSchedule(s.starts[i:], s.widths[i:], s.areas[i:], sim.t_max)
+            p, c, t = breakpoint_table(tail, grid[k:], sim.t_max, pieces, start=x)
+            pts[l], cs[l], gi[l, k:] = p[r - g:], c[r - g:], t + g
+        return _LaneTables(pts, cs, gi)
 
     return _LaneTables([p[:r + 1] for p in pts], [c[:r] for c in cs], gi, rest)
 
@@ -486,19 +474,19 @@ def integrate_exact(
     return QTrajectory(grid, q[0], j[0])
 
 
-def exact_factors(trains, system: SystemParams, sim: SimConfig, e2: np.ndarray, e1: np.ndarray,
+def exact_factors(schedules: list, system: SystemParams, sim: SimConfig, e2: np.ndarray, e1: np.ndarray,
                   samples: list, stop: Callable[[int], bool] | None = None) -> int:
-    """Write exp(-2 Re J) and Re exp(-J) of each train into the rows of e2 and e1.
+    """Write exp(-2 Re J) and Re exp(-J) of each schedule into the rows of e2 and e1.
 
-    trains[l](horizon) is lane l's pulse train on [0, horizon]. All lanes
-    advance together as lanes of the exact kernel, bitwise as integrate_exact
-    would give the trains on [0, t_max] one by one. With stop (see
-    _propagate) the tables are built to the first horizon FIRST_HORIZON *
-    t_max, and on to t_max only if the run gets there. Returns the number of
-    filled columns: all of them, or fewer once stop has ended the run.
+    All lanes advance together as lanes of the exact kernel, bitwise as
+    integrate_exact would give the schedules one by one. With stop (see
+    _propagate) the tables first hold the pulses that start before the
+    first horizon FIRST_HORIZON * t_max, and the rest of the whole tables
+    is built only if the run gets there. Returns the number of filled columns:
+    all of them, or fewer once stop has ended the run.
     """
     first = None if stop is None else FIRST_HORIZON * sim.t_max
-    tables = _lane_tables(trains, system, sim, first)
+    tables = _lane_tables(schedules, system, sim, first)
     return _propagate(tables, system, (e2, e1), samples, factors=True, stop=stop)
 
 

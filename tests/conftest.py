@@ -7,6 +7,9 @@ settings.register_profile(
     max_examples=30,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# a deeper run: pytest --hypothesis-profile=thorough (a test that sets its
+# own example count takes the larger of its count and this one)
+settings.register_profile("thorough", parent=settings.get_profile("randdd"), max_examples=3000)
 settings.load_profile("randdd")
 
 

@@ -63,8 +63,18 @@ MUTANTS = [
             FIDELITY + "test_until_never_reached_keeps_the_whole_grid",
             "tests/test_golden.py::test_outputs_match_golden[sweep-tau-uncrossed]")),
     Mutant("seam shifted by one breakpoint", "riccati.py",
-           "    seams = [(g, pts[l][g]) for l, g in enumerate(seams)]\n",
-           "    seams = [(g, pts[l][g + 1]) for l, g in enumerate(seams)]\n",
+           "            g, x = gi[l, k], pts[l][gi[l, k]]\n",
+           "            g, x = gi[l, k], pts[l][gi[l, k] + 1]\n",
+           (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",
+            RICCATI + "test_first_horizon_and_extension_are_the_whole_table")),
+    Mutant("held rows run one past the shortest lane's", "riccati.py",
+           "    r = min(ready)\n",
+           "    r = min(ready) + 1\n",
+           (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",
+            RICCATI + "test_first_horizon_and_extension_are_the_whole_table")),
+    Mutant("cut past the pulse the head leaves out", "riccati.py",
+           "cut = s.starts[m] if m < len(s) else sim.t_max",
+           "cut = s.ends[m] if m < len(s) else sim.t_max",
            (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",
             RICCATI + "test_first_horizon_and_extension_are_the_whole_table")),
     Mutant("J gathered from the wrong row", "riccati.py",
@@ -110,6 +120,10 @@ MUTANTS = [
     Mutant("Horner 1/24 -> 1/25", "oracle.py",
            "hL / 24.0", "hL / 25.0",
            ("tests/test_oracle.py::test_transfer_matrix_matches_stepwise_rk4",)),
+    Mutant("SIGTERM does not terminate the pool's workers", "expcli.py",
+           "            process.terminate()\n",
+           "            pass\n",
+           (EXPCLI + "test_sigterm_ends_a_running_pool_task",)),
     Mutant("lane-group cap on the pool dropped", "expcli.py",
            "    return min(cpus if workers == \"auto\" else workers, cpus, tasks)\n",
            "    return min(cpus if workers == \"auto\" else workers, cpus)\n",

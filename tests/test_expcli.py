@@ -415,6 +415,16 @@ def test_deviation_free_run_validates_at_any_ensemble_size(tmp_path):
     assert (tmp_path / "10000" / "curve.csv").read_bytes() == (tmp_path / "6000" / "curve.csv").read_bytes()
 
 
+@pytest.mark.parametrize("control", ["--no-control", "--regular"])
+def test_a_single_trajectory_run_ignores_the_ensemble_size(tmp_path, control):
+    # the point integrates one trajectory and stacks no ensemble, so an
+    # ensemble_n whose stack would pass the cell limit does not fail it
+    argv = ["run", control, "--set", "pulses.d_tau=0.004"]
+    assert run_cli([*argv, "--ensemble", "10000", "--out", str(tmp_path / "big")]) == 0
+    assert run_cli([*argv, "--out", str(tmp_path / "default")]) == 0
+    assert (tmp_path / "big" / "curve.csv").read_bytes() == (tmp_path / "default" / "curve.csv").read_bytes()
+
+
 def test_grid_finer_than_merge_tolerance_exits_3(tmp_path, capsys):
     # grid times 2e-13 apart would share breakpoints inside the 1e-12 merge tolerance
     out = tmp_path / "out"
@@ -944,9 +954,9 @@ def test_sigterm_shuts_the_pool_and_exits_143(tmp_path, monkeypatch, capsys, poo
 
 
 def _touch_and_sleep(path):
-    """A pool task that marks its start, then outlasts any test."""
+    """A pool task that marks its start, then outlasts the SIGTERM test's 5 s bound."""
     open(path, "w").close()
-    time.sleep(60)
+    time.sleep(15)
 
 
 def test_sigterm_ends_a_running_pool_task(tmp_path, monkeypatch, capsys, pool_spy):

@@ -1,6 +1,5 @@
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 import pytest
@@ -22,11 +21,6 @@ from randdd import fidelity, riccati
 from randdd.errors import BlowUpError
 from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular
 from randdd.riccati import QTrajectory, integrate_exact, lane_groups
-
-
-def _trains(pulses, seed, n):
-    """exact_factors' lanes: sample k's train on [0, horizon], for any horizon."""
-    return [partial(generate_random, pulses, stream=RandomStream.for_schedule(seed, k)) for k in range(n)]
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +261,7 @@ def test_exact_ensemble_blowup_matches_per_sample_path(monkeypatch):
     want = (per_sample.value.t, per_sample.value.magnitude, k, 42)
     e2, e1 = np.empty((6, sim.grid_size())), np.empty((6, sim.grid_size()))
     with pytest.raises(BlowUpError) as in_lanes:
-        riccati.exact_factors(_trains(RAND_PULSES, 42, 6), SYS3, sim, e2, e1, list(range(6)))
+        riccati.exact_factors(schedules, SYS3, sim, e2, e1, list(range(6)))
     assert (in_lanes.value.t, in_lanes.value.magnitude) != want[:2]
     with pytest.raises(BlowUpError) as err:
         ensemble_functionals(SYS3, RAND_PULSES, sim)
@@ -328,9 +322,9 @@ def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
     monkeypatch.setattr(riccati, "WINDOW_ELEMS", 6 * 8)
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
     width = sim.grid_size()
-    trains = _trains(RAND_PULSES, 5, 6)
+    schedules = [generate_random(RAND_PULSES, sim.t_max, RandomStream.for_schedule(5, k)) for k in range(6)]
     e2, e1 = np.empty((6, width)), np.empty((6, width))
-    assert riccati.exact_factors(trains, SYS9, sim, e2, e1, list(range(6))) == width
+    assert riccati.exact_factors(schedules, SYS9, sim, e2, e1, list(range(6))) == width
     # the hook sees each window's filled count and ends the run in the window where it turns true
     for at in (1, 40, width - 3, width + 1):
         counts = []
@@ -340,7 +334,7 @@ def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
             return filled >= at
 
         a2, a1 = np.empty_like(e2), np.empty_like(e1)
-        filled = riccati.exact_factors(trains, SYS9, sim, a2, a1, list(range(6)), stop)
+        filled = riccati.exact_factors(schedules, SYS9, sim, a2, a1, list(range(6)), stop)
         assert np.all(np.diff(counts) >= 0) and counts[-1] == filled
         assert all(c < at for c in counts[:-1]) and (filled >= at or filled == width)
         assert np.array_equal(a2[:, :filled], e2[:, :filled]) and np.array_equal(a1[:, :filled], e1[:, :filled])
@@ -518,6 +512,59 @@ def test_a_lone_lane_stops_early_in_the_exact_kernel(monkeypatch, n, table_bytes
     assert len(cut.grid) == _decided(full, UNTIL_THETA) + 1 < len(full.grid)
     stopped = [filled for level, filled in fills if level is not None]
     assert len(stopped) >= n and max(stopped) < len(full.grid)
+
+
+@pytest.mark.parametrize("case", ["stops", "extends", "falls-back"])
+def test_each_train_is_generated_once_per_group(monkeypatch, case):
+    # a group generates each sample's train once, to t_max: a group that
+    # stops before its first horizon, one that extends its tables to t_max
+    # (the uncrossed tau sweep point), and one whose lanes fail a check and
+    # run one by one all reuse those trains
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 6 * 8)
+    system, pulses, level = SYS9, RAND_PULSES, UNTIL_THETA
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
+    if case == "extends":
+        system, pulses, level = SystemParams(gamma=0.2), PulseParams(d_tau=0.01), sim.threshold
+        sim = SimConfig(t_max=40.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
+    if case == "falls-back":
+        monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", 1e-4)
+    made, tables, extended, integrated = {}, [], [], []
+    generate, lane_tables, integrate_with = fidelity.generate_random, riccati._lane_tables, fidelity.integrate_with
+    extend = riccati._LaneTables.extend
+
+    def generate_spy(params, horizon, stream):
+        assert horizon == sim.t_max and stream.stream_index not in made
+        made[stream.stream_index] = generate(params, horizon, stream)
+        return made[stream.stream_index]
+
+    def tables_spy(schedules, system, sim, first=None):
+        tables.append(first)
+        return lane_tables(schedules, system, sim, first)
+
+    def extend_spy(source):
+        extended.append(extend(source))
+        return extended[-1]
+
+    def integrate_spy(schedule, system, sim, sample_index):
+        integrated.append(schedule is made[sample_index])
+        return integrate_with(schedule, system, sim, sample_index=sample_index)
+
+    monkeypatch.setattr(fidelity, "generate_random", generate_spy)
+    monkeypatch.setattr(riccati, "_lane_tables", tables_spy)
+    monkeypatch.setattr(riccati._LaneTables, "extend", extend_spy)
+    monkeypatch.setattr(fidelity, "integrate_with", integrate_spy)
+    ks = range(6)
+    e2, e1 = np.empty((6, sim.grid_size())), np.empty((6, sim.grid_size()))
+    if case == "falls-back":
+        with pytest.raises(BlowUpError) as err:
+            fidelity._fill_group(system, pulses, sim, ks, e2, e1, level)
+        assert err.value.sample_index == 0 and integrated == [True]
+    else:
+        filled = fidelity._fill_group(system, pulses, sim, ks, e2, e1, level)
+        assert (filled < sim.grid_size()) == (case == "stops") and not integrated
+    first = riccati.FIRST_HORIZON * sim.t_max
+    assert sorted(made) == list(ks) and tables == [first]
+    assert extended == ([True, False] if case == "extends" else [])
 
 
 # --- bootstrap resample means from the first possible bracket on ----------------

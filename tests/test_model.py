@@ -20,6 +20,7 @@ from randdd.errors import (
     WIDTH_CAN_VANISH,
     ValidationError,
 )
+from randdd.fidelity import EnsembleRun
 from randdd.model import (
     InitialState,
     PulseParams,
@@ -151,21 +152,27 @@ def test_size_limits_are_inclusive():
     validate(SystemParams(), many, SimConfig(t_max=10_000_000.0, grid_dt=10.0, ensemble_n=1))
     cases = [
         (few, SimConfig(t_max=10_000_000.0, grid_dt=1.0, ensemble_n=1), GRID_TOO_LARGE),
-        (few, SimConfig(t_max=9_999_999.0, grid_dt=1.0, ensemble_n=3), ENSEMBLE_TOO_LARGE),
         (many, SimConfig(t_max=10_000_001.0, grid_dt=10.0, ensemble_n=1), PULSES_TOO_MANY),
     ]
     for pulses, sim, code in cases:
         with pytest.raises(ValidationError) as err:
             validate(SystemParams(), pulses, sim)
         assert err.value.code == code
+    # the ensemble limit is EnsembleRun's, where a point's sample count is decided
+    EnsembleRun(SystemParams(), few, SimConfig(t_max=9_999_999.0, grid_dt=1.0, ensemble_n=2))
+    over = SimConfig(t_max=9_999_999.0, grid_dt=1.0, ensemble_n=3)
+    validate(SystemParams(), few, over)
+    with pytest.raises(ValidationError) as err:
+        EnsembleRun(SystemParams(), few, over)
+    assert err.value.code == ENSEMBLE_TOO_LARGE
 
 
 def test_ensemble_limit_counts_the_samples_a_point_stacks():
     # a deviation-free point is one sample, one row of the grid, at any ensemble_n
     sim = SimConfig(ensemble_n=10_000)  # 10000 x 3001 cells for a random point
-    assert validate(SystemParams(), PulseParams(), sim).sim.ensemble_n == 10_000
+    assert EnsembleRun(SystemParams(), PulseParams(), sim).n == 1
     with pytest.raises(ValidationError) as err:
-        validate(SystemParams(), PulseParams(d_tau=0.004), sim)
+        EnsembleRun(SystemParams(), PulseParams(d_tau=0.004), sim)
     assert err.value.code == ENSEMBLE_TOO_LARGE
 
 

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -227,13 +225,11 @@ def test_lanes_are_bitwise_one_lane_runs(monkeypatch, case, width):
     q, j = np.empty((n, g), dtype=complex), np.empty((n, g), dtype=complex)
     packed = _LaneTables([t[1] for t in tables], [t[2] for t in tables], np.array([t[3] for t in tables]))
     _propagate(packed, system, (q, j), list(range(n)))
-    # exact_factors' lanes generate their trains; a stop that never holds runs
-    # the tables of the first horizon and then their extension
-    trains = [partial(generate_random, pulses, stream=RandomStream.for_schedule(11, k)) for k in range(n)]
+    # a stop that never holds runs the tables of the first horizon and then the whole tables
     e2, e1 = np.empty((n, g)), np.empty((n, g))
-    exact_factors(trains, system, sim, e2, e1, list(range(n)))
+    exact_factors(schedules, system, sim, e2, e1, list(range(n)))
     s2, s1 = np.empty((n, g)), np.empty((n, g))
-    assert exact_factors(trains, system, sim, s2, s1, list(range(n)), stop=lambda filled: False) == g
+    assert exact_factors(schedules, system, sim, s2, s1, list(range(n)), stop=lambda filled: False) == g
     for k, traj in enumerate(singles):
         assert np.array_equal(q[k], traj.q) and np.array_equal(j[k], traj.j)
         for a2, a1 in ((e2, e1), (s2, s1)):
@@ -302,12 +298,12 @@ def test_lane_blowup_names_a_failing_lane(monkeypatch):
     system = SystemParams(gamma=0.3)
     pulses = PulseParams(0.02, 0.008, 0.2, d_tau=0.004, d_delta=0.004)
     sim = SimConfig(t_max=2.0, grid_dt=0.02, ensemble_n=4)
-    trains = [partial(generate_random, pulses, stream=RandomStream.for_schedule(3, k)) for k in range(4)]
-    peaks = [np.max(np.abs(integrate_exact(train(sim.t_max), system, sim).q)) for train in trains]
+    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(3, k)) for k in range(4)]
+    peaks = [np.max(np.abs(integrate_exact(s, system, sim).q)) for s in schedules]
     monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", float(np.median(peaks)))
     e2, e1 = np.empty((4, sim.grid_size())), np.empty((4, sim.grid_size()))
     with pytest.raises(BlowUpError) as err:
-        exact_factors(trains, system, sim, e2, e1, [10, 11, 12, 13])
+        exact_factors(schedules, system, sim, e2, e1, [10, 11, 12, 13])
     assert peaks[err.value.sample_index - 10] > riccati.DEFAULT_BLOWUP
 
 
@@ -323,61 +319,71 @@ SEAM_TRAINS = {
 }
 
 
-def _source_tables(trains, system, sim, first):
-    """The rows a first-horizon source gives, then those of its extension:
-    per lane (breakpoints, fields) and the grid rows known before and after."""
-    tables = riccati._lane_tables(trains, system, sim, first)
-    head_pts, head_cs, known, r = tables.pts, tables.cs, tables.gi.copy(), tables.end
-    assert head_pts.shape == (r + 1, len(trains))
-    assert tables.extend() and tables.base == r and not tables.extend()
-    lanes = []
-    for l in range(len(trains)):
-        n = int(np.searchsorted(tables.pts[:, l], tables.pts[-1, l]))  # the rest's rows before its padding
-        assert not tables.cs[n:, l].any()
-        pts = np.concatenate([head_pts[:r, l], tables.pts[:n + 1, l]])
-        lanes.append((pts, np.concatenate([head_cs[:, l], tables.cs[:n, l]])))
-    return lanes, known, tables.gi
+def _source_tables(schedules, system, sim, first):
+    """A first-horizon source's (row, lane) breakpoints and fields held first
+    and its grid rows known then, and the whole packed tables. After
+    extend() the source holds the rest it built from the schedules, which
+    must be the whole tables' rows from there on, bit for bit, with all of
+    their grid rows."""
+    tables = riccati._lane_tables(schedules, system, sim, first)
+    head = tables.pts, tables.cs, tables.gi.copy()
+    assert tables.extend() and not tables.extend()
+    whole = riccati._lane_tables(schedules, system, sim)
+    assert not whole.extend()
+    r = tables.base
+    assert r == len(head[1]) and tables.end == whole.end
+    assert np.array_equal(tables.pts, whole.pts[r:]) and np.array_equal(tables.cs, whole.cs[r:])
+    assert np.array_equal(tables.gi, whole.gi)
+    return head, whole
 
 
 @given(kind=st.sampled_from(sorted(SEAM_TRAINS)), seed=st.integers(0, 2**32), t_max=st.floats(0.5, 6.0),
        lanes=st.integers(1, 3), at=st.sampled_from(["fraction", "edge", "grid"]), fraction=st.floats(0.0, 0.999),
        offset=st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=max(80, settings().max_examples), deadline=None)
 def test_first_horizon_and_extension_are_the_whole_table(kind, seed, t_max, lanes, at, fraction, offset):
     # first horizons anywhere: at a share of t_max, or within 1.5 merge
     # tolerances of a pulse edge or of a grid time (inside their clusters)
     system, pulses, grid_dt = SEAM_TRAINS[kind]
     sim = SimConfig(t_max=t_max, grid_dt=grid_dt, ensemble_n=lanes)
-    trains = [partial(generate_random, pulses, stream=RandomStream.for_schedule(seed, k)) for k in range(lanes)]
-    whole = [_breakpoints(train(sim.t_max), system, sim, subdivide=True) for train in trains]
-    schedule = trains[0](sim.t_max)
-    times = {"fraction": [fraction * t_max], "edge": np.concatenate([schedule.starts, schedule.ends]),
+    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(seed, k)) for k in range(lanes)]
+    times = {"fraction": [fraction * t_max], "edge": np.concatenate([schedules[0].starts, schedules[0].ends]),
              "grid": sim.output_grid()}[at]
     first = times[int(fraction * len(times))] + offset * merge_tol(t_max)
     assume(0.0 < first < t_max)
-    got, known, gi = _source_tables(trains, system, sim, first)
-    for (pts, cs), (_, want_pts, want_cs, want_gi), k, g in zip(got, whole, known, gi):
-        assert np.array_equal(pts, want_pts) and np.array_equal(cs, want_cs)
-        assert np.array_equal(g, want_gi)
-        built = k != riccati.UNBUILT
-        assert np.array_equal(k[built], want_gi[built])
+    (head_pts, head_cs, known), whole = _source_tables(schedules, system, sim, first)
+    # the rows held first are the first rows of the whole tables, and so are
+    # the grid rows known then
+    r = len(head_cs)
+    assert head_pts.shape == (r + 1, lanes)
+    assert np.array_equal(head_pts, whole.pts[:r + 1]) and np.array_equal(head_cs, whole.cs[:r])
+    built = known != riccati.UNBUILT
+    assert np.array_equal(known[built], whole.gi[built])
+    # the whole packed tables are each lane's _breakpoints table, padded
+    for l, s in enumerate(schedules):
+        _, pts, cs, gi = _breakpoints(s, system, sim, subdivide=True)
+        assert np.array_equal(whole.pts[:len(pts), l], pts) and np.array_equal(whole.cs[:len(cs), l], cs)
+        assert (whole.pts[len(pts):, l] == pts[-1]).all() and not whole.cs[len(cs):, l].any()
+        assert np.array_equal(whole.gi[l], gi)
     if kind == "subdivided":
-        assert len(whole[0][1]) > len(_breakpoints(schedule, system, sim)[1])
+        assert len(_breakpoints(schedules[0], system, sim, subdivide=True)[1]) > len(
+            _breakpoints(schedules[0], system, sim)[1])
 
 
 def test_first_horizon_builds_a_share_of_the_tables():
-    # a group that may stop generates its trains and builds its tables to
-    # the first horizon; the rows every lane holds are most of the way there
+    # a group that may stop holds the rows of its pulses that start before
+    # the first horizon: the first rows of the whole tables, most of the way there
     system, pulses, _ = SEAM_TRAINS["random"]
     sim = SimConfig(t_max=40.0, grid_dt=0.02, ensemble_n=4)
-    asked = []
-
-    def train(k, horizon):
-        asked.append(horizon)
-        return generate_random(pulses, horizon, RandomStream.for_schedule(5, k))
-
+    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(5, k)) for k in range(4)]
     first = riccati.FIRST_HORIZON * sim.t_max
-    tables = riccati._lane_tables([partial(train, k) for k in range(4)], system, sim, first)
-    assert asked == [first] * 4
-    rows = max(len(_breakpoints(train(k, sim.t_max), system, sim, subdivide=True)[2]) for k in range(4))
-    assert 0.7 * rows < tables.end < 0.75 * rows and tables.pts[-1].max() < first
+    tables = riccati._lane_tables(schedules, system, sim, first)
+    whole = riccati._lane_tables(schedules, system, sim)
+    r = tables.end
+    assert np.array_equal(tables.pts, whole.pts[:r + 1]) and np.array_equal(tables.cs, whole.cs[:r])
+    assert 0.7 * whole.end < r < 0.75 * whole.end
+    # no lane holds a row past the last grid time before the start of its
+    # first pulse from the first horizon on, and one lane holds that row
+    grid = sim.output_grid()
+    last = [grid[np.searchsorted(grid, s.starts[np.searchsorted(s.starts, first)]) - 1] for s in schedules]
+    assert (tables.pts[-1] <= last).all() and (tables.pts[-1] == last).any()
