@@ -310,9 +310,9 @@ def run_oracle_check(
         "max_pop_dev": float(np.max(np.abs(pm.qubit_population() - pop_pipeline))),
         **compare_frames(traj.grid, coh_pipeline, pm.qubit_coherence(), schedule, system),
         "params": {
-            "nocontrol": {"gamma": 0.2, "t_max": 10.0, "step": step},
-            "pulsed": {"gamma": 0.3, "tau": 0.02, "delta": 0.008, "phi": 0.2,
-                       "t_max": 3.0, "step": step, "mu2": init.mu2},
+            "nocontrol": {"gamma": sys_nc.gamma, "t_max": sim_nc.t_max, "step": sim_nc.step},
+            "pulsed": {"gamma": system.gamma, "tau": pulses.tau, "delta": pulses.delta, "phi": pulses.phi,
+                       "t_max": sim.t_max, "step": sim.step, "mu2": init.mu2},
         },
         "seeds": {"master_seed": seed},
     }

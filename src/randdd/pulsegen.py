@@ -210,15 +210,14 @@ def merge_tol(t: float) -> float:
 
 
 def breakpoint_table(schedule: PulseSchedule, times: np.ndarray, t_max: float | None = None,
-                     pieces=None, start: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     pieces=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Breakpoints, the constant c on each interval, and the breakpoint index of each time.
 
     The breakpoints are 0, the horizon and every on/off edge of c(t), merged
     with the ascending times so integrators land on them. In the sorted union
     a time within merge_tol(horizon) of its predecessor joins its cluster,
     which keeps its first time; times[k]'s index is its cluster's breakpoint.
-    With t_max, breakpoints from t_max + merge_tol(t_max) on are cut; with
-    start, those before it (the times must not be).
+    With t_max, breakpoints from t_max + merge_tol(t_max) on are cut.
     pieces(lengths, c) gives the equal pieces each interval is split into; it
     must not decrease as a length or |c| grows.
     """
@@ -252,7 +251,7 @@ def breakpoint_table(schedule: PulseSchedule, times: np.ndarray, t_max: float | 
     merged[at], merged[~is_time] = times, edges
     keep = np.append(True, np.diff(merged) > tol)
     pts = merged[keep]
-    lo = np.searchsorted(pts, -tol if start is None else start)
+    lo = np.searchsorted(pts, -tol)
     hi = np.searchsorted(pts, h * (1 + _REL_TOL), side="right")
     if t_max is not None:
         hi = min(hi, np.searchsorted(pts, t_max + merge_tol(t_max)))

@@ -178,12 +178,9 @@ def _segment_propagators(cs: np.ndarray, lengths: np.ndarray, system: SystemPara
 # Lane groups: at most MAX_LANES schedules advance together, and no more than
 # fit LANE_TABLE_BYTES of segment tables (16 B per segment and lane). A window
 # holds WINDOW_ELEMS lane-steps, so its temporaries stay small next to the tables.
-# A group that may stop early first builds the tables of the pulses that start
-# before FIRST_HORIZON of t_max.
 MAX_LANES = 32
 LANE_TABLE_BYTES = 8 << 20
 WINDOW_ELEMS = 1 << 12
-FIRST_HORIZON = 0.75
 
 
 def lane_groups(n: int, system: SystemParams, pulses: PulseParams, sim: SimConfig) -> list[range]:
@@ -199,22 +196,21 @@ def lane_groups(n: int, system: SystemParams, pulses: PulseParams, sim: SimConfi
     return [range(k, min(k + size, n)) for k in range(0, n, size)]
 
 
-# the row of a grid time in rows not built yet
+# the row of a grid time past the cut of a first-horizon table
 UNBUILT = np.iinfo(np.intp).max
 
 
 class _LaneTables:
     """The window source: a lane group's segment tables packed as (row, lane) arrays.
 
-    Row r of pts holds every lane's breakpoint base + r and row r of cs the
-    field on the interval after it, so a window is a slice. A lane past its
-    last breakpoint repeats it with field 0, so it takes zero-length,
-    field-free steps. gi[l, k] is the row of lane l's grid time k, or
-    UNBUILT. rest, when given, packs the rows of the whole tables from end
-    on and fills in gi; extend holds them in place of the rows held.
+    Row r of pts holds every lane's breakpoint r and row r of cs the field
+    on the interval after it, so a window is a slice. A lane past its last
+    breakpoint repeats it with field 0, so it takes zero-length, field-free
+    steps. gi[l, k] is the row of lane l's grid time k, or UNBUILT; grid
+    times past the last row of pts are not filled.
     """
 
-    def __init__(self, pts: list, cs: list, gi: np.ndarray, rest=None):
+    def __init__(self, pts: list, cs: list, gi: np.ndarray):
         rows = max(map(len, cs))
         self.pts = np.empty((rows + 1, len(cs)))
         self.cs = np.zeros((rows, len(cs)))
@@ -222,38 +218,24 @@ class _LaneTables:
             self.pts[:len(p), l] = p
             self.pts[len(p):, l] = p[-1]
             self.cs[:len(c), l] = c
-        self.gi, self.rest, self.base = gi, rest, 0
-
-    @property
-    def end(self) -> int:
-        return self.base + len(self.cs)
-
-    def extend(self) -> bool:
-        """Hold the rows from end on instead; false when there are none."""
-        if self.rest is None:
-            return False
-        rest, self.base = self.rest(), self.end
-        self.pts, self.cs, self.rest = rest.pts, rest.cs, None
-        return True
+        self.gi = gi
 
     def window(self, w0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Fields and lengths of rows w0 .. w0 + n - 1, as (step, lane)."""
-        r = w0 - self.base
-        return self.cs[r:r + n], self.pts[r + 1:r + n + 1] - self.pts[r:r + n]
+        return self.cs[w0:w0 + n], self.pts[w0 + 1:w0 + n + 1] - self.pts[w0:w0 + n]
 
     def time(self, lane: int, row: int) -> float:
-        return float(self.pts[row - self.base, lane])
+        return float(self.pts[row, lane])
 
 
 def _lane_tables(schedules: list, system: SystemParams, sim: SimConfig, first: float | None = None) -> _LaneTables:
     """The subdivided segment tables of the schedules on [0, t_max], packed.
 
     Without a first horizon the tables are whole. With one, lane l's table
-    is first that of its pulses that start before first, cut at the start
-    of its next pulse (t_max if there is none), and the tables hold the rows
-    every lane has as in its whole table; extending them builds the rest of
-    the whole tables from the same schedules. That needs pulses that do not
-    overlap, as generate_random gives.
+    is that of its pulses that start before first, cut at the start of its
+    next pulse (t_max if there is none), and the tables hold the rows every
+    lane has as in its whole table: a prefix of the whole tables. That needs
+    pulses that do not overlap, as generate_random gives.
     """
     grid = sim.output_grid()
     pieces = partial(_phase_pieces, system)
@@ -278,21 +260,7 @@ def _lane_tables(schedules: list, system: SystemParams, sim: SimConfig, first: f
     if first is None:
         return _LaneTables(pts, cs, gi)
     r = min(ready)
-
-    def rest() -> _LaneTables:
-        # from a breakpoint x on, a table is that of the pulses that end at or
-        # after x and the grid times from x; lane l's rest is built from the
-        # breakpoint x, row g, of its last grid time at or before row r
-        for l, s in enumerate(schedules):
-            k = np.searchsorted(gi[l], r, side="right") - 1
-            g, x = gi[l, k], pts[l][gi[l, k]]
-            i = np.searchsorted(s.ends, x)
-            tail = PulseSchedule(s.starts[i:], s.widths[i:], s.areas[i:], sim.t_max)
-            p, c, t = breakpoint_table(tail, grid[k:], sim.t_max, pieces, start=x)
-            pts[l], cs[l], gi[l, k:] = p[r - g:], c[r - g:], t + g
-        return _LaneTables(pts, cs, gi)
-
-    return _LaneTables([p[:r + 1] for p in pts], [c[:r] for c in cs], gi, rest)
+    return _LaneTables([p[:r + 1] for p in pts], [c[:r] for c in cs], gi)
 
 
 class _ScalarSteps:
@@ -427,31 +395,29 @@ def _propagate(tables: _LaneTables, system: SystemParams, out: tuple, samples: l
     more lanes _LaneSteps, each carrying its last (u, u') over; the sink
     (_Sink) checks them and writes lane l's grid samples to row l of out.
     Every stage is elementwise or runs along the steps of each lane, so
-    each lane is bitwise its one-lane run. Tables built to a first horizon
-    are extended when the windows reach their end.
+    each lane is bitwise its one-lane run.
 
     After each window stop, if given, is called with the number of columns
     every lane has filled; once it returns true the run ends there. Returns
-    the number of columns every lane has filled.
+    the number of columns every lane has filled: all of them on whole
+    tables that were not stopped, fewer on tables built to a first horizon.
     """
     lanes = tables.pts.shape[1]
     width = max(1, WINDOW_ELEMS // lanes)
     steps = _ScalarSteps() if lanes == 1 else _LaneSteps(lanes, width)
     sink = _Sink(out, samples, factors)
-    last = -1  # the grid samples of rows up to last are written
-    while True:
-        starts = range(tables.base, tables.end, width)
-        # lane l's grid samples pos[l, w]:pos[l, w + 1] sit in the states of window w
-        ends = [last] + [min(w0 + width, tables.end) for w0 in starts]
-        pos = np.array([np.searchsorted(g, ends, side="right") for g in tables.gi])
-        for w, w0 in enumerate(starts):
-            us, vs = steps(_segment_propagators(*tables.window(w0, ends[w + 1] - w0), system))
-            sink(tables, w0, us, vs, pos[:, w], pos[:, w + 1])
-            if stop is not None and stop(int(pos[:, w + 1].min())):
-                return int(pos[:, w + 1].min())
-        if not tables.extend():
-            return tables.gi.shape[1]
-        last = ends[-1]
+    rows = len(tables.cs)
+    starts = range(0, rows, width)
+    # lane l's grid samples pos[l, w]:pos[l, w + 1] sit in the states of window w
+    ends = [-1] + [min(w0 + width, rows) for w0 in starts]
+    pos = np.array([np.searchsorted(g, ends, side="right") for g in tables.gi])
+    filled = pos.min(axis=0).tolist()
+    for w, w0 in enumerate(starts):
+        us, vs = steps(_segment_propagators(*tables.window(w0, ends[w + 1] - w0), system))
+        sink(tables, w0, us, vs, pos[:, w], pos[:, w + 1])
+        if stop is not None and stop(filled[w + 1]):
+            return filled[w + 1]
+    return filled[-1]
 
 
 def integrate_exact(
@@ -475,17 +441,16 @@ def integrate_exact(
 
 
 def exact_factors(schedules: list, system: SystemParams, sim: SimConfig, e2: np.ndarray, e1: np.ndarray,
-                  samples: list, stop: Callable[[int], bool] | None = None) -> int:
+                  samples: list, stop: Callable[[int], bool] | None = None, first: float | None = None) -> int:
     """Write exp(-2 Re J) and Re exp(-J) of each schedule into the rows of e2 and e1.
 
     All lanes advance together as lanes of the exact kernel, bitwise as
-    integrate_exact would give the schedules one by one. With stop (see
-    _propagate) the tables first hold the pulses that start before the
-    first horizon FIRST_HORIZON * t_max, and the rest of the whole tables
-    is built only if the run gets there. Returns the number of filled columns:
-    all of them, or fewer once stop has ended the run.
+    integrate_exact would give the schedules one by one, with stop as in
+    _propagate. With a first horizon, a time, the tables hold only the
+    pulses that start before it (see _lane_tables); without, they are
+    whole. Returns the number of filled columns: all of them, or fewer once
+    stop has ended the run or the first-horizon tables have run out.
     """
-    first = None if stop is None else FIRST_HORIZON * sim.t_max
     tables = _lane_tables(schedules, system, sim, first)
     return _propagate(tables, system, (e2, e1), samples, factors=True, stop=stop)
 

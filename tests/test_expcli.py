@@ -907,10 +907,10 @@ def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch,
     reruns = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1, head=False):
         if min_col > 1:
             reruns.append(ks.start)
-        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
+        return fill(system, pulses, sim, ks, e2, e1, level, min_col, head)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     argv = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.05", "--tmax", "2",
@@ -921,6 +921,47 @@ def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch,
     assert in_process_pool.min_cols == [1] * 20 and reruns
     assert run_cli([*argv, "--threads", "1", "--out", str(tmp_path / "one")]) == 0
     assert (tmp_path / "fake" / "sweep_tau.csv").read_bytes() == (tmp_path / "one" / "sweep_tau.csv").read_bytes()
+
+
+T_HEADER = "label,gamma,d_over_x,T,crossed,ci_low,ci_high\n"
+RUN_OUT_OF_HEADS = {
+    # at t_max 0.02 every first-horizon table holds zero rows: no group fills
+    # a column, so C is 1 before the re-runs
+    "zero-row-heads": (["sweep", "--param", "tau", "--gammas", "0.9", "--tmax", "0.02", "--grid-dt", "0.02",
+                        "--grid", "0:0.5:0.5", "--ensemble", "40"], "sweep_tau.csv",
+                       T_HEADER + "sweep-tau,0.9,0,0.02,false,0.02,0.02\nsweep-tau,0.9,0.5,0.02,false,0.02,0.02\n"),
+    # a deviation-free lane that never crosses theta before t_max
+    "uncrossed-lane": (["threshold", "--random", "--tmax", "40", "--gammas", "0.2"], "threshold_random.csv",
+                       T_HEADER + "random,0.2,0,40,false,40,40\n"),
+}
+
+
+@pytest.mark.parametrize("pool", ["threads1", "in-process-pool"])
+@pytest.mark.parametrize("case", sorted(RUN_OUT_OF_HEADS))
+def test_groups_that_run_out_of_their_heads_run_once_more_whole(tmp_path, monkeypatch, request, case, pool):
+    # a first pass, in this process or on the pool, builds its tables to the
+    # first horizon; a group that runs out of them runs once more, on whole
+    # tables. A third run of one group fails at once instead of looping
+    argv, name, csv = RUN_OUT_OF_HEADS[case]
+    if pool == "threads1":
+        argv = [*argv, "--threads", "1"]
+    else:
+        request.getfixturevalue("in_process_pool")
+    runs = {}
+    fill = fidelity._fill_group
+
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1, head=False):
+        group = runs.setdefault((system, pulses, ks.start), [])
+        group.append(head)
+        if len(group) > 2:
+            raise AssertionError(f"group {ks} of {pulses} ran a third time")
+        return fill(system, pulses, sim, ks, e2, e1, level, min_col, head)
+
+    monkeypatch.setattr(fidelity, "_fill_group", spy)
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / name).read_text() == csv
+    assert len(runs) == {"zero-row-heads": 3, "uncrossed-lane": 1}[case]
+    assert all(group == [True, False] for group in runs.values())
 
 
 def test_sigterm_shuts_the_pool_and_exits_143(tmp_path, monkeypatch, capsys, pool_spy):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from randdd import riccati
+from randdd import fidelity, riccati
 from randdd.errors import BlowUpError, ValidationError
 from randdd.fidelity import ensemble_functionals
 from randdd.model import PulseParams, SimConfig, SystemParams
@@ -225,16 +225,21 @@ def test_lanes_are_bitwise_one_lane_runs(monkeypatch, case, width):
     q, j = np.empty((n, g), dtype=complex), np.empty((n, g), dtype=complex)
     packed = _LaneTables([t[1] for t in tables], [t[2] for t in tables], np.array([t[3] for t in tables]))
     _propagate(packed, system, (q, j), list(range(n)))
-    # a stop that never holds runs the tables of the first horizon and then the whole tables
+    # a stop that never holds runs the whole tables; tables built to the first
+    # horizon run out and fill the columns every lane reached there
     e2, e1 = np.empty((n, g)), np.empty((n, g))
     exact_factors(schedules, system, sim, e2, e1, list(range(n)))
     s2, s1 = np.empty((n, g)), np.empty((n, g))
     assert exact_factors(schedules, system, sim, s2, s1, list(range(n)), stop=lambda filled: False) == g
+    h2, h1 = np.empty((n, g)), np.empty((n, g))
+    head = exact_factors(schedules, system, sim, h2, h1, list(range(n)), stop=lambda filled: False,
+                         first=fidelity.FIRST_HORIZON * sim.t_max)
+    assert 0 < head < g
     for k, traj in enumerate(singles):
         assert np.array_equal(q[k], traj.q) and np.array_equal(j[k], traj.j)
-        for a2, a1 in ((e2, e1), (s2, s1)):
-            assert np.array_equal(a2[k], traj.decay_factor())
-            assert np.array_equal(a1[k], np.real(traj.coherence_factor()))
+        for a2, a1 in ((e2, e1), (s2, s1), (h2[:, :head], h1[:, :head])):
+            assert np.array_equal(a2[k], traj.decay_factor()[:a2.shape[1]])
+            assert np.array_equal(a1[k], np.real(traj.coherence_factor())[:a1.shape[1]])
 
 
 WINDOW_TRAINS = {
@@ -307,9 +312,9 @@ def test_lane_blowup_names_a_failing_lane(monkeypatch):
     assert peaks[err.value.sample_index - 10] > riccati.DEFAULT_BLOWUP
 
 
-# --- first horizon and extension of the window source ------------------------
+# --- first horizon of the window source ---------------------------------------
 
-SEAM_TRAINS = {
+PREFIX_TRAINS = {
     # (system, pulses, grid_dt)
     "random": (SystemParams(gamma=0.2), PulseParams(0.02, 0.008, 0.2, d_tau=0.006, d_delta=0.003, d_phi=0.1), 0.02),
     # deviation-free, every edge on or within the merge tolerance of a grid time
@@ -319,49 +324,34 @@ SEAM_TRAINS = {
 }
 
 
-def _source_tables(schedules, system, sim, first):
-    """A first-horizon source's (row, lane) breakpoints and fields held first
-    and its grid rows known then, and the whole packed tables. After
-    extend() the source holds the rest it built from the schedules, which
-    must be the whole tables' rows from there on, bit for bit, with all of
-    their grid rows."""
-    tables = riccati._lane_tables(schedules, system, sim, first)
-    head = tables.pts, tables.cs, tables.gi.copy()
-    assert tables.extend() and not tables.extend()
-    whole = riccati._lane_tables(schedules, system, sim)
-    assert not whole.extend()
-    r = tables.base
-    assert r == len(head[1]) and tables.end == whole.end
-    assert np.array_equal(tables.pts, whole.pts[r:]) and np.array_equal(tables.cs, whole.cs[r:])
-    assert np.array_equal(tables.gi, whole.gi)
-    return head, whole
-
-
-@given(kind=st.sampled_from(sorted(SEAM_TRAINS)), seed=st.integers(0, 2**32), t_max=st.floats(0.5, 6.0),
+@given(kind=st.sampled_from(sorted(PREFIX_TRAINS)), seed=st.integers(0, 2**32), t_max=st.floats(0.5, 6.0),
        lanes=st.integers(1, 3), at=st.sampled_from(["fraction", "edge", "grid"]), fraction=st.floats(0.0, 0.999),
        offset=st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]))
 @settings(max_examples=max(80, settings().max_examples), deadline=None)
-def test_first_horizon_and_extension_are_the_whole_table(kind, seed, t_max, lanes, at, fraction, offset):
+def test_first_horizon_tables_are_a_prefix_of_the_whole_table(kind, seed, t_max, lanes, at, fraction, offset):
     # first horizons anywhere: at a share of t_max, or within 1.5 merge
     # tolerances of a pulse edge or of a grid time (inside their clusters)
-    system, pulses, grid_dt = SEAM_TRAINS[kind]
+    system, pulses, grid_dt = PREFIX_TRAINS[kind]
     sim = SimConfig(t_max=t_max, grid_dt=grid_dt, ensemble_n=lanes)
     schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(seed, k)) for k in range(lanes)]
     times = {"fraction": [fraction * t_max], "edge": np.concatenate([schedules[0].starts, schedules[0].ends]),
              "grid": sim.output_grid()}[at]
     first = times[int(fraction * len(times))] + offset * merge_tol(t_max)
     assume(0.0 < first < t_max)
-    (head_pts, head_cs, known), whole = _source_tables(schedules, system, sim, first)
-    # the rows held first are the first rows of the whole tables, and so are
-    # the grid rows known then
-    r = len(head_cs)
-    assert head_pts.shape == (r + 1, lanes)
-    assert np.array_equal(head_pts, whole.pts[:r + 1]) and np.array_equal(head_cs, whole.cs[:r])
-    built = known != riccati.UNBUILT
-    assert np.array_equal(known[built], whole.gi[built])
-    # the whole packed tables are each lane's _breakpoints table, padded
+    head = riccati._lane_tables(schedules, system, sim, first)
+    whole = riccati._lane_tables(schedules, system, sim)
+    r = len(head.cs)
+    assert head.pts.shape == (r + 1, lanes)
+    known = head.gi != riccati.UNBUILT
+    # the head holds the rows up to the shortest lane's last known grid row
+    assert r == min(g[k].max() for g, k in zip(head.gi, known))
     for l, s in enumerate(schedules):
         _, pts, cs, gi = _breakpoints(s, system, sim, subdivide=True)
+        # the rows held are the first rows of each lane's _breakpoints table,
+        # and the known grid rows are its grid rows; the others lie past them
+        assert np.array_equal(head.pts[:, l], pts[:r + 1]) and np.array_equal(head.cs[:, l], cs[:r])
+        assert np.array_equal(head.gi[l, known[l]], gi[known[l]]) and (gi[~known[l]] > r).all()
+        # the whole packed tables are each lane's _breakpoints table, padded
         assert np.array_equal(whole.pts[:len(pts), l], pts) and np.array_equal(whole.cs[:len(cs), l], cs)
         assert (whole.pts[len(pts):, l] == pts[-1]).all() and not whole.cs[len(cs):, l].any()
         assert np.array_equal(whole.gi[l], gi)
@@ -373,15 +363,15 @@ def test_first_horizon_and_extension_are_the_whole_table(kind, seed, t_max, lane
 def test_first_horizon_builds_a_share_of_the_tables():
     # a group that may stop holds the rows of its pulses that start before
     # the first horizon: the first rows of the whole tables, most of the way there
-    system, pulses, _ = SEAM_TRAINS["random"]
+    system, pulses, _ = PREFIX_TRAINS["random"]
     sim = SimConfig(t_max=40.0, grid_dt=0.02, ensemble_n=4)
     schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(5, k)) for k in range(4)]
-    first = riccati.FIRST_HORIZON * sim.t_max
+    first = fidelity.FIRST_HORIZON * sim.t_max
     tables = riccati._lane_tables(schedules, system, sim, first)
     whole = riccati._lane_tables(schedules, system, sim)
-    r = tables.end
+    r = len(tables.cs)
     assert np.array_equal(tables.pts, whole.pts[:r + 1]) and np.array_equal(tables.cs, whole.cs[:r])
-    assert 0.7 * whole.end < r < 0.75 * whole.end
+    assert 0.7 * len(whole.cs) < r < 0.75 * len(whole.cs)
     # no lane holds a row past the last grid time before the start of its
     # first pulse from the first horizon on, and one lane holds that row
     grid = sim.output_grid()
