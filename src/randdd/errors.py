@@ -72,6 +72,7 @@ GRID_DT_BELOW_MERGE = "grid-dt-below-merge-tolerance"
 PULSES_TOO_MANY = "pulse-count-too-large"
 ENSEMBLE_TOO_LARGE = "ensemble-too-large"
 STEPS_TOO_MANY = "step-count-too-large"
+SEGMENTS_TOO_MANY = "segment-count-too-large"
 
 # Violation codes raised by pulsegen.PulseSchedule.check and load_schedule
 SCHEDULE_PULSE_DEGENERATE = "schedule-pulse-degenerate"

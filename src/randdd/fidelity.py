@@ -108,9 +108,6 @@ class EnsembleFactors:
 # the column all groups share lay at most 1.3% of the grid past any
 # group's own, and a group that stops short has to run again.
 STOP_MARGIN = 0.02
-# A group's first pass builds the tables of the pulses that start before this
-# share of t_max; a group that runs out of them stops short.
-FIRST_HORIZON = 0.75
 
 
 def _all_below(level: float, e2: np.ndarray, e1: np.ndarray) -> np.ndarray:
@@ -119,18 +116,17 @@ def _all_below(level: float, e2: np.ndarray, e1: np.ndarray) -> np.ndarray:
 
 
 def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
-                level: float | None = None, min_col: int = 1, head: bool = False) -> int:
+                level: float | None = None, min_col: int = 1) -> int:
     """Factor rows of samples ks into e2 and e1 (one row per sample); returns
     the number of filled columns.
 
     Each sample's train is generated once, to t_max. An exact group
-    advances as lanes of one kernel call; with a level, the call ends
-    STOP_MARGIN of the grid past the first column from min_col on where
-    every lane's state-averaged fidelity is below it, and with head (a
-    first pass) as well where its tables, built to FIRST_HORIZON of t_max,
-    run out. rk4, or a group in which any lane failed a check, runs the
-    same trains one at a time in k order over the whole grid, so a
-    BlowUpError names the first failing sample and the seed.
+    advances as lanes of one kernel call on whole tables; with a level, the
+    call ends STOP_MARGIN of the grid past the first column from min_col on
+    where every lane's state-averaged fidelity is below it. rk4, or a group
+    in which any lane failed a check, runs the same trains one at a time in
+    k order over the whole grid, so a BlowUpError names the first failing
+    sample and the seed.
     """
     schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, k)) for k in ks]
 
@@ -148,8 +144,7 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
 
     if sim.integrator == "exact":
         try:
-            return exact_factors(schedules, system, sim, e2, e1, list(ks), stop,
-                                 FIRST_HORIZON * sim.t_max if head and stop is not None else None)
+            return exact_factors(schedules, system, sim, e2, e1, list(ks), stop)
         except BlowUpError:
             pass
     for row, (k, schedule) in enumerate(zip(ks, schedules)):
@@ -166,7 +161,7 @@ def _group_factors(args) -> tuple[np.ndarray, np.ndarray]:
     system, pulses, sim, ks, level, min_col = args
     e2 = np.empty((len(ks), sim.grid_size()))
     e1 = np.empty_like(e2)
-    filled = _fill_group(system, pulses, sim, ks, e2, e1, level, min_col, head=True)
+    filled = _fill_group(system, pulses, sim, ks, e2, e1, level, min_col)
     return e2[:, :filled], e1[:, :filled]
 
 
@@ -191,13 +186,12 @@ MAX_ENSEMBLE_CELLS = 2 * 10**7
 
 class EnsembleRun:
     """One point's ensemble: start submits its first pass to a pool, finish
-    collects or runs it, re-runs the groups that stopped short and stacks.
-    The first pass builds each group's tables to the first horizon; a
-    re-run builds them whole, so it stops short only of a later C.
-    n, its sample count, is 1 for a deviation-free point, else ensemble_n;
-    n times the grid points above MAX_ENSEMBLE_CELLS is a ValidationError.
-    pool_tasks, the first-pass tasks it hands a pool, is its lane groups
-    when there are two or more, else 0 (a lone group runs in this process).
+    collects or runs it, re-runs the groups that stopped short of C (all on
+    whole tables) and stacks. n, its sample count, is 1 for a deviation-free
+    point, else ensemble_n; n times the grid points above MAX_ENSEMBLE_CELLS
+    is a ValidationError. pool_tasks, the first-pass tasks it hands a pool,
+    is its lane groups when there are two or more, else 0 (a lone group
+    runs in this process).
     """
 
     def __init__(self, system: SystemParams, pulses: PulseParams, sim: SimConfig, until: float | None = None):
@@ -234,8 +228,8 @@ class EnsembleRun:
         grid = sim.output_grid()
         e2 = np.empty((self.n, len(grid)))
         e1 = np.empty_like(e2)
-        filled, short, col, head = [0] * len(self.groups), range(len(self.groups)), 1, True
-        while short:  # every group (min_col 1, head), then the groups that stopped short of C (whole)
+        filled, short, col = [0] * len(self.groups), range(len(self.groups)), 1
+        while short:  # every group (min_col 1), then the groups that stopped short of C
             for g in short:
                 ks = self.groups[g]
                 if self.futures:  # the first pass, from the pool
@@ -245,14 +239,13 @@ class EnsembleRun:
                     del a, b
                 else:
                     filled[g] = _fill_group(system, pulses, sim, ks, e2[ks.start:ks.stop], e1[ks.start:ks.stop],
-                                            level, col, head=head)
+                                            level, col)
             if level is None:
                 col = len(grid)
                 break
             below = [_all_below(level, e2[ks.start:ks.stop, :f], e1[ks.start:ks.stop, :f])
                      for ks, f in zip(self.groups, filled)]
             col, short = _decided_column(below, len(grid))
-            head = False
         return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1])
 
 
@@ -279,12 +272,10 @@ def ensemble_functionals(
     the rounding of a mean of n samples). The mean curve, every bootstrap
     resample mean and every sample then cross theta first at or before C,
     so their threshold times are those of the whole grid. Each group runs
-    STOP_MARGIN of the grid past its own first such column, or to the end
-    of its first-horizon tables (FIRST_HORIZON of t_max). A group that
-    stopped before C is run again in this process from the start, on whole
-    tables, with min_col = C, which gives the same bits; columns no group
-    has reached may still be C. Without such a C that min_col is
-    len(grid), where no stop falls, so the grid is whole.
+    on whole tables to STOP_MARGIN of the grid past its own first such
+    column. A group that stopped before C is run again in this process
+    from the start with min_col = C, which gives the same bits; columns no
+    group has reached may still be C. Without such a C each group runs once.
     """
     return EnsembleRun(system, pulses, sim, until).start(executor).finish()
 

@@ -151,11 +151,12 @@ class PulseParams:
 _INTEGRATORS = ("exact", "rk4")
 
 # size limits checked before anything is allocated or run; the largest
-# default runs use ~9e3 samples, ~4.5e3 pulses and 1e5 RK4 steps per
-# trajectory
+# default runs use ~9e3 samples, ~4.5e3 pulses, 1e5 RK4 steps and ~3e4
+# table segments per trajectory (~3.5e7 at the grid and pulse limits)
 MAX_GRID_POINTS = 10**7
 MAX_PULSES = 10**7
 MAX_RK4_STEPS = 10**7
+MAX_TABLE_SEGMENTS = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -262,6 +263,16 @@ def validate(
         raise ValidationError(
             errors.PULSES_TOO_MANY, f"t_max / tau = {sim.t_max / pulses.tau:.6g} pulses, limit {MAX_PULSES}"
         )
+    # a train's exact table, which lane_groups sizes for either integrator: the grid, two
+    # edges a pulse, 0, t_max and the phase pieces of riccati._phase_pieces, at most one
+    # more per interval; a pulse adds at most |phi| + d_phi to length * |c|. inf fails.
+    pulse_count = sim.t_max / (pulses.tau - pulses.d_tau) + 1
+    rate = system.omega + system.gamma + math.sqrt(2.0 * system.Gamma * system.gamma)
+    segments = (sim.grid_size() + 2 * pulse_count + 2 + sim.t_max * rate / 1.5
+                + pulse_count * (abs(pulses.phi) + pulses.d_phi) / 1.5)
+    if not segments <= MAX_TABLE_SEGMENTS:
+        raise ValidationError(errors.SEGMENTS_TOO_MANY, f"exact table of up to {segments:.6g} segments, "
+                                                        f"limit {MAX_TABLE_SEGMENTS}")
     if init is not None:
         init = init.normalized()
     return ValidatedBundle(system, pulses, sim, init)

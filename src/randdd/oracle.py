@@ -185,7 +185,7 @@ def pseudomode_evolve(
     psi[1 * M + 0] = init.nu
     rho = np.outer(psi, psi.conj())
 
-    grid, pts, cs, gi = _breakpoints(schedule, system, sim)
+    grid, pts, cs, gi = _breakpoints(schedule, sim)
     want = {}
     for out_i, bp in enumerate(gi):
         want.setdefault(int(bp), []).append(out_i)

@@ -78,20 +78,16 @@ def _phase_pieces(system: SystemParams, lengths, c):
     return lengths * rate / 1.5
 
 
-def _breakpoints(schedule: PulseSchedule, system: SystemParams, sim: SimConfig,
-                 subdivide: bool = False):
-    """Output grid, segment table cut at t_max, and each grid time's breakpoint index.
+def _breakpoints(schedule: PulseSchedule, sim: SimConfig, pieces=None, grid: np.ndarray | None = None):
+    """Output grid, segment table cut at t_max, and each grid time's breakpoint index:
+    every table of RK4, the exact kernel and the pseudomode oracle.
 
-    With subdivide=True long segments are split so that the phase of
-    exp(-J) advances less than ~1.5 rad per piece (keeps the closed-form
-    path's phase unwrapping unambiguous).
+    pieces splits intervals as in pulsegen.breakpoint_table (the exact
+    kernel passes _phase_pieces). grid, if given, is sim.output_grid().
     """
     if schedule.horizon < sim.t_max * (1.0 - 1e-12):
-        raise ValidationError(
-            HORIZON_SHORT, f"schedule horizon {schedule.horizon} < t_max {sim.t_max}"
-        )
-    grid = sim.output_grid()
-    pieces = partial(_phase_pieces, system) if subdivide else None
+        raise ValidationError(HORIZON_SHORT, f"schedule horizon {schedule.horizon} < t_max {sim.t_max}")
+    grid = sim.output_grid() if grid is None else grid
     return (grid, *breakpoint_table(schedule, grid, sim.t_max, pieces))
 
 
@@ -107,7 +103,7 @@ def integrate(
     The loop runs on Python floats and complexes: numpy scalars give the
     same bits through the same textbook formulas, at twice the cost per op.
     """
-    grid, pts, cs, gi = _breakpoints(schedule, system, sim)
+    grid, pts, cs, gi = _breakpoints(schedule, sim)
     pts, cs = pts.tolist(), cs.tolist()
     k0 = 0.5 * system.Gamma * system.gamma
     base = -system.gamma + 1j * system.omega
@@ -196,29 +192,28 @@ def lane_groups(n: int, system: SystemParams, pulses: PulseParams, sim: SimConfi
     return [range(k, min(k + size, n)) for k in range(0, n, size)]
 
 
-# the row of a grid time past the cut of a first-horizon table
-UNBUILT = np.iinfo(np.intp).max
-
-
 class _LaneTables:
-    """The window source: a lane group's segment tables packed as (row, lane) arrays.
+    """The window source: the subdivided segment tables of a lane group's
+    schedules on [0, t_max], packed as (row, lane) arrays.
 
     Row r of pts holds every lane's breakpoint r and row r of cs the field
     on the interval after it, so a window is a slice. A lane past its last
     breakpoint repeats it with field 0, so it takes zero-length, field-free
-    steps. gi[l, k] is the row of lane l's grid time k, or UNBUILT; grid
-    times past the last row of pts are not filled.
+    steps. gi[l, k] is the row of lane l's grid time k on grid.
     """
 
-    def __init__(self, pts: list, cs: list, gi: np.ndarray):
-        rows = max(map(len, cs))
-        self.pts = np.empty((rows + 1, len(cs)))
-        self.cs = np.zeros((rows, len(cs)))
-        for l, (p, c) in enumerate(zip(pts, cs)):
+    def __init__(self, schedules: list, system: SystemParams, sim: SimConfig):
+        self.grid = sim.output_grid()
+        pieces = partial(_phase_pieces, system)
+        tables = [_breakpoints(s, sim, pieces, self.grid)[1:] for s in schedules]
+        self.gi = np.array([gi for _, _, gi in tables])
+        rows = max(len(c) for _, c, _ in tables)
+        self.pts = np.empty((rows + 1, len(tables)))
+        self.cs = np.zeros((rows, len(tables)))
+        for l, (p, c, _) in enumerate(tables):
             self.pts[:len(p), l] = p
             self.pts[len(p):, l] = p[-1]
             self.cs[:len(c), l] = c
-        self.gi = gi
 
     def window(self, w0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Fields and lengths of rows w0 .. w0 + n - 1, as (step, lane)."""
@@ -226,41 +221,6 @@ class _LaneTables:
 
     def time(self, lane: int, row: int) -> float:
         return float(self.pts[row, lane])
-
-
-def _lane_tables(schedules: list, system: SystemParams, sim: SimConfig, first: float | None = None) -> _LaneTables:
-    """The subdivided segment tables of the schedules on [0, t_max], packed.
-
-    Without a first horizon the tables are whole. With one, lane l's table
-    is that of its pulses that start before first, cut at the start of its
-    next pulse (t_max if there is none), and the tables hold the rows every
-    lane has as in its whole table: a prefix of the whole tables. That needs
-    pulses that do not overlap, as generate_random gives.
-    """
-    grid = sim.output_grid()
-    pieces = partial(_phase_pieces, system)
-    gi = np.empty((len(schedules), len(grid)), dtype=np.intp)
-    pts, cs, ready = [], [], []
-    for l, s in enumerate(schedules):
-        if first is None:
-            p, c, gi[l] = breakpoint_table(s, grid, sim.t_max, pieces)
-        else:
-            # before the start of its next pulse, a train's edges and the grid
-            # times are those of the whole train, and so are the table rows up
-            # to the breakpoint of the last grid time there
-            m = np.searchsorted(s.starts, first)
-            cut = s.starts[m] if m < len(s) else sim.t_max
-            k = max(np.searchsorted(grid, cut), 1)  # grid time 0 is row 0 of every table
-            head = PulseSchedule(s.starts[:m], s.widths[:m], s.areas[:m], sim.t_max)
-            p, c, gi[l, :k] = breakpoint_table(head, grid[:k], cut, pieces)
-            gi[l, k:] = UNBUILT
-            ready.append(gi[l, k - 1])
-        pts.append(p)
-        cs.append(c)
-    if first is None:
-        return _LaneTables(pts, cs, gi)
-    r = min(ready)
-    return _LaneTables([p[:r + 1] for p in pts], [c[:r] for c in cs], gi)
 
 
 class _ScalarSteps:
@@ -399,8 +359,8 @@ def _propagate(tables: _LaneTables, system: SystemParams, out: tuple, samples: l
 
     After each window stop, if given, is called with the number of columns
     every lane has filled; once it returns true the run ends there. Returns
-    the number of columns every lane has filled: all of them on whole
-    tables that were not stopped, fewer on tables built to a first horizon.
+    the number of columns every lane has filled: all of them, or fewer once
+    stop has ended the run.
     """
     lanes = tables.pts.shape[1]
     width = max(1, WINDOW_ELEMS // lanes)
@@ -433,26 +393,23 @@ def integrate_exact(
     breakpoints (segments are subdivided so the per-piece phase advance
     stays well below pi). The one-lane call of the exact kernel.
     """
-    grid, pts, cs, gi = _breakpoints(schedule, system, sim, subdivide=True)
-    q = np.empty((1, len(grid)), dtype=complex)
+    tables = _LaneTables([schedule], system, sim)
+    q = np.empty((1, len(tables.grid)), dtype=complex)
     j = np.empty_like(q)
-    _propagate(_LaneTables([pts], [cs], gi[None]), system, (q, j), [sample_index])
-    return QTrajectory(grid, q[0], j[0])
+    _propagate(tables, system, (q, j), [sample_index])
+    return QTrajectory(tables.grid, q[0], j[0])
 
 
 def exact_factors(schedules: list, system: SystemParams, sim: SimConfig, e2: np.ndarray, e1: np.ndarray,
-                  samples: list, stop: Callable[[int], bool] | None = None, first: float | None = None) -> int:
+                  samples: list, stop: Callable[[int], bool] | None = None) -> int:
     """Write exp(-2 Re J) and Re exp(-J) of each schedule into the rows of e2 and e1.
 
-    All lanes advance together as lanes of the exact kernel, bitwise as
-    integrate_exact would give the schedules one by one, with stop as in
-    _propagate. With a first horizon, a time, the tables hold only the
-    pulses that start before it (see _lane_tables); without, they are
-    whole. Returns the number of filled columns: all of them, or fewer once
-    stop has ended the run or the first-horizon tables have run out.
+    All lanes advance together as lanes of the exact kernel, on whole
+    tables, bitwise as integrate_exact would give the schedules one by one,
+    with stop as in _propagate. Returns the number of filled columns: all
+    of them, or fewer once stop has ended the run.
     """
-    tables = _lane_tables(schedules, system, sim, first)
-    return _propagate(tables, system, (e2, e1), samples, factors=True, stop=stop)
+    return _propagate(_LaneTables(schedules, system, sim), system, (e2, e1), samples, factors=True, stop=stop)
 
 
 def integrate_with(

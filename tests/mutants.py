@@ -56,21 +56,6 @@ MUTANTS = [
            "            vs[k + 1] = m10[k] * us[k] + m11[k] * vs[k]\n"
            "        st[:, 0, 0], st[:, 0, 1], st[:, 1, 0], st[:, 1, 1] = us.real, us.imag, vs.real, vs.imag\n",
            (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",)),
-    Mutant("a head that runs out reports the whole grid", "riccati.py",
-           "    return filled[-1]\n",
-           "    return tables.gi.shape[1]\n",
-           (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",
-            EXPCLI + "test_groups_that_run_out_of_their_heads_run_once_more_whole[zero-row-heads-threads1]")),
-    Mutant("held rows run one past the shortest lane's", "riccati.py",
-           "    r = min(ready)\n",
-           "    r = min(ready) + 1\n",
-           (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",
-            RICCATI + "test_first_horizon_tables_are_a_prefix_of_the_whole_table")),
-    Mutant("cut past the pulse the head leaves out", "riccati.py",
-           "cut = s.starts[m] if m < len(s) else sim.t_max",
-           "cut = s.ends[m] if m < len(s) else sim.t_max",
-           (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",
-            RICCATI + "test_first_horizon_tables_are_a_prefix_of_the_whole_table")),
     Mutant("J gathered from the wrong row", "riccati.py",
            "        j = -(np.log(mag[row, lane]) + 1j * phase[row, lane])\n",
            "        j = -(np.log(mag[row - 1, lane]) + 1j * phase[row, lane])\n",
@@ -84,18 +69,10 @@ MUTANTS = [
            "EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1])",
            "EnsembleFactors(grid[:col], e2[:, :col], e1[:, :col])",
            (FIDELITY + "test_until_cuts_at_the_decided_column_inside_a_window",)),
-    Mutant("a re-run builds first-horizon tables again", "fidelity.py",
-           "            head = False\n", "",
-           (EXPCLI + "test_groups_that_run_out_of_their_heads_run_once_more_whole[zero-row-heads-in-process-pool]",
-            EXPCLI + "test_groups_that_run_out_of_their_heads_run_once_more_whole[uncrossed-lane-threads1]")),
-    Mutant("first horizon assigned to the stop's column", "fidelity.py",
-           "        try:\n"
-           "            return exact_factors(schedules, system, sim, e2, e1, list(ks), stop,\n"
-           "                                 FIRST_HORIZON * sim.t_max if head and stop is not None else None)\n",
-           "        first = FIRST_HORIZON * sim.t_max if head and stop is not None else None\n"
-           "        try:\n"
-           "            return exact_factors(schedules, system, sim, e2, e1, list(ks), stop, first)\n",
-           (FIDELITY + "test_kernel_stop_ends_in_the_window_after_its_column",)),
+    Mutant("a group that filled the grid runs again", "fidelity.py",
+           "if len(m) <= col and len(m) < width]", "if len(m) <= col and len(m) <= width]",
+           (EXPCLI + "test_groups_that_run_out_of_their_heads_run_once_more_whole[zero-row-heads-threads1]",
+            EXPCLI + "test_groups_that_run_out_of_their_heads_run_once_more_whole[uncrossed-lane-in-process-pool]")),
     Mutant("early-stop re-run skipped", "fidelity.py",
            "            col, short = _decided_column(below, len(grid))\n",
            "            col, short = _decided_column(below, len(grid))[0], []\n",

@@ -27,7 +27,7 @@ from randdd.pulsegen import (
     merge_tol,
     segment_table,
 )
-from randdd.riccati import _breakpoints
+from randdd.riccati import _breakpoints, _LaneTables
 
 
 def ref_merge_times(times, tol):
@@ -78,8 +78,10 @@ def ref_breakpoints(schedule, system, sim, subdivide=False):
 
 
 def assert_same_tables(schedule, system, sim):
-    for subdivide in (False, True):
-        got = _breakpoints(schedule, system, sim, subdivide=subdivide)
+    # the table of RK4 and the oracle, then the subdivided one of the exact kernel
+    lanes = _LaneTables([schedule], system, sim)
+    tables = {False: _breakpoints(schedule, sim), True: (lanes.grid, lanes.pts[:, 0], lanes.cs[:, 0], lanes.gi[0])}
+    for subdivide, got in tables.items():
         want = ref_breakpoints(schedule, system, sim, subdivide=subdivide)
         for name, a, b in zip(("grid", "pts", "c", "gi"), got, want):
             assert np.array_equal(a, b), (name, subdivide)
@@ -146,8 +148,7 @@ def test_area20_long_train_subdivides_like_reference():
     sim = SimConfig(t_max=90.0, grid_dt=0.02, ensemble_n=1)
     schedule = generate_random(PulseParams(0.02, 0.008, 20.0, d_tau=0.005), sim.t_max,
                                RandomStream.for_schedule(12345, 0))
-    _, pts, _, _ = _breakpoints(schedule, SYS, sim, subdivide=True)
-    assert len(pts) > 5 * len(_breakpoints(schedule, SYS, sim)[1])
+    assert len(_LaneTables([schedule], SYS, sim).pts) > 5 * len(_breakpoints(schedule, sim)[1])
     assert_same_tables(schedule, SYS, sim)
 
 
@@ -163,7 +164,7 @@ def test_pulse_at_zero_and_edges_on_grid_times():
     grid = sim.output_grid()
     assert np.isin([0.0, 0.25, 0.5, 1.25, 2.0], grid).all()
     assert_same_tables(schedule, SYS, sim)
-    _, pts, _, gi = _breakpoints(schedule, SYS, sim)
+    _, pts, _, gi = _breakpoints(schedule, sim)
     assert np.array_equal(pts[gi], grid)
 
 
@@ -176,7 +177,7 @@ def test_edges_within_tolerance_of_grid_times():
     ends = np.array([0.5 - 0.3 * tol, 1.0 - 0.8 * tol, 1.5 + 0.2 * tol])
     schedule = PulseSchedule(starts, ends - starts, [0.3, 0.4, 0.5], 2.0).check()
     assert_same_tables(schedule, SYS, sim)
-    _, pts, c, gi = _breakpoints(schedule, SYS, sim)
+    _, pts, c, gi = _breakpoints(schedule, sim)
     assert 1.0 + 0.7 * tol not in pts  # the chained edge is merged away
     assert np.all(np.abs(pts[gi] - sim.output_grid()) <= tol)
 
@@ -208,7 +209,7 @@ def test_tmax_below_horizon(horizon):
                    PulseParams(0.5, 0.2, 60.0, d_tau=0.1, d_delta=0.05)):
         for schedule in random_trains(params, horizon, n=5):
             assert_same_tables(schedule, SYS, sim)
-            assert _breakpoints(schedule, SYS, sim)[1][-1] <= sim.t_max + merge_tol(sim.t_max)
+            assert _breakpoints(schedule, sim)[1][-1] <= sim.t_max + merge_tol(sim.t_max)
 
 
 @given(seed=st.integers(0, 2**32), t_max=st.floats(0.05, 4.0), grid_dt=st.floats(0.003, 0.5),

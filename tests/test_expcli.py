@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randdd import expcli, fidelity, oracle, riccati
+from randdd import expcli, fidelity, oracle, pulsegen, riccati
 from randdd.expcli import (
     CONFIG_KEYS,
     ExperimentSpec,
@@ -405,6 +405,27 @@ def test_oversized_run_fails_validation(tmp_path, capsys, monkeypatch, argv, cod
     assert run_cli(["run", *argv, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert code in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--random", "--set", "pulses.phi=1e306", "--gammas", "0.5", "--ensemble", "2"],
+    ["run", "--set", "system.omega=1e308", "--set", "system.gamma=1e308", "--tmax", "1", "--ensemble", "2"],
+    ["run", "--regular", "--set", "pulses.phi=1e8", "--tmax", "1"],  # 3.3e9 phase pieces
+], ids=["area-overflows", "rate-overflows", "pieces"])
+def test_huge_fields_exit_3_before_any_table(tmp_path, capsys, monkeypatch, argv):
+    # the exact table's segment bound fails validation before a lane group is
+    # sized or a table built; reaching either fails at once, allocating nothing
+    def never(*args, **kwargs):
+        raise AssertionError("reached past validation")
+
+    for module, name in ((pulsegen, "breakpoint_table"), (riccati, "breakpoint_table"),
+                         (fidelity, "EnsembleRun"), (expcli, "EnsembleRun")):
+        monkeypatch.setattr(module, name, never)
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error: segment-count-too-large")
     assert not out.exists()
 
 
@@ -846,6 +867,7 @@ class InProcessPool:
     sizes: list = []
     min_cols: list = []
     outstanding = peak = 0
+    _processes: dict = {}  # none to terminate when a run fails (expcli._pool)
 
     def __init__(self, max_workers, **kwargs):
         InProcessPool.sizes.append(max_workers)
@@ -907,10 +929,10 @@ def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch,
     reruns = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1, head=False):
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
         if min_col > 1:
             reruns.append(ks.start)
-        return fill(system, pulses, sim, ks, e2, e1, level, min_col, head)
+        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     argv = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.05", "--tmax", "2",
@@ -924,9 +946,8 @@ def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch,
 
 
 T_HEADER = "label,gamma,d_over_x,T,crossed,ci_low,ci_high\n"
-RUN_OUT_OF_HEADS = {
-    # at t_max 0.02 every first-horizon table holds zero rows: no group fills
-    # a column, so C is 1 before the re-runs
+NEVER_CROSS = {
+    # a grid of two columns, 0 and t_max 0.02, that no group crosses
     "zero-row-heads": (["sweep", "--param", "tau", "--gammas", "0.9", "--tmax", "0.02", "--grid-dt", "0.02",
                         "--grid", "0:0.5:0.5", "--ensemble", "40"], "sweep_tau.csv",
                        T_HEADER + "sweep-tau,0.9,0,0.02,false,0.02,0.02\nsweep-tau,0.9,0.5,0.02,false,0.02,0.02\n"),
@@ -937,31 +958,29 @@ RUN_OUT_OF_HEADS = {
 
 
 @pytest.mark.parametrize("pool", ["threads1", "in-process-pool"])
-@pytest.mark.parametrize("case", sorted(RUN_OUT_OF_HEADS))
+@pytest.mark.parametrize("case", sorted(NEVER_CROSS))
 def test_groups_that_run_out_of_their_heads_run_once_more_whole(tmp_path, monkeypatch, request, case, pool):
-    # a first pass, in this process or on the pool, builds its tables to the
-    # first horizon; a group that runs out of them runs once more, on whole
-    # tables. A third run of one group fails at once instead of looping
-    argv, name, csv = RUN_OUT_OF_HEADS[case]
+    # a point that never crosses theta: every group, in this process or on
+    # the pool, runs once on whole tables and fills the grid, so none runs
+    # again. A second run of one group fails at once
+    argv, name, csv = NEVER_CROSS[case]
     if pool == "threads1":
         argv = [*argv, "--threads", "1"]
     else:
         request.getfixturevalue("in_process_pool")
-    runs = {}
+    runs = set()
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1, head=False):
-        group = runs.setdefault((system, pulses, ks.start), [])
-        group.append(head)
-        if len(group) > 2:
-            raise AssertionError(f"group {ks} of {pulses} ran a third time")
-        return fill(system, pulses, sim, ks, e2, e1, level, min_col, head)
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+        if (system, pulses, ks.start) in runs:
+            raise AssertionError(f"group {ks} of {pulses} ran again")
+        runs.add((system, pulses, ks.start))
+        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     assert run_cli([*argv, "--out", str(tmp_path)]) == 0
     assert (tmp_path / name).read_text() == csv
     assert len(runs) == {"zero-row-heads": 3, "uncrossed-lane": 1}[case]
-    assert all(group == [True, False] for group in runs.values())
 
 
 def test_sigterm_shuts_the_pool_and_exits_143(tmp_path, monkeypatch, capsys, pool_spy):

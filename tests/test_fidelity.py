@@ -348,13 +348,6 @@ def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
         first = min_col + int(np.argmax(every[min_col:]))
         assert first + extra < filled <= first + extra + 9 < len(every)
         assert np.array_equal(a2[:, :filled], e2[:, :filled]) and np.array_equal(a1[:, :filled], e1[:, :filled])
-    # a first pass (head) stops in the same window, short of where its first-horizon tables run out
-    fills = []
-    for margin, head in ((0.5 / width, False), (0.5 / width, True), (1.0, True)):
-        monkeypatch.setattr(fidelity, "STOP_MARGIN", margin)
-        fills.append(fidelity._fill_group(SYS9, RAND_PULSES, sim, range(6), np.empty_like(e2), np.empty_like(e1),
-                                          UNTIL_THETA, 1, head))
-    assert fills[0] == fills[1] < fills[2] < width
 
 
 def _fixpoint_column(below):
@@ -406,9 +399,9 @@ def test_until_reruns_a_group_that_stopped_short(monkeypatch):
     runs = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1, head=False):
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
         runs.append((ks.start, min_col))
-        return fill(system, pulses, sim, ks, e2, e1, level, min_col, head)
+        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
@@ -443,10 +436,10 @@ def test_until_serial_and_pool_agree(monkeypatch, margin):
     reruns = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1, head=False):
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
         if min_col > 1:
             reruns.append(ks.start)  # in this process; a worker's appends stay in the worker
-        return fill(system, pulses, sim, ks, e2, e1, level, min_col, head)
+        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
@@ -506,8 +499,8 @@ def test_a_lone_lane_stops_early_in_the_exact_kernel(monkeypatch, n, table_bytes
     fills = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1, head=False):
-        fills.append((level, fill(system, pulses, sim, ks, e2, e1, level, min_col, head)))
+    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+        fills.append((level, fill(system, pulses, sim, ks, e2, e1, level, min_col)))
         return fills[-1][1]
 
     def single(*args, **kwargs):
@@ -523,11 +516,10 @@ def test_a_lone_lane_stops_early_in_the_exact_kernel(monkeypatch, n, table_bytes
 
 @pytest.mark.parametrize("case", ["stops", "extends", "falls-back"])
 def test_each_train_is_generated_once_per_group(monkeypatch, case):
-    # each run of a group generates each sample's train once, to t_max: a
-    # group that stops before its first horizon, one that runs out of its
-    # first-horizon tables (the uncrossed tau sweep point) and runs again on
-    # whole tables, and one whose lanes fail a check and run one by one all
-    # reuse those trains
+    # each run of a group generates each sample's train once, to t_max, and
+    # builds its lane tables from them once, whole: a group that stops, one that never
+    # crosses (the uncrossed tau sweep point) and fills the grid in that one
+    # run, and one whose lanes fail a check and run one by one on those trains
     monkeypatch.setattr(riccati, "WINDOW_ELEMS", 6 * 8)
     system, pulses, level = SYS9, RAND_PULSES, UNTIL_THETA
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
@@ -537,40 +529,40 @@ def test_each_train_is_generated_once_per_group(monkeypatch, case):
     if case == "falls-back":
         monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", 1e-4)
     made, tables, integrated = {}, [], []
-    generate, lane_tables, integrate_with = fidelity.generate_random, riccati._lane_tables, fidelity.integrate_with
+    generate, lane_tables, integrate_with = fidelity.generate_random, riccati._LaneTables, fidelity.integrate_with
 
     def generate_spy(params, horizon, stream):
         assert horizon == sim.t_max and stream.stream_index not in made
         made[stream.stream_index] = generate(params, horizon, stream)
         return made[stream.stream_index]
 
-    def tables_spy(schedules, system, sim, first=None):
-        tables.append(first)
-        return lane_tables(schedules, system, sim, first)
+    def tables_spy(schedules, system, sim):
+        tables.append([next(k for k in made if made[k] is s) for s in schedules])
+        return lane_tables(schedules, system, sim)
 
     def integrate_spy(schedule, system, sim, sample_index):
         integrated.append(schedule is made[sample_index])
         return integrate_with(schedule, system, sim, sample_index=sample_index)
 
     monkeypatch.setattr(fidelity, "generate_random", generate_spy)
-    monkeypatch.setattr(riccati, "_lane_tables", tables_spy)
+    monkeypatch.setattr(riccati, "_LaneTables", tables_spy)
     monkeypatch.setattr(fidelity, "integrate_with", integrate_spy)
     ks = range(6)
     e2, e1 = np.empty((6, sim.grid_size())), np.empty((6, sim.grid_size()))
-    first = fidelity.FIRST_HORIZON * sim.t_max
     if case == "falls-back":
         with pytest.raises(BlowUpError) as err:
-            fidelity._fill_group(system, pulses, sim, ks, e2, e1, level, head=True)
-        assert err.value.sample_index == 0 and integrated == [True]
+            fidelity._fill_group(system, pulses, sim, ks, e2, e1, level)
+        # the one-by-one run builds sample 0's one-lane table from its train
+        assert err.value.sample_index == 0 and integrated == [True] and tables == [list(ks), [0]]
     else:
-        filled = fidelity._fill_group(system, pulses, sim, ks, e2, e1, level, head=True)
-        assert filled < sim.grid_size() and not integrated
-    assert sorted(made) == list(ks) and tables == [first]
-    if case == "extends":  # no column is below level: the re-run from the head's end is whole
-        assert not fidelity._all_below(level, e2[:, :filled], e1[:, :filled]).any()
-        made.clear()
-        assert fidelity._fill_group(system, pulses, sim, ks, e2, e1, level, filled) == sim.grid_size()
-        assert sorted(made) == list(ks) and tables == [first, None] and not integrated
+        filled = fidelity._fill_group(system, pulses, sim, ks, e2, e1, level)
+        assert not integrated and tables == [list(ks)]
+    assert sorted(made) == list(ks)
+    if case == "stops":
+        assert filled < sim.grid_size()
+    if case == "extends":  # no column is below level: the one run fills the grid
+        assert filled == sim.grid_size()
+        assert not fidelity._all_below(level, e2, e1).any()
 
 
 # --- bootstrap resample means from the first possible bracket on ----------------

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randdd import errors
 from randdd.errors import (
@@ -12,6 +14,7 @@ from randdd.errors import (
     PULSE_OVERLAP_POSSIBLE,
     PULSES_TOO_MANY,
     PULSE_PARAM_NOT_FINITE,
+    SEGMENTS_TOO_MANY,
     SIM_NOT_FINITE,
     STATE_NOT_NORMALIZABLE,
     SYSTEM_NOT_FINITE,
@@ -22,12 +25,14 @@ from randdd.errors import (
 )
 from randdd.fidelity import EnsembleRun
 from randdd.model import (
+    MAX_TABLE_SEGMENTS,
     InitialState,
     PulseParams,
     SimConfig,
     SystemParams,
     validate,
 )
+from randdd.riccati import lane_groups
 from randdd.pulsegen import merge_tol
 
 
@@ -165,6 +170,43 @@ def test_size_limits_are_inclusive():
     with pytest.raises(ValidationError) as err:
         EnsembleRun(SystemParams(), few, over)
     assert err.value.code == ENSEMBLE_TOO_LARGE
+
+
+def test_table_segment_limit_is_inclusive():
+    # t_max 1, 101 grid points and pulses counted as t_max / tau + 1 = 2: the
+    # bound is 107 + rate / 1.5 + 2 |phi| / 1.5, one segment below or above the limit
+    system, sim = SystemParams(), SimConfig(t_max=1.0, grid_dt=0.01, ensemble_n=1)
+    rate = system.omega + system.gamma + math.sqrt(2.0 * system.Gamma * system.gamma)
+    for extra, passes in ((-1.0, True), (1.0, False)):
+        phi = (MAX_TABLE_SEGMENTS + extra - 107 - rate / 1.5) * 1.5 / 2
+        pulses = PulseParams(tau=1.0, delta=0.5, phi=phi)
+        if passes:
+            validate(system, pulses, sim)
+            assert lane_groups(3, system, pulses, sim) == [range(0, 1), range(1, 2), range(2, 3)]
+        else:
+            with pytest.raises(ValidationError) as err:
+                validate(system, pulses, sim)
+            assert err.value.code == SEGMENTS_TOO_MANY
+
+
+SCALES = st.floats(1e-300, 1e308) | st.sampled_from([1e-12, 1e-6, 1.0, 1e6, 1e12, 1e300, 1e308])
+
+
+@pytest.mark.filterwarnings("ignore:d_phi")
+@settings(max_examples=300)  # few draws pass validation, and a draw costs ~1 ms
+@given(omega=SCALES, Gamma=SCALES, gamma=SCALES, per_tau=st.floats(1e-6, 10.0), phi=SCALES,
+       share=st.floats(0.0, 0.9), t_max=SCALES, dt=st.floats(1e-6, 1.0))
+def test_lane_groups_size_every_validated_configuration(omega, Gamma, gamma, per_tau, phi, share, t_max, dt):
+    # every term of lane_groups' table estimate is finite once validate passes
+    system, tau = SystemParams(omega, Gamma, gamma), per_tau * t_max
+    pulses = PulseParams(tau=tau, delta=0.4 * tau, phi=phi, d_tau=share * 0.5 * tau, d_phi=share * phi)
+    sim = SimConfig(t_max=t_max, step=dt * t_max, grid_dt=dt * t_max, ensemble_n=40)
+    try:
+        validate(system, pulses, sim)
+    except ValidationError:
+        return
+    groups = lane_groups(sim.ensemble_n, system, pulses, sim)
+    assert [k for g in groups for k in g] == list(range(sim.ensemble_n))
 
 
 def test_ensemble_limit_counts_the_samples_a_point_stacks():

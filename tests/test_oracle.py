@@ -183,7 +183,7 @@ def _stepwise_pseudomode(schedule, system, init, sim, n_max):
     psi = np.zeros(2 * M, dtype=complex)
     psi[0], psi[M] = init.mu, init.nu
     rho = np.outer(psi, psi.conj())
-    grid, pts, cs, gi = _breakpoints(schedule, system, sim)
+    grid, pts, cs, gi = _breakpoints(schedule, sim)
     at_pts = [rho]
     for seg in range(len(pts) - 1):
         n_steps = _steps_for(pts[seg + 1] - pts[seg], sim.step)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randdd import fidelity, riccati
+from randdd import riccati
 from randdd.errors import BlowUpError, ValidationError
 from randdd.fidelity import ensemble_functionals
 from randdd.model import PulseParams, SimConfig, SystemParams
 from randdd.oracle import closed_form_barQ
-from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular, merge_tol
+from randdd.pulsegen import RandomStream, empty_schedule, generate_random, generate_regular
 from randdd.riccati import (
     _breakpoints,
     _LaneTables,
@@ -209,37 +209,33 @@ def test_lanes_are_bitwise_one_lane_runs(monkeypatch, case, width):
     n = sim.ensemble_n
     schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(11, k)) for k in range(n)]
     singles = [integrate_exact(s, system, sim) for s in schedules]
-    tables = [_breakpoints(s, system, sim, subdivide=True) for s in schedules]
+    packed = _LaneTables(schedules, system, sim)
+    # a lane's table ends at its first row holding its last breakpoint
+    rows = (packed.pts < packed.pts[-1]).sum(axis=0)
     if pulses.d_tau:
-        assert len({len(t[1]) for t in tables}) > 1  # ragged lane lengths
+        assert len(set(rows)) > 1  # ragged lane lengths
     if extra == "subdivided":
-        assert all(len(t[1]) > len(_breakpoints(s, system, sim)[1]) for s, t in zip(schedules, tables))
+        assert all(r + 1 > len(_breakpoints(s, sim)[1]) for s, r in zip(schedules, rows))
     if extra == "clamped":
         assert any(np.any(s.ends[:-1] == s.starts[1:]) for s in schedules)
     if width is not None:
         monkeypatch.setattr(riccati, "WINDOW_ELEMS", width * n)
-        edges = tables[0][1][::width]
+        edges = packed.pts[:rows[0] + 1:width, 0]
         assert np.isin(edges, sim.output_grid()).any() and np.isin(edges, schedules[0].starts).any()
 
     g = sim.grid_size()
     q, j = np.empty((n, g), dtype=complex), np.empty((n, g), dtype=complex)
-    packed = _LaneTables([t[1] for t in tables], [t[2] for t in tables], np.array([t[3] for t in tables]))
     _propagate(packed, system, (q, j), list(range(n)))
-    # a stop that never holds runs the whole tables; tables built to the first
-    # horizon run out and fill the columns every lane reached there
+    # a stop that never holds runs the whole tables
     e2, e1 = np.empty((n, g)), np.empty((n, g))
     exact_factors(schedules, system, sim, e2, e1, list(range(n)))
     s2, s1 = np.empty((n, g)), np.empty((n, g))
     assert exact_factors(schedules, system, sim, s2, s1, list(range(n)), stop=lambda filled: False) == g
-    h2, h1 = np.empty((n, g)), np.empty((n, g))
-    head = exact_factors(schedules, system, sim, h2, h1, list(range(n)), stop=lambda filled: False,
-                         first=fidelity.FIRST_HORIZON * sim.t_max)
-    assert 0 < head < g
     for k, traj in enumerate(singles):
         assert np.array_equal(q[k], traj.q) and np.array_equal(j[k], traj.j)
-        for a2, a1 in ((e2, e1), (s2, s1), (h2[:, :head], h1[:, :head])):
-            assert np.array_equal(a2[k], traj.decay_factor()[:a2.shape[1]])
-            assert np.array_equal(a1[k], np.real(traj.coherence_factor())[:a1.shape[1]])
+        for a2, a1 in ((e2, e1), (s2, s1)):
+            assert np.array_equal(a2[k], traj.decay_factor())
+            assert np.array_equal(a1[k], np.real(traj.coherence_factor()))
 
 
 WINDOW_TRAINS = {
@@ -260,7 +256,7 @@ def test_one_lane_windows_are_bitwise_the_default(monkeypatch, case, width):
     sim = SimConfig(t_max=28.0, grid_dt=0.01, ensemble_n=1)
     schedule = (generate_regular(pulses, sim.t_max) if regular
                 else generate_random(pulses, sim.t_max, RandomStream.for_schedule(11, 0)))
-    assert len(_breakpoints(schedule, system, sim, subdivide=True)[1]) > riccati.WINDOW_ELEMS + 1
+    assert len(_LaneTables([schedule], system, sim).pts) > riccati.WINDOW_ELEMS + 1
     default = integrate_exact(schedule, system, sim)
     monkeypatch.setattr(riccati, "WINDOW_ELEMS", width)
     traj = integrate_exact(schedule, system, sim)
@@ -274,9 +270,11 @@ def test_one_lane_blowup_is_its_first_failing_window(monkeypatch):
     pulses = PulseParams(0.02, 0.008, 0.2, d_tau=0.004, d_delta=0.004)
     sim = SimConfig(t_max=2.0, grid_dt=0.02, ensemble_n=1, master_seed=3)
     schedule = generate_random(pulses, sim.t_max, RandomStream.for_schedule(3, 0))
-    _, pts, cs, _ = _breakpoints(schedule, system, sim, subdivide=True)
+    tables = _LaneTables([schedule], system, sim)
+    pts = tables.pts[:, 0]
+    tables.gi = np.arange(len(pts))[None]  # Q at every breakpoint
     q, j = np.empty((1, len(pts)), dtype=complex), np.empty((1, len(pts)), dtype=complex)
-    _propagate(_LaneTables([pts], [cs], np.arange(len(pts))[None]), system, (q, j), [0])  # Q at every breakpoint
+    _propagate(tables, system, (q, j), [0])
     aq = np.abs(q[0])
     bound, width = 0.75 * aq.max(), 8
     # window w0 holds breakpoints w0 .. w0 + width, the first one carried over
@@ -310,70 +308,3 @@ def test_lane_blowup_names_a_failing_lane(monkeypatch):
     with pytest.raises(BlowUpError) as err:
         exact_factors(schedules, system, sim, e2, e1, [10, 11, 12, 13])
     assert peaks[err.value.sample_index - 10] > riccati.DEFAULT_BLOWUP
-
-
-# --- first horizon of the window source ---------------------------------------
-
-PREFIX_TRAINS = {
-    # (system, pulses, grid_dt)
-    "random": (SystemParams(gamma=0.2), PulseParams(0.02, 0.008, 0.2, d_tau=0.006, d_delta=0.003, d_phi=0.1), 0.02),
-    # deviation-free, every edge on or within the merge tolerance of a grid time
-    "on-grid": (SystemParams(gamma=0.5), PulseParams(0.04, 0.02, 0.2), 0.02),
-    "clamped": (SystemParams(gamma=0.5), PulseParams(0.02, 0.014, 0.2, d_tau=0.004, d_delta=0.004), 0.01),
-    "subdivided": (SystemParams(gamma=0.3), PulseParams(0.5, 0.2, 60.0, d_tau=0.1, d_delta=0.05), 0.05),
-}
-
-
-@given(kind=st.sampled_from(sorted(PREFIX_TRAINS)), seed=st.integers(0, 2**32), t_max=st.floats(0.5, 6.0),
-       lanes=st.integers(1, 3), at=st.sampled_from(["fraction", "edge", "grid"]), fraction=st.floats(0.0, 0.999),
-       offset=st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]))
-@settings(max_examples=max(80, settings().max_examples), deadline=None)
-def test_first_horizon_tables_are_a_prefix_of_the_whole_table(kind, seed, t_max, lanes, at, fraction, offset):
-    # first horizons anywhere: at a share of t_max, or within 1.5 merge
-    # tolerances of a pulse edge or of a grid time (inside their clusters)
-    system, pulses, grid_dt = PREFIX_TRAINS[kind]
-    sim = SimConfig(t_max=t_max, grid_dt=grid_dt, ensemble_n=lanes)
-    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(seed, k)) for k in range(lanes)]
-    times = {"fraction": [fraction * t_max], "edge": np.concatenate([schedules[0].starts, schedules[0].ends]),
-             "grid": sim.output_grid()}[at]
-    first = times[int(fraction * len(times))] + offset * merge_tol(t_max)
-    assume(0.0 < first < t_max)
-    head = riccati._lane_tables(schedules, system, sim, first)
-    whole = riccati._lane_tables(schedules, system, sim)
-    r = len(head.cs)
-    assert head.pts.shape == (r + 1, lanes)
-    known = head.gi != riccati.UNBUILT
-    # the head holds the rows up to the shortest lane's last known grid row
-    assert r == min(g[k].max() for g, k in zip(head.gi, known))
-    for l, s in enumerate(schedules):
-        _, pts, cs, gi = _breakpoints(s, system, sim, subdivide=True)
-        # the rows held are the first rows of each lane's _breakpoints table,
-        # and the known grid rows are its grid rows; the others lie past them
-        assert np.array_equal(head.pts[:, l], pts[:r + 1]) and np.array_equal(head.cs[:, l], cs[:r])
-        assert np.array_equal(head.gi[l, known[l]], gi[known[l]]) and (gi[~known[l]] > r).all()
-        # the whole packed tables are each lane's _breakpoints table, padded
-        assert np.array_equal(whole.pts[:len(pts), l], pts) and np.array_equal(whole.cs[:len(cs), l], cs)
-        assert (whole.pts[len(pts):, l] == pts[-1]).all() and not whole.cs[len(cs):, l].any()
-        assert np.array_equal(whole.gi[l], gi)
-    if kind == "subdivided":
-        assert len(_breakpoints(schedules[0], system, sim, subdivide=True)[1]) > len(
-            _breakpoints(schedules[0], system, sim)[1])
-
-
-def test_first_horizon_builds_a_share_of_the_tables():
-    # a group that may stop holds the rows of its pulses that start before
-    # the first horizon: the first rows of the whole tables, most of the way there
-    system, pulses, _ = PREFIX_TRAINS["random"]
-    sim = SimConfig(t_max=40.0, grid_dt=0.02, ensemble_n=4)
-    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(5, k)) for k in range(4)]
-    first = fidelity.FIRST_HORIZON * sim.t_max
-    tables = riccati._lane_tables(schedules, system, sim, first)
-    whole = riccati._lane_tables(schedules, system, sim)
-    r = len(tables.cs)
-    assert np.array_equal(tables.pts, whole.pts[:r + 1]) and np.array_equal(tables.cs, whole.cs[:r])
-    assert 0.7 * len(whole.cs) < r < 0.75 * len(whole.cs)
-    # no lane holds a row past the last grid time before the start of its
-    # first pulse from the first horizon on, and one lane holds that row
-    grid = sim.output_grid()
-    last = [grid[np.searchsorted(grid, s.starts[np.searchsorted(s.starts, first)]) - 1] for s in schedules]
-    assert (tables.pts[-1] <= last).all() and (tables.pts[-1] == last).any()
