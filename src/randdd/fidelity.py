@@ -125,8 +125,9 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
     call ends STOP_MARGIN of the grid past the first column from min_col on
     where every lane's state-averaged fidelity is below it. rk4, or a group
     in which any lane failed a check, runs the same trains one at a time in
-    k order over the whole grid, so a BlowUpError names the first failing
-    sample and the seed.
+    k order over the whole grid. The kernel's BlowUpError names no sample;
+    this is the one place that puts one on it: the first failing sample,
+    with the seed.
     """
     schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, k)) for k in ks]
 
@@ -144,12 +145,12 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
 
     if sim.integrator == "exact":
         try:
-            return exact_factors(schedules, system, sim, e2, e1, list(ks), stop)
+            return exact_factors(schedules, system, sim, e2, e1, stop)
         except BlowUpError:
             pass
     for row, (k, schedule) in enumerate(zip(ks, schedules)):
         try:
-            traj = integrate_with(schedule, system, sim, sample_index=k)
+            traj = integrate_with(schedule, system, sim)
         except BlowUpError as exc:
             raise BlowUpError(exc.t, exc.magnitude, k, sim.master_seed) from exc
         e2[row] = traj.decay_factor()

@@ -91,13 +91,7 @@ def _breakpoints(schedule: PulseSchedule, sim: SimConfig, pieces=None, grid: np.
     return (grid, *breakpoint_table(schedule, grid, sim.t_max, pieces))
 
 
-def integrate(
-    schedule: PulseSchedule,
-    system: SystemParams,
-    sim: SimConfig,
-    *,
-    sample_index: int | None = None,
-) -> QTrajectory:
+def integrate(schedule: PulseSchedule, system: SystemParams, sim: SimConfig) -> QTrajectory:
     """Fixed-step RK4 for (Q, J), edge-aligned, sampled on the output grid.
 
     The loop runs on Python floats and complexes: numpy scalars give the
@@ -133,10 +127,15 @@ def integrate(
             q = q + h6 * (k1 + 2.0 * (k2 + k3) + k4)
             aq = abs(q)
             if not aq <= DEFAULT_BLOWUP:
-                raise BlowUpError(pts[seg] + (i + 1) * h, aq, sample_index)
+                raise BlowUpError(pts[seg] + (i + 1) * h, aq)
         qs[seg + 1] = q
         js[seg + 1] = j
     return QTrajectory(grid, qs[gi], js[gi])
+
+
+# Root gap |l1 - l2| below which a segment's propagator is not divided by it. It is at least
+# sqrt(2 gamma omega) for fields c >= 0 (every default run), since Im (l1 - l2)^2 = -2 gamma (omega + c).
+NEAR_ROOT = 1e-3
 
 
 def _segment_propagators(cs: np.ndarray, lengths: np.ndarray, system: SystemParams) -> np.ndarray:
@@ -146,6 +145,13 @@ def _segment_propagators(cs: np.ndarray, lengths: np.ndarray, system: SystemPara
     u(s) = (l1 e^{l2 s} - l2 e^{l1 s})/(l1 - l2) * u0 + (e^{l1 s} - e^{l2 s})/(l1 - l2) * u0'.
     Returns one (step, 4, lane) buffer of m00, m10, m01, m11: entry term * 2 + out
     is what u (term 0) or u' (term 1) adds to the new u (out 0) or u' (out 1).
+
+    The roots meet at c = -omega, gamma = 2 Gamma, and near there the divides
+    by d = l1 - l2 lose digits. So a segment with |d| < NEAR_ROOT takes the
+    same propagator through entire functions: sigma = (l1 + l2)/2, x = d s/2,
+    E = e^{sigma s}, S = s sinh(x)/x (s at x = 0); m00 = E(cosh x - sigma S),
+    m01 = E S, m10 = -l1 l2 E S, m11 = E(cosh x + sigma S). Both forms are
+    elementwise, so a lane stays bitwise its one-lane run.
     """
     gt = system.gamma - 1j * (system.omega + cs)
     disc = gt * gt - 2.0 * system.Gamma * system.gamma
@@ -153,14 +159,9 @@ def _segment_propagators(cs: np.ndarray, lengths: np.ndarray, system: SystemPara
     l1 = 0.5 * (-gt + s)
     l2 = 0.5 * (-gt - s)
     d = l1 - l2
-    # the validated parameter space keeps |d| away from 0 (omega > 0 gives
-    # Im(disc) = -2*gamma*(omega+c) != 0 except at c = -omega); nudge any
-    # near-degenerate segment off the double root instead of branching
-    tiny = np.abs(d) < 1e-12
-    if np.any(tiny):
-        l1 = np.where(tiny, l1 + 5e-13, l1)
-        l2 = np.where(tiny, l2 - 5e-13, l2)
-        d = l1 - l2
+    near = np.abs(d) < NEAR_ROOT
+    if near.any():
+        d = np.where(near, 1.0, d)  # the generic values there are overwritten below
     e1 = np.exp(l1 * lengths)
     e2 = np.exp(l2 * lengths)
     m = np.empty((len(cs), 4, *np.shape(cs)[1:]), dtype=complex)
@@ -168,6 +169,15 @@ def _segment_propagators(cs: np.ndarray, lengths: np.ndarray, system: SystemPara
     np.divide(l1 * l2 * (e2 - e1), d, out=m[:, 1])
     np.divide(e1 - e2, d, out=m[:, 2])
     np.divide(l1 * e1 - l2 * e2, d, out=m[:, 3])
+    if near.any():
+        h, sigma = lengths[near], -0.5 * gt[near]  # l1 + l2 = -gt and l1 l2 = Gamma gamma/2
+        x = 0.5 * s[near] * h  # sqrt(disc) is d before rounding
+        big_s = np.where(x == 0, h, h * np.sinh(x) / np.where(x == 0, 1.0, x))
+        e, ch = np.exp(sigma * h), np.cosh(x)
+        m[:, 0][near] = e * (ch - sigma * big_s)
+        m[:, 1][near] = -0.5 * system.Gamma * system.gamma * e * big_s
+        m[:, 2][near] = e * big_s
+        m[:, 3][near] = e * (ch + sigma * big_s)
     return m
 
 
@@ -293,16 +303,17 @@ class _Sink:
     writes the lanes' grid samples to the rows of out, as (Q, J) or, with
     factors, as (exp(-2 Re J), Re exp(-J)).
 
-    The unwrap carries its running sum from window to window: phase[k] =
-    ph[0] + cumsum(dph)[k - 1] over the whole table. J = -(log|u| + i phase)
-    is taken only at the grid rows. A failed check raises BlowUpError for
-    the first failing lane of the window.
+    The unwrapped phase is one running sum: each window's is a cumsum of its
+    wrapped increments seeded with the phase carried over from the window
+    before (0 at the start, where u = 1). J = -(log|u| + i phase) is taken
+    only at the grid rows. A failed check raises BlowUpError with the time
+    and |Q| of the first failing lane of the window, and no sample.
     """
 
-    def __init__(self, out: tuple, samples: list, factors: bool):
-        self.out, self.samples, self.factors = out, samples, factors
-        self.lane_ids = np.arange(len(samples))
-        self.ph0 = self.cum = None
+    def __init__(self, out: tuple, factors: bool):
+        self.out, self.factors = out, factors
+        self.lane_ids = np.arange(len(out[0]))
+        self.phase = np.zeros(len(out[0]))
 
     def __call__(self, tables: _LaneTables, w0: int, us: np.ndarray, vs: np.ndarray,
                  lo: np.ndarray, hi: np.ndarray) -> None:
@@ -311,26 +322,17 @@ class _Sink:
         bad = ~(mag > 0.0)
         if bad.any():
             l = int(np.argmax(bad.any(axis=0)))
-            raise BlowUpError(tables.time(l, w0 + int(np.argmax(bad[:, l]))), float("inf"), self.samples[l])
-        ph = np.angle(us)
-        dph = np.diff(ph, axis=0)
+            raise BlowUpError(tables.time(l, w0 + int(np.argmax(bad[:, l]))), float("inf"))
+        dph = np.diff(np.angle(us), axis=0)
         dph -= 2.0 * np.pi * np.round(dph / (2.0 * np.pi))
-        phase = np.empty_like(ph)
-        if self.cum is None:
-            self.ph0 = phase[0] = ph[0].copy()
-        else:
-            phase[0] = self.ph0 + self.cum
-            dph[0] += self.cum
-        cum_dph = np.cumsum(dph, axis=0)
-        self.cum = cum_dph[-1]
-        phase[1:] = self.ph0 + cum_dph
+        phase = np.cumsum(np.concatenate([self.phase[None], dph]), axis=0)
+        self.phase = phase[-1]
         q = -vs / us
         aq = np.abs(q)
         bad = ~(np.max(aq, axis=0) <= DEFAULT_BLOWUP)  # a non-finite Q has an inf or nan |Q|
         if bad.any():
             l = int(np.argmax(bad))
-            raise BlowUpError(tables.time(l, w0 + int(np.argmax(aq[:, l]))), float(np.max(aq[:, l])),
-                              self.samples[l])
+            raise BlowUpError(tables.time(l, w0 + int(np.argmax(aq[:, l]))), float(np.max(aq[:, l])))
 
         cnt = hi - lo
         lane = np.repeat(self.lane_ids, cnt)
@@ -346,7 +348,7 @@ class _Sink:
             out[1][lane, col] = j
 
 
-def _propagate(tables: _LaneTables, system: SystemParams, out: tuple, samples: list, factors: bool = False,
+def _propagate(tables: _LaneTables, system: SystemParams, out: tuple, factors: bool = False,
                stop: Callable[[int], bool] | None = None) -> int:
     """Advance (u, u') of every lane through its segment table, window by window.
 
@@ -360,12 +362,13 @@ def _propagate(tables: _LaneTables, system: SystemParams, out: tuple, samples: l
     After each window stop, if given, is called with the number of columns
     every lane has filled; once it returns true the run ends there. Returns
     the number of columns every lane has filled: all of them, or fewer once
-    stop has ended the run.
+    stop has ended the run. The kernel knows schedules, not samples: its
+    BlowUpError carries a time and |Q| only.
     """
     lanes = tables.pts.shape[1]
     width = max(1, WINDOW_ELEMS // lanes)
     steps = _ScalarSteps() if lanes == 1 else _LaneSteps(lanes, width)
-    sink = _Sink(out, samples, factors)
+    sink = _Sink(out, factors)
     rows = len(tables.cs)
     starts = range(0, rows, width)
     # lane l's grid samples pos[l, w]:pos[l, w + 1] sit in the states of window w
@@ -380,42 +383,36 @@ def _propagate(tables: _LaneTables, system: SystemParams, out: tuple, samples: l
     return filled[-1]
 
 
-def integrate_exact(
-    schedule: PulseSchedule,
-    system: SystemParams,
-    sim: SimConfig,
-    *,
-    sample_index: int | None = None,
-) -> QTrajectory:
+def integrate_exact(schedule: PulseSchedule, system: SystemParams, sim: SimConfig) -> QTrajectory:
     """Per-segment closed-form propagation of (u, u') with u = exp(-J).
 
     Q = -u'/u and J = -log u with the phase unwrapped by continuity over
     breakpoints (segments are subdivided so the per-piece phase advance
-    stays well below pi). The one-lane call of the exact kernel.
+    stays well below pi). The one-lane call of the exact kernel; a
+    BlowUpError names its time and |Q|, not a sample.
     """
     tables = _LaneTables([schedule], system, sim)
     q = np.empty((1, len(tables.grid)), dtype=complex)
     j = np.empty_like(q)
-    _propagate(tables, system, (q, j), [sample_index])
+    _propagate(tables, system, (q, j))
     return QTrajectory(tables.grid, q[0], j[0])
 
 
 def exact_factors(schedules: list, system: SystemParams, sim: SimConfig, e2: np.ndarray, e1: np.ndarray,
-                  samples: list, stop: Callable[[int], bool] | None = None) -> int:
+                  stop: Callable[[int], bool] | None = None) -> int:
     """Write exp(-2 Re J) and Re exp(-J) of each schedule into the rows of e2 and e1.
 
     All lanes advance together as lanes of the exact kernel, on whole
     tables, bitwise as integrate_exact would give the schedules one by one,
     with stop as in _propagate. Returns the number of filled columns: all
-    of them, or fewer once stop has ended the run.
+    of them, or fewer once stop has ended the run. A BlowUpError is that of
+    the first failing lane of a window and names no sample; the caller
+    knows which sample each row is.
     """
-    return _propagate(_LaneTables(schedules, system, sim), system, (e2, e1), samples, factors=True, stop=stop)
+    return _propagate(_LaneTables(schedules, system, sim), system, (e2, e1), factors=True, stop=stop)
 
 
-def integrate_with(
-    schedule: PulseSchedule, system: SystemParams, sim: SimConfig, **kw
-) -> QTrajectory:
-    """Dispatch on sim.integrator."""
-    if sim.integrator == "rk4":
-        return integrate(schedule, system, sim, **kw)
-    return integrate_exact(schedule, system, sim, **kw)
+def integrate_with(schedule: PulseSchedule, system: SystemParams, sim: SimConfig) -> QTrajectory:
+    """Dispatch on sim.integrator. A BlowUpError names no sample: an
+    ensemble's caller (fidelity) puts its sample and seed on it."""
+    return (integrate if sim.integrator == "rk4" else integrate_exact)(schedule, system, sim)

@@ -43,9 +43,13 @@ RICCATI = "tests/test_riccati.py::"
 
 MUTANTS = [
     Mutant("unwrap carry dropped", "riccati.py",
-           "            dph[0] += self.cum\n", "",
+           "        self.phase = phase[-1]\n", "",
            (RICCATI + "test_one_lane_windows_are_bitwise_the_default[random-w64]",
             RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-w7]")),
+    Mutant("near-root branch off", "riccati.py",
+           "NEAR_ROOT = 1e-3\n", "NEAR_ROOT = 0.0\n",
+           (RICCATI + "test_exact_matches_rk4_at_the_double_root[0.0]",
+            RICCATI + "test_exact_matches_rk4_at_the_double_root[1e-12]")),
     Mutant("numpy complex multiply in the lane step", "riccati.py",
            "        us.real, us.imag = st[:, 0, 0], st[:, 0, 1]\n"
            "        vs.real, vs.imag = st[:, 1, 0], st[:, 1, 1]\n",

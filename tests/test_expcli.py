@@ -5,6 +5,7 @@ import multiprocessing
 import signal
 import sys
 import time
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -235,6 +236,20 @@ def test_replay_reproduces_regular_curve(tmp_path):
     assert run_cli(["run", "--replay", str(out1 / "schedule.csv"), "--tmax", "1",
                     "--set", "system.gamma=0.5", "--out", str(out2)]) == 0
     assert (out1 / "curve.csv").read_bytes() == (out2 / "curve.csv").read_bytes()
+
+
+def test_run_at_the_double_root_agrees_with_rk4(tmp_path):
+    # gamma = 2 Gamma and every pulse field at -omega: the exact propagator's
+    # two roots coincide on the pulses, and no numpy warning is raised
+    argv = ["run", "--regular", "--set", "system.Gamma=0.2", "--set", "system.gamma=0.4",
+            "--set", "pulses.phi=-0.008", "--tmax", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*argv, "--out", str(tmp_path / "exact")]) == 0
+        assert run_cli([*argv, "--set", "sim.integrator=rk4", "--out", str(tmp_path / "rk4")]) == 0
+    exact, rk4 = (np.loadtxt(tmp_path / name / "curve.csv", delimiter=",", skiprows=1) for name in ("exact", "rk4"))
+    assert np.array_equal(exact[:, 0], rk4[:, 0])
+    assert np.max(np.abs(exact[:, 1] - rk4[:, 1])) < 1e-9
 
 
 def test_threshold_regular_control(tmp_path):

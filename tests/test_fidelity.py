@@ -257,11 +257,11 @@ def test_exact_ensemble_blowup_matches_per_sample_path(monkeypatch):
     monkeypatch.setattr(riccati, "WINDOW_ELEMS", 6 * 8)
     k = next(k for k, s in enumerate(schedules) if peaks[k] > bound)
     with pytest.raises(BlowUpError) as per_sample:
-        integrate_exact(schedules[k], SYS3, sim, sample_index=k)
-    want = (per_sample.value.t, per_sample.value.magnitude, k, 42)
+        integrate_exact(schedules[k], SYS3, sim)
+    want = (per_sample.value.t, per_sample.value.magnitude, k, sim.master_seed)
     e2, e1 = np.empty((6, sim.grid_size())), np.empty((6, sim.grid_size()))
     with pytest.raises(BlowUpError) as in_lanes:
-        riccati.exact_factors(schedules, SYS3, sim, e2, e1, list(range(6)))
+        riccati.exact_factors(schedules, SYS3, sim, e2, e1)
     assert (in_lanes.value.t, in_lanes.value.magnitude) != want[:2]
     with pytest.raises(BlowUpError) as err:
         ensemble_functionals(SYS3, RAND_PULSES, sim)
@@ -324,7 +324,7 @@ def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
     width = sim.grid_size()
     schedules = [generate_random(RAND_PULSES, sim.t_max, RandomStream.for_schedule(5, k)) for k in range(6)]
     e2, e1 = np.empty((6, width)), np.empty((6, width))
-    assert riccati.exact_factors(schedules, SYS9, sim, e2, e1, list(range(6))) == width
+    assert riccati.exact_factors(schedules, SYS9, sim, e2, e1) == width
     # the hook sees each window's filled count and ends the run in the window where it turns true
     for at in (1, 40, width - 3, width + 1):
         counts = []
@@ -334,7 +334,7 @@ def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
             return filled >= at
 
         a2, a1 = np.empty_like(e2), np.empty_like(e1)
-        filled = riccati.exact_factors(schedules, SYS9, sim, a2, a1, list(range(6)), stop)
+        filled = riccati.exact_factors(schedules, SYS9, sim, a2, a1, stop)
         assert np.all(np.diff(counts) >= 0) and counts[-1] == filled
         assert all(c < at for c in counts[:-1]) and (filled >= at or filled == width)
         assert np.array_equal(a2[:, :filled], e2[:, :filled]) and np.array_equal(a1[:, :filled], e1[:, :filled])
@@ -540,9 +540,9 @@ def test_each_train_is_generated_once_per_group(monkeypatch, case):
         tables.append([next(k for k in made if made[k] is s) for s in schedules])
         return lane_tables(schedules, system, sim)
 
-    def integrate_spy(schedule, system, sim, sample_index):
-        integrated.append(schedule is made[sample_index])
-        return integrate_with(schedule, system, sim, sample_index=sample_index)
+    def integrate_spy(schedule, system, sim):
+        integrated.append(next(k for k in made if made[k] is schedule))
+        return integrate_with(schedule, system, sim)
 
     monkeypatch.setattr(fidelity, "generate_random", generate_spy)
     monkeypatch.setattr(riccati, "_LaneTables", tables_spy)
@@ -553,7 +553,7 @@ def test_each_train_is_generated_once_per_group(monkeypatch, case):
         with pytest.raises(BlowUpError) as err:
             fidelity._fill_group(system, pulses, sim, ks, e2, e1, level)
         # the one-by-one run builds sample 0's one-lane table from its train
-        assert err.value.sample_index == 0 and integrated == [True] and tables == [list(ks), [0]]
+        assert err.value.sample_index == 0 and integrated == [0] and tables == [list(ks), [0]]
     else:
         filled = fidelity._fill_group(system, pulses, sim, ks, e2, e1, level)
         assert not integrated and tables == [list(ks)]

@@ -66,9 +66,9 @@ CALLS = {
     "threshold-random-ensemble1-crossings": ["threshold", "--random", "--gammas", "0.5,0.9", "--tmax", "6",
                                              "--grid-dt", "0.02", "--t-mode", "mean-crossings", "--ensemble",
                                              "1", "--seed", "777", *RANDOM, *EARLY],
-    # lane groups that read past the first horizon of their tables: a lone
-    # deviation-free lane whose windows overshoot its stop, and rows that
-    # never cross, so every group runs its whole table
+    # the two ends of a group's early stop: a lone deviation-free lane whose
+    # last window runs past its stop column, and rows that never cross, so
+    # every group runs its whole table once
     "threshold-random-regular-g02": ["threshold", "--random", "--gammas", "0.2", *SMALL],
     "sweep-tau-uncrossed": ["sweep", "--param", "tau", "--gammas", "0.2", "--grid", "0:0.5:0.5",
                             "--tmax", "40", *SMALL],
