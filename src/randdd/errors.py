@@ -79,6 +79,7 @@ SCHEDULE_PULSE_DEGENERATE = "schedule-pulse-degenerate"
 SCHEDULE_PULSE_OVERLAP = "schedule-pulse-overlap"
 SCHEDULE_PULSE_OUTSIDE = "schedule-pulse-outside-horizon"
 SCHEDULE_MALFORMED = "schedule-file-malformed"
+SCHEDULE_HORIZON_INVALID = "schedule-horizon-invalid"
 
 # Violation code raised by riccati._breakpoints
 HORIZON_SHORT = "horizon-short"

@@ -115,10 +115,10 @@ def _all_below(level: float, e2: np.ndarray, e1: np.ndarray) -> np.ndarray:
     return (_combine(e2, e1, None) < level).all(axis=0)
 
 
-def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
-                level: float | None = None, min_col: int = 1) -> int:
-    """Factor rows of samples ks into e2 and e1 (one row per sample); returns
-    the number of filled columns.
+def _fill_group(system, pulses, sim, ks: range, level: float | None = None,
+                min_col: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The factor block (e2, e1) of samples ks, one row per sample, cut to
+    the columns filled.
 
     Each sample's train is generated once, to t_max. An exact group
     advances as lanes of one kernel call on whole tables; with a level, the
@@ -127,9 +127,11 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
     in which any lane failed a check, runs the same trains one at a time in
     k order over the whole grid. The kernel's BlowUpError names no sample;
     this is the one place that puts one on it: the first failing sample,
-    with the seed.
+    with the seed. A pool runs this as its task and sends the block back.
     """
     schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(sim.master_seed, k)) for k in ks]
+    e2 = np.empty((len(ks), sim.grid_size()))
+    e1 = np.empty_like(e2)
 
     stop = None
     if level is not None:
@@ -145,7 +147,8 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
 
     if sim.integrator == "exact":
         try:
-            return exact_factors(schedules, system, sim, e2, e1, stop)
+            filled = exact_factors(schedules, system, sim, e2, e1, stop)
+            return e2[:, :filled], e1[:, :filled]
         except BlowUpError:
             pass
     for row, (k, schedule) in enumerate(zip(ks, schedules)):
@@ -155,15 +158,7 @@ def _fill_group(system, pulses, sim, ks: range, e2: np.ndarray, e1: np.ndarray,
             raise BlowUpError(exc.t, exc.magnitude, k, sim.master_seed) from exc
         e2[row] = traj.decay_factor()
         e1[row] = np.real(traj.coherence_factor())
-    return e2.shape[1]
-
-
-def _group_factors(args) -> tuple[np.ndarray, np.ndarray]:
-    system, pulses, sim, ks, level, min_col = args
-    e2 = np.empty((len(ks), sim.grid_size()))
-    e1 = np.empty_like(e2)
-    filled = _fill_group(system, pulses, sim, ks, e2, e1, level, min_col)
-    return e2[:, :filled], e1[:, :filled]
+    return e2, e1
 
 
 def _decided_column(below: list[np.ndarray], width: int) -> tuple[int, list[int]]:
@@ -181,18 +176,21 @@ def _decided_column(below: list[np.ndarray], width: int) -> tuple[int, list[int]
 
 
 # a point's factor rows, samples times grid points, checked before they are
-# allocated; the largest default runs stack ~1e6
+# allocated; the largest default runs stack ~1e6. Joining the groups' blocks
+# holds up to 1.5 times them: the e2 blocks go before e1 is joined.
 MAX_ENSEMBLE_CELLS = 2 * 10**7
 
 
 class EnsembleRun:
     """One point's ensemble: start submits its first pass to a pool, finish
     collects or runs it, re-runs the groups that stopped short of C (all on
-    whole tables) and stacks. n, its sample count, is 1 for a deviation-free
-    point, else ensemble_n; n times the grid points above MAX_ENSEMBLE_CELLS
-    is a ValidationError. pool_tasks, the first-pass tasks it hands a pool,
-    is its lane groups when there are two or more, else 0 (a lone group
-    runs in this process).
+    whole tables) and joins the groups' blocks. A group's block is what
+    _fill_group returns for it, from a pool task or a run in this process
+    alike; a re-run replaces it. n, its sample count, is 1 for a
+    deviation-free point, else ensemble_n; n times the grid points above
+    MAX_ENSEMBLE_CELLS is a ValidationError. pool_tasks, the first-pass
+    tasks it hands a pool, is its lane groups when there are two or more,
+    else 0 (a lone group runs in this process).
     """
 
     def __init__(self, system: SystemParams, pulses: PulseParams, sim: SimConfig, until: float | None = None):
@@ -217,37 +215,29 @@ class EnsembleRun:
         """Submit the first pass, one task per lane group, to executor when
         one is given and the point has pool tasks."""
         if executor is not None and self.pool_tasks:
-            self.futures = [executor.submit(_group_factors, (self.system, self.pulses, self.sim, ks, self.level, 1))
+            self.futures = [executor.submit(_fill_group, self.system, self.pulses, self.sim, ks, self.level, 1)
                             for ks in self.groups]
         return self
 
     def finish(self) -> EnsembleFactors:
         """Collect or run the first pass in group order, run the groups that
-        stopped short of C again here, and stack the factors (see
-        ensemble_functionals)."""
+        stopped short of C again here, and join the groups' blocks cut at C
+        (see ensemble_functionals)."""
         system, pulses, sim, level = self.system, self.pulses, self.sim, self.level
         grid = sim.output_grid()
-        e2 = np.empty((self.n, len(grid)))
-        e1 = np.empty_like(e2)
-        filled, short, col = [0] * len(self.groups), range(len(self.groups)), 1
+        blocks, short, col = [None] * len(self.groups), range(len(self.groups)), 1
         while short:  # every group (min_col 1), then the groups that stopped short of C
-            for g in short:
-                ks = self.groups[g]
-                if self.futures:  # the first pass, from the pool
-                    a, b = self.futures.pop(0).result()  # a Future keeps its result alive
-                    filled[g] = a.shape[1]
-                    e2[ks.start:ks.stop, :filled[g]], e1[ks.start:ks.stop, :filled[g]] = a, b
-                    del a, b
-                else:
-                    filled[g] = _fill_group(system, pulses, sim, ks, e2[ks.start:ks.stop], e1[ks.start:ks.stop],
-                                            level, col)
+            for g in short:  # the first pass from the pool (a Future keeps its result alive), or a run here
+                blocks[g] = (self.futures.pop(0).result() if self.futures
+                             else _fill_group(system, pulses, sim, self.groups[g], level, col))
             if level is None:
                 col = len(grid)
                 break
-            below = [_all_below(level, e2[ks.start:ks.stop, :f], e1[ks.start:ks.stop, :f])
-                     for ks, f in zip(self.groups, filled)]
-            col, short = _decided_column(below, len(grid))
-        return EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1])
+            col, short = _decided_column([_all_below(level, e2, e1) for e2, e1 in blocks], len(grid))
+        cut = slice(col + 1)
+        e2 = np.concatenate([e2[:, cut] for e2, _ in blocks])
+        blocks = [e1 for _, e1 in blocks]  # frees the e2 blocks before the e1 rows are joined
+        return EnsembleFactors(grid[cut], e2, np.concatenate([e1[:, cut] for e1 in blocks]))
 
 
 def ensemble_functionals(
@@ -262,11 +252,13 @@ def ensemble_functionals(
 
     Sample k uses schedule stream (master_seed, k); the stack is ordered by
     k regardless of how many workers ran. Samples run in lane groups
-    (riccati.lane_groups); a pool takes the first pass of whole groups when
-    there are two or more, and a lone group runs in this process. A
-    deviation-free configuration is one sample (any sample is the regular
-    train). This is EnsembleRun(...).start(executor).finish(); a caller may
-    start several points before finishing the first.
+    (riccati.lane_groups), and each group returns its factor block
+    (_fill_group); the stack is the blocks joined once, in group order. A
+    pool takes the first pass of whole groups when there are two or more,
+    and a lone group runs in this process. A deviation-free configuration
+    is one sample (any sample is the regular train). This is
+    EnsembleRun(...).start(executor).finish(); a caller may start several
+    points before finishing the first.
 
     With until = theta the factors end at the first grid column C at which
     every sample's state-averaged fidelity is below theta (with room for

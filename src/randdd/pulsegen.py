@@ -127,7 +127,10 @@ class PulseSchedule:
         return tuple(map(Pulse, self.starts.tolist(), self.widths.tolist(), self.areas.tolist()))
 
     def check(self) -> "PulseSchedule":
-        """Raise ValidationError at a degenerate, overlapping or out-of-range pulse; returns self."""
+        """Raise ValidationError at a horizon that is not finite and >= 0, or at a
+        degenerate, overlapping or out-of-range pulse; returns self."""
+        if not 0.0 <= self.horizon < math.inf:  # an inf horizon's merge tolerance swallows the table
+            raise errors.ValidationError(errors.SCHEDULE_HORIZON_INVALID, f"horizon {self.horizon}")
         with np.errstate(divide="ignore", invalid="ignore"):
             degenerate = ~((self.widths > 0) & np.isfinite(self.strengths))
         overlap = np.append(False, self.starts[1:] < self.ends[:-1] - _REL_TOL * max(1.0, self.horizon))

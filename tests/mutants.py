@@ -70,16 +70,20 @@ MUTANTS = [
            "        except BlowUpError:\n            raise\n",
            (FIDELITY + "test_exact_ensemble_blowup_matches_per_sample_path",)),
     Mutant("cut at C instead of C+1", "fidelity.py",
-           "EnsembleFactors(grid[:col + 1], e2[:, :col + 1], e1[:, :col + 1])",
-           "EnsembleFactors(grid[:col], e2[:, :col], e1[:, :col])",
+           "        cut = slice(col + 1)\n",
+           "        cut = slice(col)\n",
            (FIDELITY + "test_until_cuts_at_the_decided_column_inside_a_window",)),
+    Mutant("rk4 group returns its first column only", "fidelity.py",
+           "    return e2, e1\n",
+           "    return e2[:, :1], e1[:, :1]\n",
+           (FIDELITY + "test_an_rk4_ensemble_completes_and_matches_the_exact_one[whole-grid]",)),
     Mutant("a group that filled the grid runs again", "fidelity.py",
            "if len(m) <= col and len(m) < width]", "if len(m) <= col and len(m) <= width]",
            (EXPCLI + "test_groups_that_run_out_of_their_heads_run_once_more_whole[zero-row-heads-threads1]",
             EXPCLI + "test_groups_that_run_out_of_their_heads_run_once_more_whole[uncrossed-lane-in-process-pool]")),
     Mutant("early-stop re-run skipped", "fidelity.py",
-           "            col, short = _decided_column(below, len(grid))\n",
-           "            col, short = _decided_column(below, len(grid))[0], []\n",
+           "for e2, e1 in blocks], len(grid))\n",
+           "for e2, e1 in blocks], len(grid))[0], []\n",
            (FIDELITY + "test_until_reruns_a_group_that_stopped_short",)),
     Mutant("min_col ignored", "fidelity.py",
            "int(STOP_MARGIN * e2.shape[1]), min_col, None",

@@ -83,6 +83,9 @@ def test_threads_flag_rejects_garbage():
 def test_experiment_spec_rejects_unknown_name():
     with pytest.raises(ValidationError):
         ExperimentSpec("sweep-bogus")
+    with pytest.raises(ValidationError) as err:
+        ExperimentSpec("run-curve", {"bogus.key": 1})
+    assert err.value.code == "unknown-config-key"
 
 
 def test_config_file_parsing(tmp_path):
@@ -471,7 +474,16 @@ def test_grid_finer_than_merge_tolerance_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["0:0.5:1e-9", "0:1e300:1e-300", "0:inf:1", "0:nan:0.1", "0:1:0.0005"])
+def _one_usage_error(err: str, flag: str) -> bool:
+    """stderr of a usage error: argparse's usage block, if any, then one
+    error line that names flag, and no traceback."""
+    *usage, last = err.splitlines()
+    return (flag in last and "error:" in last and "Traceback" not in err
+            and all(line.startswith(("usage:", " ")) for line in usage))
+
+
+@pytest.mark.parametrize("grid", ["0:0.5:1e-9", "0:1e300:1e-300", "0:inf:1", "0:nan:0.1", "0:1:0.0005",
+                                  "1:2", "0:1:0", "1:0:0.1"])
 def test_sweep_grid_is_bounded_before_allocation(tmp_path, capsys, monkeypatch, grid):
     def never(*args, **kwargs):
         raise AssertionError("allocated before the bound")
@@ -481,6 +493,22 @@ def test_sweep_grid_is_bounded_before_allocation(tmp_path, capsys, monkeypatch, 
     assert run_cli(["sweep", "--param", "phi", "--grid", grid, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "--grid" in err and "Traceback" not in err
+    assert _one_usage_error(err, "--grid")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--ensemble", "0"], "--ensemble"),
+    (["run", "--seed", "-1"], "--seed"),
+    (["run", "--seed", str(2**64)], "--seed"),
+    (["run", "--threads", "0"], "--threads"),
+    (["threshold", "--random", "--gammas", "0.2,x"], "--gammas"),
+    (["run", "--set", "sim.t_max"], "--set"),
+], ids=["ensemble-0", "seed-negative", "seed-2^64", "threads-0", "gammas-not-a-number", "set-without-value"])
+def test_a_bad_flag_value_exits_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert _one_usage_error(capsys.readouterr().err, flag)
     assert not out.exists()
 
 
@@ -647,6 +675,8 @@ UNTIL_RUNS = [
     (["curves", "--family", "deltatau", "--tmax", "1"], None),
     (["run", "--mu2", "0.3", "--tmax", "1", "--set", "pulses.d_tau=0.004"], None),
     (["run", "--tmax", "1", "--set", "pulses.d_tau=0.004"], None),
+    (["threshold", "--random", "--gammas", "0.9", "--tmax", "2", "--step", "1e-3", "--set", "sim.integrator=rk4",
+      "--set", "pulses.d_tau=0.004"], 0.95),
 ]
 
 
@@ -888,7 +918,7 @@ class InProcessPool:
         InProcessPool.sizes.append(max_workers)
 
     def submit(self, fn, *args):
-        InProcessPool.min_cols.append(args[0][-1])
+        InProcessPool.min_cols.append(args[-1])
         InProcessPool.outstanding += 1
         InProcessPool.peak = max(InProcessPool.peak, InProcessPool.outstanding)
         return _InProcessTask(fn, args)
@@ -944,10 +974,10 @@ def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch,
     reruns = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+    def spy(system, pulses, sim, ks, level=None, min_col=1):
         if min_col > 1:
             reruns.append(ks.start)
-        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
+        return fill(system, pulses, sim, ks, level, min_col)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     argv = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.05", "--tmax", "2",
@@ -986,11 +1016,11 @@ def test_groups_that_run_out_of_their_heads_run_once_more_whole(tmp_path, monkey
     runs = set()
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+    def spy(system, pulses, sim, ks, level=None, min_col=1):
         if (system, pulses, ks.start) in runs:
             raise AssertionError(f"group {ks} of {pulses} ran again")
         runs.add((system, pulses, ks.start))
-        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
+        return fill(system, pulses, sim, ks, level, min_col)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     assert run_cli([*argv, "--out", str(tmp_path)]) == 0

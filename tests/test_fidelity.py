@@ -1,5 +1,6 @@
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,8 +344,9 @@ def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
     c = int(np.argmax(every))
     for min_col, extra in ((1, 0), (1, 5), (c + 20, 0), (c + 20, 7)):
         monkeypatch.setattr(fidelity, "STOP_MARGIN", (extra + 0.5) / width)
-        a2, a1 = np.empty_like(e2), np.empty_like(e1)
-        filled = fidelity._fill_group(SYS9, RAND_PULSES, sim, range(6), a2, a1, UNTIL_THETA, min_col)
+        a2, a1 = fidelity._fill_group(SYS9, RAND_PULSES, sim, range(6), UNTIL_THETA, min_col)
+        filled = a2.shape[1]
+        assert a1.shape == (6, filled)
         first = min_col + int(np.argmax(every[min_col:]))
         assert first + extra < filled <= first + extra + 9 < len(every)
         assert np.array_equal(a2[:, :filled], e2[:, :filled]) and np.array_equal(a1[:, :filled], e1[:, :filled])
@@ -399,9 +401,9 @@ def test_until_reruns_a_group_that_stopped_short(monkeypatch):
     runs = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+    def spy(system, pulses, sim, ks, level=None, min_col=1):
         runs.append((ks.start, min_col))
-        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
+        return fill(system, pulses, sim, ks, level, min_col)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
@@ -412,15 +414,27 @@ def test_until_reruns_a_group_that_stopped_short(monkeypatch):
     _until_matches_full(sim)
 
 
+_FILL_GROUP = fidelity._fill_group
+
+
+def _fill_group_task(*args):
+    """The group function as a pool task: pickle sends a function by its
+    module and name, and a test's spy (fidelity._fill_group in this
+    process) is a local function."""
+    return _FILL_GROUP(*args)
+
+
 class _CountingPool:
-    """A process pool that counts the group tasks submitted to it."""
+    """A process pool that counts the group tasks submitted to it and runs
+    each as _fill_group_task."""
 
     def __init__(self, pool):
         self.pool, self.tasks = pool, 0
 
     def submit(self, fn, *args):
+        assert fn is fidelity._fill_group
         self.tasks += 1
-        return self.pool.submit(fn, *args)
+        return self.pool.submit(_fill_group_task, *args)
 
 
 @pytest.mark.parametrize("margin", [fidelity.STOP_MARGIN, 0.0])
@@ -436,10 +450,10 @@ def test_until_serial_and_pool_agree(monkeypatch, margin):
     reruns = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
+    def spy(system, pulses, sim, ks, level=None, min_col=1):
         if min_col > 1:
-            reruns.append(ks.start)  # in this process; a worker's appends stay in the worker
-        return fill(system, pulses, sim, ks, e2, e1, level, min_col)
+            reruns.append(ks.start)  # in this process; the pool runs _fill_group_task
+        return fill(system, pulses, sim, ks, level, min_col)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
@@ -488,6 +502,22 @@ def test_a_deviation_free_point_is_one_row_at_any_ensemble_size(until):
     assert np.array_equal(curve.values, factors.sample_curves()[0]) and not curve.stderr.any()
 
 
+@pytest.mark.parametrize("until", [None, 0.997], ids=["whole-grid", "until"])
+def test_an_rk4_ensemble_completes_and_matches_the_exact_one(until):
+    # an rk4 group integrates its samples one at a time over the whole grid
+    # and returns that block; with until the point is cut at the same C
+    sim = SimConfig(t_max=1.0, step=1e-3, grid_dt=0.01, ensemble_n=4, master_seed=7)
+    pulses = PulseParams(d_tau=0.01, d_delta=0.004)
+    exact = ensemble_functionals(SYS9, pulses, sim, until=until)
+    rk4 = ensemble_functionals(SYS9, pulses, replace(sim, integrator="rk4"), until=until)
+    m = sim.grid_size() if until is None else _decided(exact, until) + 1
+    assert np.array_equal(rk4.grid, exact.grid) and len(exact.grid) == m
+    if until is not None:
+        assert m < sim.grid_size()  # the point is cut at C
+    assert rk4.e2.shape == rk4.e1.shape == exact.e2.shape == (4, m)
+    assert np.abs(rk4.e2 - exact.e2).max() < 1e-9 and np.abs(rk4.e1 - exact.e1).max() < 1e-9
+
+
 @pytest.mark.parametrize("n,table_bytes", [(1, riccati.LANE_TABLE_BYTES), (3, 1)], ids=["n1", "one-lane-groups"])
 def test_a_lone_lane_stops_early_in_the_exact_kernel(monkeypatch, n, table_bytes):
     # a group of one lane runs windows of the exact kernel and stops past its
@@ -499,9 +529,10 @@ def test_a_lone_lane_stops_early_in_the_exact_kernel(monkeypatch, n, table_bytes
     fills = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, e2, e1, level=None, min_col=1):
-        fills.append((level, fill(system, pulses, sim, ks, e2, e1, level, min_col)))
-        return fills[-1][1]
+    def spy(system, pulses, sim, ks, level=None, min_col=1):
+        e2, e1 = fill(system, pulses, sim, ks, level, min_col)
+        fills.append((level, e2.shape[1]))
+        return e2, e1
 
     def single(*args, **kwargs):
         raise AssertionError("a sample was integrated on its own")
@@ -548,14 +579,14 @@ def test_each_train_is_generated_once_per_group(monkeypatch, case):
     monkeypatch.setattr(riccati, "_LaneTables", tables_spy)
     monkeypatch.setattr(fidelity, "integrate_with", integrate_spy)
     ks = range(6)
-    e2, e1 = np.empty((6, sim.grid_size())), np.empty((6, sim.grid_size()))
     if case == "falls-back":
         with pytest.raises(BlowUpError) as err:
-            fidelity._fill_group(system, pulses, sim, ks, e2, e1, level)
+            fidelity._fill_group(system, pulses, sim, ks, level)
         # the one-by-one run builds sample 0's one-lane table from its train
         assert err.value.sample_index == 0 and integrated == [0] and tables == [list(ks), [0]]
     else:
-        filled = fidelity._fill_group(system, pulses, sim, ks, e2, e1, level)
+        e2, e1 = fidelity._fill_group(system, pulses, sim, ks, level)
+        filled = e2.shape[1]
         assert not integrated and tables == [list(ks)]
     assert sorted(made) == list(ks)
     if case == "stops":

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randdd import oracle
 from randdd.errors import HORIZON_SHORT, IntegrationQualityError, ValidationError
 from randdd.fidelity import fidelity_avg
 from randdd.model import InitialState, PulseParams, SimConfig, SystemParams
@@ -225,6 +226,15 @@ def test_pseudomode_quality_guard_fires_on_unstable_step():
     sim = SimConfig(t_max=2.0, step=0.5, grid_dt=0.5, ensemble_n=1)
     with pytest.raises(IntegrationQualityError):
         pseudomode_evolve(empty_schedule(2.0), system, InitialState(1.0, 0.0), sim)
+
+
+@pytest.mark.parametrize("tol,drift", [("TRACE_TOL", "trace drift"), ("HERM_TOL", "hermiticity drift")])
+def test_pseudomode_drift_guards_fire_below_a_negative_tolerance(monkeypatch, tol, drift):
+    # the initial rho has no drift; a tolerance below zero fails it at t = 0
+    monkeypatch.setattr(oracle, tol, -1.0)
+    sim = SimConfig(t_max=0.1, step=0.01, grid_dt=0.05, ensemble_n=1)
+    with pytest.raises(IntegrationQualityError, match=f"^{drift} 0.00e\\+00 at t = 0$"):
+        pseudomode_evolve(empty_schedule(0.1), SystemParams(), InitialState(0.6, 0.8), sim)
 
 
 def test_oracle_report_closure():

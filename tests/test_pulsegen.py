@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randdd.errors import (
+    SCHEDULE_HORIZON_INVALID,
     SCHEDULE_MALFORMED,
     SCHEDULE_PULSE_DEGENERATE,
     SCHEDULE_PULSE_OUTSIDE,
@@ -230,6 +231,18 @@ def test_load_schedule_horizon_override(tmp_path, standard_pulses):
     path = tmp_path / "sched.csv"
     save_schedule(s, path)
     assert load_schedule(path, horizon=0.2).horizon == 0.2
+
+
+@pytest.mark.parametrize("horizon", ["inf", "nan", "-1"])
+def test_load_schedule_rejects_a_horizon_header_that_is_not_finite_and_non_negative(tmp_path, horizon):
+    # an inf horizon's merge tolerance is inf: every breakpoint would merge
+    # into t = 0, and both integrators would return J = 0 at every grid time
+    path = tmp_path / "sched.csv"
+    path.write_text(f"# horizon={horizon}\nindex,start,width,area\n0,0.0,0.008,0.2\n")
+    with pytest.raises(ValidationError) as err:
+        load_schedule(path)
+    assert err.value.code == SCHEDULE_HORIZON_INVALID
+    assert load_schedule(path, horizon=0.2).horizon == 0.2  # a --replay passes t_max
 
 
 # ---------------------------------------------------------------------------

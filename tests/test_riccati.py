@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,3 +331,32 @@ def test_lane_blowup_names_a_failing_lane(monkeypatch):
         exact_factors(schedules, system, sim, e2, e1)
     assert err.value.sample_index is None and err.value.master_seed is None
     assert err.value.magnitude > riccati.DEFAULT_BLOWUP
+
+
+def test_a_lane_whose_u_vanishes_fails_at_that_time(monkeypatch):
+    # propagators of lane 1 are zero from segment row 37 on, so its u is 0
+    # at breakpoint row 38, in the fifth window of 8 steps; the sink's |u|
+    # check names that time and an inf |Q| before anything divides by u
+    system = SystemParams(gamma=0.3)
+    pulses = PulseParams(0.02, 0.008, 0.2, d_tau=0.004, d_delta=0.004)
+    sim = SimConfig(t_max=1.0, grid_dt=0.02, ensemble_n=3)
+    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(3, k)) for k in range(3)]
+    pts = _LaneTables(schedules, system, sim).pts
+    lane, row = 1, 37
+    segment_propagators, seen = riccati._segment_propagators, [0]
+
+    def zero_from_row(cs, lengths, system):
+        m = segment_propagators(cs, lengths, system)
+        m[max(row - seen[0], 0):, :, lane] = 0.0
+        seen[0] += len(cs)
+        return m
+
+    monkeypatch.setattr(riccati, "_segment_propagators", zero_from_row)
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 3 * 8)
+    e2, e1 = np.empty((3, sim.grid_size())), np.empty((3, sim.grid_size()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as err:
+            exact_factors(schedules, system, sim, e2, e1)
+    assert (err.value.t, err.value.magnitude) == (pts[row + 1, lane], float("inf"))
+    assert pts[row + 1, lane] < pts[-1, lane]
