@@ -19,6 +19,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import platform
 import signal
 import sys
 import time
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from . import __version__, errors
 from .errors import NumericalError, ValidationError
@@ -147,6 +149,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _numeric_env() -> dict:
+    """Python and numpy versions and numpy's highest active x86 dispatch
+    level (None off x86): what a run's low bits depend on beside its inputs."""
+    level = next((lv for lv in ("X86_V4", "X86_V3", "X86_V2") if __cpu_features__.get(lv)), None)
+    return {"python": platform.python_version(), "numpy": np.__version__, "x86_dispatch": level}
+
+
 def _write_manifest(out_dir: Path, spec: ExperimentSpec, bundle_snapshot: dict,
                     files: list[Path], wall: float) -> Path:
     manifest = {
@@ -156,6 +165,7 @@ def _write_manifest(out_dir: Path, spec: ExperimentSpec, bundle_snapshot: dict,
         "params": {k: bundle_snapshot[k] for k in sorted(bundle_snapshot)},
         "settings": {k: spec.options[k] for k in sorted(spec.options)},
         "files": {p.name: _sha256(p) for p in sorted(files)},
+        "numeric_env": _numeric_env(),
         "wall_clock_s": wall,
     }
     path = out_dir / "manifest.json"

@@ -4,8 +4,9 @@ For the dissipative qubit the survival probability of mu|1> + nu|0> is
 
     F(t) = 1 - m - (m - 2 m^2) e2(t) + 2 m (1 - m) e1(t),       m = |mu|^2,
 
-with e2 = exp(-2 int Re Q) and e1 = Re exp(-int Q); averaging m uniformly
-over pure states (E[m] = 1/2, E[m^2] = 1/3) gives
+with e2 = exp(-2 int Re Q) = |u|^2 and e1 = Re exp(-int Q) = Re u, read
+from u = exp(-J); averaging m uniformly over pure states (E[m] = 1/2,
+E[m^2] = 1/3) gives
 
     F_avg(t) = 1/2 + e2(t)/6 + e1(t)/3.
 
@@ -81,8 +82,8 @@ class EnsembleFactors:
     """Per-sample damping factors: rows are samples, columns grid times."""
 
     grid: np.ndarray
-    e2: np.ndarray   # exp(-2 Re J), shape (n, len(grid))
-    e1: np.ndarray   # Re exp(-J),   shape (n, len(grid))
+    e2: np.ndarray   # exp(-2 Re J) = |u|^2, shape (n, len(grid))
+    e1: np.ndarray   # Re exp(-J) = Re u,   shape (n, len(grid))
     meta: dict | None = None  # unread: benchmark/workloads.py's replay still passes it
 
     @property

@@ -5,8 +5,8 @@ Q(t) solves the scalar Riccati equation
     dQ/dt = Gamma*gamma/2 + (-gamma + i*omega + i*c(t)) * Q + Q^2,   Q(0) = 0,
 
 with c(t) the piecewise-constant control field. Everything downstream
-only needs J(t) = int_0^t Q ds through exp(-J) and exp(-2 Re J), so J is
-carried as extra state (J' = Q) rather than recovered by quadrature.
+only needs J(t) = int_0^t Q ds through u = exp(-J): the factors are
+exp(-2 Re J) = |u|^2 and Re exp(-J) = Re u.
 
 Two integrators share one trajectory contract:
 
@@ -22,7 +22,8 @@ Two integrators share one trajectory contract:
                    faster for long ensemble runs; agrees with RK4 to
                    integrator tolerance. It is the one-lane call of an
                    exact kernel that ensembles run over lane groups of
-                   schedules (exact_factors), bitwise per lane.
+                   schedules (exact_factors), bitwise per lane, which
+                   reads the factors from u with no J at all.
 
 Output samples land exactly on integration nodes: the output grid is
 merged into the breakpoint set, never interpolated.
@@ -45,25 +46,32 @@ DEFAULT_BLOWUP = 1e6
 
 @dataclass(frozen=True)
 class QTrajectory:
-    """Q and J sampled on the output grid (grid[0] = 0, states (0, 0) there)."""
+    """Q, J and u = exp(-J) on the output grid (grid[0] = 0, where u = 1);
+    the factors read u as the exact kernel's factor sink does."""
 
     grid: np.ndarray
     q: np.ndarray
     j: np.ndarray
+    u: np.ndarray
 
     def decay_factor(self) -> np.ndarray:
-        """exp(-2 Re J): the population damping envelope."""
-        return np.exp(-2.0 * np.real(self.j))
+        """exp(-2 Re J) = |u|^2: the population damping envelope."""
+        return _abs2(self.u)
 
     def coherence_factor(self) -> np.ndarray:
-        """exp(-J): the (co-rotating frame) coherence envelope."""
-        return np.exp(-self.j)
+        """exp(-J) = u: the (co-rotating frame) coherence envelope."""
+        return self.u
 
     def save(self, path) -> None:
         with open(path, "w", newline="\n") as f:
             f.write("t,re_q,im_q,re_j,im_j\n")
             f.writelines(map("{!r},{!r},{!r},{!r},{!r}\n".format, self.grid.tolist(), self.q.real.tolist(),
                              self.q.imag.tolist(), self.j.real.tolist(), self.j.imag.tolist()))
+
+
+def _abs2(u: np.ndarray) -> np.ndarray:
+    """|u|^2 in correctly rounded float64 steps: the same bits at any layout."""
+    return u.real * u.real + u.imag * u.imag
 
 
 def _steps_for(length: float, step: float) -> int:
@@ -130,7 +138,7 @@ def integrate(schedule: PulseSchedule, system: SystemParams, sim: SimConfig) -> 
                 raise BlowUpError(pts[seg] + (i + 1) * h, aq)
         qs[seg + 1] = q
         js[seg + 1] = j
-    return QTrajectory(grid, qs[gi], js[gi])
+    return QTrajectory(grid, qs[gi], js[gi], np.exp(-js[gi]))
 
 
 # Root gap |l1 - l2| below which a segment's propagator is not divided by it. It is at least
@@ -299,15 +307,15 @@ class _LaneSteps:
 
 
 class _Sink:
-    """The window sink: checks a window's states, unwraps the phase of u and
-    writes the lanes' grid samples to the rows of out, as (Q, J) or, with
-    factors, as (exp(-2 Re J), Re exp(-J)).
+    """The window sink: checks a window's states and writes the lanes' grid
+    samples to the rows of out, as (Q, J) or (Q, J, u) or, with factors, as
+    (exp(-2 Re J), Re exp(-J)) = (|u|^2, Re u), read straight from u.
 
-    The unwrapped phase is one running sum: each window's is a cumsum of its
-    wrapped increments seeded with the phase carried over from the window
-    before (0 at the start, where u = 1). J = -(log|u| + i phase) is taken
-    only at the grid rows. A failed check raises BlowUpError with the time
-    and |Q| of the first failing lane of the window, and no sample.
+    Only the J path unwraps the phase of u, as one running sum: each
+    window's cumsum of wrapped increments is seeded with the phase carried
+    over (0 at the start, where u = 1); J = -(log|u| + i phase) is taken at
+    the grid rows. A failed check raises BlowUpError with the time and |Q|
+    of the first failing lane of the window, and no sample.
     """
 
     def __init__(self, out: tuple, factors: bool):
@@ -323,10 +331,6 @@ class _Sink:
         if bad.any():
             l = int(np.argmax(bad.any(axis=0)))
             raise BlowUpError(tables.time(l, w0 + int(np.argmax(bad[:, l]))), float("inf"))
-        dph = np.diff(np.angle(us), axis=0)
-        dph -= 2.0 * np.pi * np.round(dph / (2.0 * np.pi))
-        phase = np.cumsum(np.concatenate([self.phase[None], dph]), axis=0)
-        self.phase = phase[-1]
         q = -vs / us
         aq = np.abs(q)
         bad = ~(np.max(aq, axis=0) <= DEFAULT_BLOWUP)  # a non-finite Q has an inf or nan |Q|
@@ -338,14 +342,19 @@ class _Sink:
         lane = np.repeat(self.lane_ids, cnt)
         col = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
         row = tables.gi[lane, col] - w0
-        j = -(np.log(mag[row, lane]) + 1j * phase[row, lane])
-        out = self.out
+        out, u = self.out, us[row, lane]
         if self.factors:
-            out[0][lane, col] = np.exp(-2.0 * np.real(j))
-            out[1][lane, col] = np.real(np.exp(-j))
-        else:
-            out[0][lane, col] = q[row, lane]
-            out[1][lane, col] = j
+            out[0][lane, col] = _abs2(u)
+            out[1][lane, col] = u.real
+            return
+        dph = np.diff(np.angle(us), axis=0)
+        dph -= 2.0 * np.pi * np.round(dph / (2.0 * np.pi))
+        phase = np.cumsum(np.concatenate([self.phase[None], dph]), axis=0)
+        self.phase = phase[-1]
+        out[0][lane, col] = q[row, lane]
+        out[1][lane, col] = -(np.log(mag[row, lane]) + 1j * phase[row, lane])
+        if len(out) > 2:
+            out[2][lane, col] = u
 
 
 def _propagate(tables: _LaneTables, system: SystemParams, out: tuple, factors: bool = False,
@@ -388,19 +397,18 @@ def integrate_exact(schedule: PulseSchedule, system: SystemParams, sim: SimConfi
 
     Q = -u'/u and J = -log u with the phase unwrapped by continuity over
     breakpoints (segments are subdivided so the per-piece phase advance
-    stays well below pi). The one-lane call of the exact kernel; a
-    BlowUpError names its time and |Q|, not a sample.
+    stays well below pi), and the sink's u. The one-lane call of the exact
+    kernel; a BlowUpError names its time and |Q|, not a sample.
     """
     tables = _LaneTables([schedule], system, sim)
-    q = np.empty((1, len(tables.grid)), dtype=complex)
-    j = np.empty_like(q)
-    _propagate(tables, system, (q, j))
-    return QTrajectory(tables.grid, q[0], j[0])
+    q, j, u = np.empty((3, 1, len(tables.grid)), dtype=complex)
+    _propagate(tables, system, (q, j, u))
+    return QTrajectory(tables.grid, q[0], j[0], u[0])
 
 
 def exact_factors(schedules: list, system: SystemParams, sim: SimConfig, e2: np.ndarray, e1: np.ndarray,
                   stop: Callable[[int], bool] | None = None) -> int:
-    """Write exp(-2 Re J) and Re exp(-J) of each schedule into the rows of e2 and e1.
+    """Write exp(-2 Re J) = |u|^2 and Re exp(-J) = Re u of each schedule into the rows of e2 and e1.
 
     All lanes advance together as lanes of the exact kernel, on whole
     tables, bitwise as integrate_exact would give the schedules one by one,

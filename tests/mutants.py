@@ -42,7 +42,7 @@ FIDELITY = "tests/test_fidelity.py::"
 RICCATI = "tests/test_riccati.py::"
 
 MUTANTS = [
-    Mutant("unwrap carry dropped", "riccati.py",
+    Mutant("J path: unwrap carry dropped", "riccati.py",
            "        self.phase = phase[-1]\n", "",
            (RICCATI + "test_one_lane_windows_are_bitwise_the_default[random-w64]",
             RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-w7]")),
@@ -60,11 +60,19 @@ MUTANTS = [
            "            vs[k + 1] = m10[k] * us[k] + m11[k] * vs[k]\n"
            "        st[:, 0, 0], st[:, 0, 1], st[:, 1, 0], st[:, 1, 1] = us.real, us.imag, vs.real, vs.imag\n",
            (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-default]",)),
-    Mutant("J gathered from the wrong row", "riccati.py",
-           "        j = -(np.log(mag[row, lane]) + 1j * phase[row, lane])\n",
-           "        j = -(np.log(mag[row - 1, lane]) + 1j * phase[row, lane])\n",
+    Mutant("J path: log taken one row early", "riccati.py",
+           "        out[1][lane, col] = -(np.log(mag[row, lane]) + 1j * phase[row, lane])\n",
+           "        out[1][lane, col] = -(np.log(mag[row - 1, lane]) + 1j * phase[row, lane])\n",
            (RICCATI + "test_lanes_are_bitwise_one_lane_runs[ragged-w7]",
             RICCATI + "test_one_lane_windows_are_bitwise_the_default[random-w64]")),
+    Mutant("factor sink: e1 = |u|", "riccati.py",
+           "            out[1][lane, col] = u.real\n",
+           "            out[1][lane, col] = np.abs(u)\n",
+           (RICCATI + "test_factors_from_u_match_those_from_j[all-three]",)),
+    Mutant("factor sink: e2 taken from row - 1", "riccati.py",
+           "            out[0][lane, col] = _abs2(u)\n",
+           "            out[0][lane, col] = _abs2(us[row - 1, lane])\n",
+           (RICCATI + "test_factors_from_u_match_those_from_j[all-three]",)),
     Mutant("no one-by-one re-run after a blow-up", "fidelity.py",
            "        except BlowUpError:\n            pass\n",
            "        except BlowUpError:\n            raise\n",

@@ -68,8 +68,9 @@ def test_frame_term_uses_complex_j(nocontrol_traj):
     # shifting Im J changes the coherence term (and only that term)
     init = InitialState(0.6, 0.8)
     base = fidelity_pure(nocontrol_traj, init).values
+    shift = 1j * 0.4 * nocontrol_traj.grid
     shifted = QTrajectory(
-        nocontrol_traj.grid, nocontrol_traj.q, nocontrol_traj.j + 1j * 0.4 * nocontrol_traj.grid
+        nocontrol_traj.grid, nocontrol_traj.q, nocontrol_traj.j + shift, nocontrol_traj.u * np.exp(-shift)
     )
     moved = fidelity_pure(shifted, init).values
     assert np.max(np.abs(moved[1:] - base[1:])) > 1e-3

@@ -3,8 +3,10 @@
 Each call below runs at a small size and its output files are compared,
 by sha256, against the hashes in `golden_expcli.json`. A manifest is
 compared with its `wall_clock_s` value blanked, since that is the only
-field that may change between runs. Regenerate the file only for a change
-that is meant to alter outputs, and say why in CHANGES.md:
+field that may change between runs, and without its `numeric_env` entry,
+which names the host's Python, numpy and dispatch level. Regenerate the
+file only for a change that is meant to alter outputs, and say why in
+CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_expcli.json
 """
@@ -80,6 +82,7 @@ def _digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "manifest.json":
         data = re.sub(rb'"wall_clock_s": [^\n]*', b'"wall_clock_s": 0', data)
+        data = re.sub(rb' "numeric_env": \{[^}]*\},\n', b"", data)
     return hashlib.sha256(data).hexdigest()
 
 

@@ -258,6 +258,43 @@ def test_lanes_are_bitwise_one_lane_runs(monkeypatch, case, width):
             assert np.array_equal(a1[k], np.real(traj.coherence_factor()))
 
 
+FACTOR_CASES = {
+    # (system, pulses, check on the schedules and tables); all three deviations but near the root,
+    # where a width deviation would move the field off -omega
+    "all-three": (SystemParams(gamma=0.2), PulseParams(0.02, 0.008, 0.2, d_tau=0.006, d_delta=0.002, d_phi=0.1),
+                  None),
+    "clamped": (SystemParams(gamma=0.5), PulseParams(0.02, 0.014, 0.2, d_tau=0.004, d_delta=0.004, d_phi=0.1),
+                "clamped"),
+    "subdivided": (SystemParams(gamma=0.3), PulseParams(0.5, 0.2, 60.0, d_tau=0.1, d_delta=0.05, d_phi=5.0),
+                   "subdivided"),
+    "near-root": LANE_CASES["near-root"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_CASES))
+def test_factors_from_u_match_those_from_j(case):
+    # exact_factors reads e2 = |u|^2 and e1 = Re u at the grid rows; J, from
+    # integrate_exact's log and unwrapped phase, gives them back through exp
+    system, pulses, extra = FACTOR_CASES[case]
+    sim = SimConfig(t_max=3.0, grid_dt=0.01, ensemble_n=4)
+    n, g = sim.ensemble_n, sim.grid_size()
+    schedules = [generate_random(pulses, sim.t_max, RandomStream.for_schedule(11, k)) for k in range(n)]
+    if extra == "clamped":
+        assert any(np.any(s.ends[:-1] == s.starts[1:]) for s in schedules)
+    if extra == "subdivided":
+        packed = _LaneTables(schedules, system, sim)
+        rows = (packed.pts < packed.pts[-1]).sum(axis=0)
+        assert all(r + 1 > len(_breakpoints(s, sim)[1]) for s, r in zip(schedules, rows))
+    if extra == "near-root":
+        assert all(np.abs(s.strengths + system.omega).max() < 1.25e-7 for s in schedules)
+    e2, e1 = np.empty((n, g)), np.empty((n, g))
+    exact_factors(schedules, system, sim, e2, e1)
+    for k, schedule in enumerate(schedules):
+        j = integrate_exact(schedule, system, sim).j
+        np.testing.assert_allclose(e2[k], np.exp(-2.0 * j.real), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(e1[k], np.exp(-j).real, rtol=1e-13, atol=0.0)
+
+
 WINDOW_TRAINS = {
     # (system, pulses, regular train)
     "regular": (SystemParams(gamma=0.2), PulseParams(0.02, 0.008, 0.2), True),
