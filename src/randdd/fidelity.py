@@ -100,8 +100,9 @@ class EnsembleFactors:
             se = vals.std(axis=0, ddof=1) / math.sqrt(self.n)
         return FidelityCurve(self.grid, mean, se)
 
-    def sample_curves(self, mu2: float | None = None) -> np.ndarray:
-        return _combine(self.e2, self.e1, mu2)
+    def sample_curves(self) -> np.ndarray:
+        """Each sample's state-averaged fidelity, one row per sample."""
+        return _combine(self.e2, self.e1, None)
 
 
 # A group runs this share of the grid past its own first all-below column.
@@ -116,17 +117,16 @@ def _all_below(level: float, e2: np.ndarray, e1: np.ndarray) -> np.ndarray:
     return (_combine(e2, e1, None) < level).all(axis=0)
 
 
-def _fill_group(system, pulses, sim, ks: range, level: float | None = None,
-                min_col: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _fill_group(system, pulses, sim, ks: range, level: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The factor block (e2, e1) of samples ks, one row per sample, cut to
     the columns filled.
 
     Each sample's train is generated once, to t_max. An exact group
-    advances as lanes of one kernel call on whole tables; with a level, the
-    call ends STOP_MARGIN of the grid past the first column from min_col on
-    where every lane's state-averaged fidelity is below it. rk4, or a group
-    in which any lane failed a check, runs the same trains one at a time in
-    k order over the whole grid. The kernel's BlowUpError names no sample;
+    advances as lanes of one kernel call on whole tables, over the whole
+    grid or, with a level, to STOP_MARGIN of the grid past the first column
+    from 1 on where every lane's state-averaged fidelity is below it. rk4,
+    or a group in which any lane failed a check, runs the same trains one
+    at a time in k order over the whole grid. The kernel's BlowUpError names no sample;
     this is the one place that puts one on it: the first failing sample,
     with the seed. A pool runs this as its task and sends the block back.
     """
@@ -136,7 +136,7 @@ def _fill_group(system, pulses, sim, ks: range, level: float | None = None,
 
     stop = None
     if level is not None:
-        extra, seen, first = int(STOP_MARGIN * e2.shape[1]), min_col, None
+        extra, seen, first = int(STOP_MARGIN * e2.shape[1]), 1, None
 
         def stop(filled: int) -> bool:
             nonlocal seen, first
@@ -184,10 +184,10 @@ MAX_ENSEMBLE_CELLS = 2 * 10**7
 
 class EnsembleRun:
     """One point's ensemble: start submits its first pass to a pool, finish
-    collects or runs it, re-runs the groups that stopped short of C (all on
-    whole tables) and joins the groups' blocks. A group's block is what
-    _fill_group returns for it, from a pool task or a run in this process
-    alike; a re-run replaces it. n, its sample count, is 1 for a
+    collects or runs it, runs the groups that stopped short of C once more
+    over the whole grid and joins the groups' blocks. A group's block is
+    what _fill_group returns for it, from a pool task or a run in this
+    process alike; a re-run replaces it. n, its sample count, is 1 for a
     deviation-free point, else ensemble_n; n times the grid points above
     MAX_ENSEMBLE_CELLS is a ValidationError. pool_tasks, the first-pass
     tasks it hands a pool, is its lane groups when there are two or more,
@@ -216,25 +216,26 @@ class EnsembleRun:
         """Submit the first pass, one task per lane group, to executor when
         one is given and the point has pool tasks."""
         if executor is not None and self.pool_tasks:
-            self.futures = [executor.submit(_fill_group, self.system, self.pulses, self.sim, ks, self.level, 1)
+            self.futures = [executor.submit(_fill_group, self.system, self.pulses, self.sim, ks, self.level)
                             for ks in self.groups]
         return self
 
     def finish(self) -> EnsembleFactors:
-        """Collect or run the first pass in group order, run the groups that
-        stopped short of C again here, and join the groups' blocks cut at C
-        (see ensemble_functionals)."""
+        """Take the first pass (the pool's blocks or runs here, in group
+        order), run each group short of C here once more with no level, over
+        the whole grid, and join the blocks cut at C (see ensemble_functionals)."""
         system, pulses, sim, level = self.system, self.pulses, self.sim, self.level
         grid = sim.output_grid()
-        blocks, short, col = [None] * len(self.groups), range(len(self.groups)), 1
-        while short:  # every group (min_col 1), then the groups that stopped short of C
-            for g in short:  # the first pass from the pool (a Future keeps its result alive), or a run here
-                blocks[g] = (self.futures.pop(0).result() if self.futures
-                             else _fill_group(system, pulses, sim, self.groups[g], level, col))
-            if level is None:
-                col = len(grid)
-                break
+        blocks = ([f.result() for f in self.futures] if self.futures
+                  else [_fill_group(system, pulses, sim, ks, level) for ks in self.groups])
+        self.futures = []  # each Future would keep its result alive
+        col = len(grid)
+        while level is not None:
             col, short = _decided_column([_all_below(level, e2, e1) for e2, e1 in blocks], len(grid))
+            if not short:
+                break
+            for g in short:  # a whole-grid block is never short: a group runs at most twice
+                blocks[g] = _fill_group(system, pulses, sim, self.groups[g])
         cut = slice(col + 1)
         e2 = np.concatenate([e2[:, cut] for e2, _ in blocks])
         blocks = [e1 for _, e1 in blocks]  # frees the e2 blocks before the e1 rows are joined
@@ -246,20 +247,17 @@ def ensemble_functionals(
     pulses: PulseParams,
     sim: SimConfig,
     *,
-    executor: ProcessPoolExecutor | None = None,
     until: float | None = None,
 ) -> EnsembleFactors:
     """Integrate one trajectory per sample stream and stack the factors.
 
     Sample k uses schedule stream (master_seed, k); the stack is ordered by
-    k regardless of how many workers ran. Samples run in lane groups
-    (riccati.lane_groups), and each group returns its factor block
-    (_fill_group); the stack is the blocks joined once, in group order. A
-    pool takes the first pass of whole groups when there are two or more,
-    and a lone group runs in this process. A deviation-free configuration
-    is one sample (any sample is the regular train). This is
-    EnsembleRun(...).start(executor).finish(); a caller may start several
-    points before finishing the first.
+    k. Samples run in lane groups (riccati.lane_groups), each returning its
+    factor block (_fill_group), joined once in group order, all in this
+    process. A deviation-free configuration is one sample (any sample is
+    the regular train). A caller with a pool uses
+    EnsembleRun(...).start(pool).finish(), and may start several points
+    before finishing the first.
 
     With until = theta the factors end at the first grid column C at which
     every sample's state-averaged fidelity is below theta (with room for
@@ -267,11 +265,11 @@ def ensemble_functionals(
     resample mean and every sample then cross theta first at or before C,
     so their threshold times are those of the whole grid. Each group runs
     on whole tables to STOP_MARGIN of the grid past its own first such
-    column. A group that stopped before C is run again in this process
-    from the start with min_col = C, which gives the same bits; columns no
-    group has reached may still be C. Without such a C each group runs once.
+    column. A group that stopped before C runs again, once, in this process
+    over the whole grid, which gives the same bits; columns no group has
+    reached may still be C. Without such a C each group runs once.
     """
-    return EnsembleRun(system, pulses, sim, until).start(executor).finish()
+    return EnsembleRun(system, pulses, sim, until).start().finish()
 
 
 # ---------------------------------------------------------------------------

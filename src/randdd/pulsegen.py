@@ -139,8 +139,8 @@ class PulseSchedule:
                           (errors.SCHEDULE_PULSE_OVERLAP, overlap), (errors.SCHEDULE_PULSE_OUTSIDE, outside)):
             if bad.any():
                 i = int(np.argmax(bad))
-                pulse = Pulse(float(self.starts[i]), float(self.widths[i]), float(self.areas[i]))
-                raise errors.ValidationError(code, f"pulse {i} {pulse} on [0, {self.horizon}]")
+                start, width, area = (float(x[i]) for x in (self.starts, self.widths, self.areas))
+                raise errors.ValidationError(code, f"pulse {i} Pulse({start=}, {width=}, {area=}) on [0, {self.horizon}]")
         return self
 
 

@@ -308,7 +308,7 @@ class _LaneSteps:
 
 class _Sink:
     """The window sink: checks a window's states and writes the lanes' grid
-    samples to the rows of out, as (Q, J) or (Q, J, u) or, with factors, as
+    samples to the rows of out, as (Q, J, u) or, with factors, as
     (exp(-2 Re J), Re exp(-J)) = (|u|^2, Re u), read straight from u.
 
     Only the J path unwraps the phase of u, as one running sum: each
@@ -353,8 +353,7 @@ class _Sink:
         self.phase = phase[-1]
         out[0][lane, col] = q[row, lane]
         out[1][lane, col] = -(np.log(mag[row, lane]) + 1j * phase[row, lane])
-        if len(out) > 2:
-            out[2][lane, col] = u
+        out[2][lane, col] = u
 
 
 def _propagate(tables: _LaneTables, system: SystemParams, out: tuple, factors: bool = False,
@@ -364,9 +363,10 @@ def _propagate(tables: _LaneTables, system: SystemParams, out: tuple, factors: b
     The source, tables, gives each window's fields and lengths; the lanes
     run windows of WINDOW_ELEMS lane-steps: one lane the scalar recurrence,
     more lanes _LaneSteps, each carrying its last (u, u') over; the sink
-    (_Sink) checks them and writes lane l's grid samples to row l of out.
-    Every stage is elementwise or runs along the steps of each lane, so
-    each lane is bitwise its one-lane run.
+    (_Sink) checks them and writes lane l's grid samples to row l of out:
+    of (Q, J, u), or of (e2, e1) with factors. Every stage is elementwise
+    or runs along the steps of each lane, so each lane is bitwise its
+    one-lane run.
 
     After each window stop, if given, is called with the number of columns
     every lane has filled; once it returns true the run ends there. Returns

@@ -93,10 +93,10 @@ MUTANTS = [
            "for e2, e1 in blocks], len(grid))\n",
            "for e2, e1 in blocks], len(grid))[0], []\n",
            (FIDELITY + "test_until_reruns_a_group_that_stopped_short",)),
-    Mutant("min_col ignored", "fidelity.py",
-           "int(STOP_MARGIN * e2.shape[1]), min_col, None",
-           "int(STOP_MARGIN * e2.shape[1]), 1, None",
-           (FIDELITY + "test_kernel_stop_ends_in_the_window_after_its_column",)),
+    Mutant("a re-run keeps the level", "fidelity.py",
+           "                blocks[g] = _fill_group(system, pulses, sim, self.groups[g])\n",
+           "                blocks[g] = _fill_group(system, pulses, sim, self.groups[g], level)\n",
+           (FIDELITY + "test_until_reruns_a_group_that_stopped_short",)),
     Mutant("any lane instead of every lane", "fidelity.py",
            "    return (_combine(e2, e1, None) < level).all(axis=0)\n",
            "    return (_combine(e2, e1, None) < level).any(axis=0)\n",

@@ -906,11 +906,11 @@ def test_blowup_at_a_later_point_exits_4_as_in_one_process(tmp_path, monkeypatch
 
 class InProcessPool:
     """A pool that starts no process: a task runs in this process when its
-    result is read. Records each pool's size, the min_col of every task
+    result is read. Records each pool's size, the level of every task
     submitted, and the most tasks submitted and not yet read."""
 
     sizes: list = []
-    min_cols: list = []
+    levels: list = []
     outstanding = peak = 0
     _processes: dict = {}  # none to terminate when a run fails (expcli._pool)
 
@@ -918,7 +918,7 @@ class InProcessPool:
         InProcessPool.sizes.append(max_workers)
 
     def submit(self, fn, *args):
-        InProcessPool.min_cols.append(args[-1])
+        InProcessPool.levels.append(args[-1])  # _fill_group(system, pulses, sim, ks, level)
         InProcessPool.outstanding += 1
         InProcessPool.peak = max(InProcessPool.peak, InProcessPool.outstanding)
         return _InProcessTask(fn, args)
@@ -939,7 +939,7 @@ class _InProcessTask:
 @pytest.fixture
 def in_process_pool(monkeypatch):
     monkeypatch.setattr(expcli, "usable_cpus", lambda: 8)
-    for name, value in (("sizes", []), ("min_cols", []), ("outstanding", 0), ("peak", 0)):
+    for name, value in (("sizes", []), ("levels", []), ("outstanding", 0), ("peak", 0)):
         monkeypatch.setattr(InProcessPool, name, value)
     monkeypatch.setattr(expcli, "ProcessPoolExecutor", InProcessPool)
     return InProcessPool
@@ -963,7 +963,8 @@ def test_pool_points_start_with_their_until(tmp_path, monkeypatch, in_process_po
     monkeypatch.setattr(fidelity.EnsembleRun, "start", start_spy)
     assert run_cli([*argv, "--ensemble", "40", "--grid-dt", "0.02", "--out", str(tmp_path)]) == 0
     assert seen and set(seen) == {(2, until)}
-    assert len(in_process_pool.min_cols) == 2 * len(seen)
+    assert len(in_process_pool.levels) == 2 * len(seen)
+    assert {level is None for level in in_process_pool.levels} == {until is None}
 
 
 def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch, in_process_pool):
@@ -974,10 +975,10 @@ def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch,
     reruns = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, level=None, min_col=1):
-        if min_col > 1:
+    def spy(system, pulses, sim, ks, level=None):
+        if level is None:
             reruns.append(ks.start)
-        return fill(system, pulses, sim, ks, level, min_col)
+        return fill(system, pulses, sim, ks, level)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     argv = ["sweep", "--param", "tau", "--gammas", "0.9", "--grid", "0:0.5:0.05", "--tmax", "2",
@@ -985,7 +986,7 @@ def test_look_ahead_budget_and_pool_size_with_a_fake_pool(tmp_path, monkeypatch,
     assert run_cli([*argv, "--out", str(tmp_path / "fake")]) == 0
     assert in_process_pool.sizes == [8] and in_process_pool.outstanding == 0
     assert 8 < in_process_pool.peak <= 2 * 8
-    assert in_process_pool.min_cols == [1] * 20 and reruns
+    assert len(in_process_pool.levels) == 20 and None not in in_process_pool.levels and reruns
     assert run_cli([*argv, "--threads", "1", "--out", str(tmp_path / "one")]) == 0
     assert (tmp_path / "fake" / "sweep_tau.csv").read_bytes() == (tmp_path / "one" / "sweep_tau.csv").read_bytes()
 
@@ -1016,11 +1017,11 @@ def test_groups_that_run_out_of_their_heads_run_once_more_whole(tmp_path, monkey
     runs = set()
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, level=None, min_col=1):
+    def spy(system, pulses, sim, ks, level=None):
         if (system, pulses, ks.start) in runs:
             raise AssertionError(f"group {ks} of {pulses} ran again")
         runs.add((system, pulses, ks.start))
-        return fill(system, pulses, sim, ks, level, min_col)
+        return fill(system, pulses, sim, ks, level)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     assert run_cli([*argv, "--out", str(tmp_path)]) == 0

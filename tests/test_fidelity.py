@@ -8,6 +8,7 @@ import pytest
 from randdd.errors import CURVE_BELOW_THRESHOLD, ValidationError
 from randdd.fidelity import (
     EnsembleFactors,
+    EnsembleRun,
     FidelityCurve,
     bootstrap_threshold_ci,
     ensemble_functionals,
@@ -151,7 +152,7 @@ def test_ensemble_worker_determinism():
     sim = SimConfig(t_max=2.0, grid_dt=0.02, ensemble_n=12, master_seed=77)
     serial = ensemble_functionals(SYS3, RAND_PULSES, sim).mean_curve()
     with ProcessPoolExecutor(2) as pool:
-        parallel = ensemble_functionals(SYS3, RAND_PULSES, sim, executor=pool).mean_curve()
+        parallel = EnsembleRun(SYS3, RAND_PULSES, sim).start(pool).finish().mean_curve()
     np.testing.assert_array_equal(serial.values, parallel.values)
     np.testing.assert_array_equal(serial.stderr, parallel.stderr)
 
@@ -275,7 +276,7 @@ def test_ensemble_workers_agree_on_uneven_lane_groups():
     assert [len(g) for g in lane_groups(33, SYS3, RAND_PULSES, sim)] == [17, 16]
     serial = ensemble_functionals(SYS3, RAND_PULSES, sim)
     with ProcessPoolExecutor(2) as pool:
-        parallel = ensemble_functionals(SYS3, RAND_PULSES, sim, executor=pool)
+        parallel = EnsembleRun(SYS3, RAND_PULSES, sim).start(pool).finish()
     assert np.array_equal(serial.e2, parallel.e2) and np.array_equal(serial.e1, parallel.e1)
 
 
@@ -301,9 +302,11 @@ def _t_outputs(factors, theta):
     return res.time, res.crossed, res.bracket, ci, mean_crossing_time(factors, theta)
 
 
-def _until_matches_full(sim, theta=UNTIL_THETA, executor=None):
-    full = ensemble_functionals(SYS9, RAND_PULSES, sim)
-    cut = ensemble_functionals(SYS9, RAND_PULSES, sim, until=theta, executor=executor)
+def _until_matches_full(sim, theta=UNTIL_THETA, executor=None, full=None):
+    """The cut run, started on executor if given, against the uncut run
+    (full, or one made here): its T outputs, and its factors bitwise."""
+    full = ensemble_functionals(SYS9, RAND_PULSES, sim) if full is None else full
+    cut = EnsembleRun(SYS9, RAND_PULSES, sim, theta).start(executor).finish()
     assert _t_outputs(cut, theta) == _t_outputs(full, theta)
     m = len(cut.grid)
     assert cut.e2.shape == cut.e1.shape == (sim.ensemble_n, m)
@@ -340,15 +343,14 @@ def test_kernel_stop_ends_in_the_window_after_its_column(monkeypatch):
         assert np.all(np.diff(counts) >= 0) and counts[-1] == filled
         assert all(c < at for c in counts[:-1]) and (filled >= at or filled == width)
         assert np.array_equal(a2[:, :filled], e2[:, :filled]) and np.array_equal(a1[:, :filled], e1[:, :filled])
-    # fidelity's rule: STOP_MARGIN of the grid (extra columns) past the first all-below column from min_col on
+    # fidelity's rule: STOP_MARGIN of the grid (extra columns) past the first all-below column from 1 on
     every = fidelity._all_below(UNTIL_THETA, e2, e1)
-    c = int(np.argmax(every))
-    for min_col, extra in ((1, 0), (1, 5), (c + 20, 0), (c + 20, 7)):
+    for extra in (0, 5):
         monkeypatch.setattr(fidelity, "STOP_MARGIN", (extra + 0.5) / width)
-        a2, a1 = fidelity._fill_group(SYS9, RAND_PULSES, sim, range(6), UNTIL_THETA, min_col)
+        a2, a1 = fidelity._fill_group(SYS9, RAND_PULSES, sim, range(6), UNTIL_THETA)
         filled = a2.shape[1]
         assert a1.shape == (6, filled)
-        first = min_col + int(np.argmax(every[min_col:]))
+        first = 1 + int(np.argmax(every[1:]))
         assert first + extra < filled <= first + extra + 9 < len(every)
         assert np.array_equal(a2[:, :filled], e2[:, :filled]) and np.array_equal(a1[:, :filled], e1[:, :filled])
 
@@ -394,27 +396,6 @@ def test_until_cuts_at_the_decided_column_inside_a_window(monkeypatch, n, max_la
     assert len(cut.grid) == _decided(full, UNTIL_THETA) + 1 < len(full.grid)
 
 
-def test_until_reruns_a_group_that_stopped_short(monkeypatch):
-    # with no margin, a group that decides before the others stops short of C
-    monkeypatch.setattr(riccati, "MAX_LANES", 2)
-    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 8)
-    monkeypatch.setattr(fidelity, "STOP_MARGIN", 0.0)
-    runs = []
-    fill = fidelity._fill_group
-
-    def spy(system, pulses, sim, ks, level=None, min_col=1):
-        runs.append((ks.start, min_col))
-        return fill(system, pulses, sim, ks, level, min_col)
-
-    monkeypatch.setattr(fidelity, "_fill_group", spy)
-    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
-    cut = ensemble_functionals(SYS9, RAND_PULSES, sim, until=UNTIL_THETA)
-    reruns = [r for r in runs if r[1] != 1]
-    assert len(runs) == 3 + len(reruns) and reruns
-    assert all(min_col < len(cut.grid) for _, min_col in reruns)
-    _until_matches_full(sim)
-
-
 _FILL_GROUP = fidelity._fill_group
 
 
@@ -438,6 +419,40 @@ class _CountingPool:
         return self.pool.submit(_fill_group_task, *args)
 
 
+def test_until_reruns_a_group_that_stopped_short(monkeypatch):
+    # with no margin, a group that decides before the others stops short of C
+    # and runs again once, in this process, with no level over the whole grid;
+    # serially and with its first pass on a pool. A third run fails at once
+    monkeypatch.setattr(riccati, "MAX_LANES", 2)
+    monkeypatch.setattr(riccati, "WINDOW_ELEMS", 8)
+    monkeypatch.setattr(fidelity, "STOP_MARGIN", 0.0)
+    sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=6, master_seed=5)
+    full = ensemble_functionals(SYS9, RAND_PULSES, sim)
+    runs = []
+    fill = fidelity._fill_group
+
+    def spy(system, pulses, sim, ks, level=None):
+        if sum(start == ks.start for start, _, _ in runs) == 2:
+            raise AssertionError(f"group {ks} ran a third time")
+        e2, e1 = fill(system, pulses, sim, ks, level)
+        runs.append((ks.start, level, e2.shape[1]))
+        return e2, e1
+
+    monkeypatch.setattr(fidelity, "_fill_group", spy)
+    cut, _ = _until_matches_full(sim, full=full)
+    reruns = [r for r in runs if r[1] is None]
+    assert len(runs) == 3 + len(reruns) and reruns
+    assert all(filled == sim.grid_size() for _, _, filled in reruns)
+    assert len(cut.grid) == _decided(full, UNTIL_THETA) + 1
+    runs.clear()
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        counting = _CountingPool(pool)
+        parallel, _ = _until_matches_full(sim, executor=counting, full=full)
+    assert counting.tasks == 3 and runs == reruns  # the pool takes first passes only
+    assert np.array_equal(parallel.grid, cut.grid)
+    assert np.array_equal(parallel.e2, cut.e2) and np.array_equal(parallel.e1, cut.e1)
+
+
 @pytest.mark.parametrize("margin", [fidelity.STOP_MARGIN, 0.0])
 def test_until_serial_and_pool_agree(monkeypatch, margin):
     # forked workers inherit the small windows; with no margin some groups run
@@ -448,18 +463,19 @@ def test_until_serial_and_pool_agree(monkeypatch, margin):
     sim = SimConfig(t_max=4.0, grid_dt=0.02, ensemble_n=33, master_seed=8)
     groups = len(lane_groups(33, SYS9, RAND_PULSES, sim))
     serial = ensemble_functionals(SYS9, RAND_PULSES, sim, until=UNTIL_THETA)
+    full = ensemble_functionals(SYS9, RAND_PULSES, sim)
     reruns = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, level=None, min_col=1):
-        if min_col > 1:
+    def spy(system, pulses, sim, ks, level=None):
+        if level is None:
             reruns.append(ks.start)  # in this process; the pool runs _fill_group_task
-        return fill(system, pulses, sim, ks, level, min_col)
+        return fill(system, pulses, sim, ks, level)
 
     monkeypatch.setattr(fidelity, "_fill_group", spy)
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
         counting = _CountingPool(pool)
-        parallel, full = _until_matches_full(sim, executor=counting)
+        parallel, full = _until_matches_full(sim, executor=counting, full=full)
     assert counting.tasks == groups
     assert reruns or margin > 0.0
     assert np.array_equal(serial.grid, parallel.grid)
@@ -530,8 +546,8 @@ def test_a_lone_lane_stops_early_in_the_exact_kernel(monkeypatch, n, table_bytes
     fills = []
     fill = fidelity._fill_group
 
-    def spy(system, pulses, sim, ks, level=None, min_col=1):
-        e2, e1 = fill(system, pulses, sim, ks, level, min_col)
+    def spy(system, pulses, sim, ks, level=None):
+        e2, e1 = fill(system, pulses, sim, ks, level)
         fills.append((level, e2.shape[1]))
         return e2, e1
 
@@ -676,5 +692,5 @@ def test_a_lone_lane_group_never_reaches_the_pool():
     assert len(lane_groups(6, SYS9, RAND_PULSES, sim)) == 1
     for until in (None, UNTIL_THETA):
         alone = ensemble_functionals(SYS9, RAND_PULSES, sim, until=until)
-        given = ensemble_functionals(SYS9, RAND_PULSES, sim, until=until, executor=NoMap())
+        given = EnsembleRun(SYS9, RAND_PULSES, sim, until).start(NoMap()).finish()
         assert np.array_equal(alone.e2, given.e2) and np.array_equal(alone.e1, given.e1)

@@ -369,6 +369,9 @@ def test_check_reports_first_bad_pulse(starts, widths, areas, code):
     with pytest.raises(ValidationError) as err:
         PulseSchedule(starts, widths, areas, 1.0).check()
     assert err.value.code == code
+    # the message names the pulse as its record's repr does
+    pulses = PulseSchedule(starts, widths, areas, 1.0).pulses
+    assert str(err.value) in {f"{code}: pulse {i} {pulse} on [0, 1.0]" for i, pulse in enumerate(pulses)}
 
 
 @pytest.mark.parametrize("body", [

@@ -244,15 +244,15 @@ def test_lanes_are_bitwise_one_lane_runs(monkeypatch, case, width):
         assert np.isin(edges, sim.output_grid()).any() and np.isin(edges, schedules[0].starts).any()
 
     g = sim.grid_size()
-    q, j = np.empty((n, g), dtype=complex), np.empty((n, g), dtype=complex)
-    _propagate(packed, system, (q, j))
+    q, j, u = np.empty((3, n, g), dtype=complex)
+    _propagate(packed, system, (q, j, u))
     # a stop that never holds runs the whole tables
     e2, e1 = np.empty((n, g)), np.empty((n, g))
     exact_factors(schedules, system, sim, e2, e1)
     s2, s1 = np.empty((n, g)), np.empty((n, g))
     assert exact_factors(schedules, system, sim, s2, s1, stop=lambda filled: False) == g
     for k, traj in enumerate(singles):
-        assert np.array_equal(q[k], traj.q) and np.array_equal(j[k], traj.j)
+        assert np.array_equal(q[k], traj.q) and np.array_equal(j[k], traj.j) and np.array_equal(u[k], traj.u)
         for a2, a1 in ((e2, e1), (s2, s1)):
             assert np.array_equal(a2[k], traj.decay_factor())
             assert np.array_equal(a1[k], np.real(traj.coherence_factor()))
@@ -330,8 +330,8 @@ def test_one_lane_blowup_is_its_first_failing_window(monkeypatch):
     tables = _LaneTables([schedule], system, sim)
     pts = tables.pts[:, 0]
     tables.gi = np.arange(len(pts))[None]  # Q at every breakpoint
-    q, j = np.empty((1, len(pts)), dtype=complex), np.empty((1, len(pts)), dtype=complex)
-    _propagate(tables, system, (q, j))
+    q, j, u = np.empty((3, 1, len(pts)), dtype=complex)
+    _propagate(tables, system, (q, j, u))
     aq = np.abs(q[0])
     bound, width = 0.75 * aq.max(), 8
     # window w0 holds breakpoints w0 .. w0 + width, the first one carried over
