@@ -420,7 +420,11 @@ def _pool(size: int, settings: dict):
     start method. On exit the pool is shut and the tasks not yet started
     are cancelled: a failing run must not wait for work submitted ahead.
     A running task cannot be cancelled, so a failing run first terminates
-    this pool's workers."""
+    this pool's workers and closes this process's end of their result
+    pipe: a worker ended while sending its result leaves part of a message
+    there, which the pool's manager thread would otherwise wait on forever
+    when the shutdown joins it; with no writer left it reads end-of-file
+    and marks the pool broken."""
     if not size:
         yield None
         return
@@ -435,6 +439,7 @@ def _pool(size: int, settings: dict):
         # this pool's workers only (ProcessPoolExecutor.terminate_workers is Python 3.14+)
         for process in list(executor._processes.values()):
             process.terminate()
+        executor._result_queue._writer.close()
         raise
     finally:
         executor.shutdown(cancel_futures=True)

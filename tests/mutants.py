@@ -123,6 +123,9 @@ MUTANTS = [
            "            process.terminate()\n",
            "            pass\n",
            (EXPCLI + "test_sigterm_ends_a_running_pool_task",)),
+    Mutant("a failing run keeps its end of the result pipe", "expcli.py",
+           "        executor._result_queue._writer.close()\n", "",
+           (EXPCLI + "test_a_failing_run_ends_while_a_result_is_half_sent",)),
     Mutant("lane-group cap on the pool dropped", "expcli.py",
            "    return min(cpus if workers == \"auto\" else workers, cpus, tasks)\n",
            "    return min(cpus if workers == \"auto\" else workers, cpus)\n",

@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import multiprocessing
+import os
 import signal
+import struct
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import Future
@@ -1088,6 +1091,47 @@ def test_sigterm_ends_a_running_pool_task(tmp_path, monkeypatch, capsys, pool_sp
     assert code == 143 and time.monotonic() - sent[0] < 5
     assert capsys.readouterr().err == "terminated by SIGTERM\n"
     assert pool_spy == [2] and PoolSpy.cancels == [True]
+    assert multiprocessing.active_children() == []
+
+
+def _half_send_and_sleep(fd, path):
+    """A pool task that writes the head of a 1 MiB result message to the
+    result pipe, as a worker ended mid-send leaves it, then marks its start
+    and sleeps until it is terminated."""
+    os.write(fd, struct.pack("!i", 1 << 20) + b"partial")
+    open(path, "w").close()
+    time.sleep(60)
+
+
+def test_a_failing_run_ends_while_a_result_is_half_sent(tmp_path, monkeypatch):
+    # a worker terminated while sending its result leaves part of a message
+    # in the result pipe; the failing run's pool shutdown must not wait for
+    # the rest (the task writes to the pipe it inherits, so the pool forks)
+    monkeypatch.setattr(expcli, "START_METHOD", "fork")
+    started, pools, outcome = tmp_path / "started", [], []
+
+    def failing_run():
+        try:
+            with expcli._pool(2, {}) as executor:
+                pools.append(executor)
+                executor.submit(_half_send_and_sleep, executor._result_queue._writer.fileno(), str(started))
+                deadline = time.monotonic() + 30
+                while not started.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise RuntimeError("the run failed")
+        except RuntimeError as exc:
+            outcome.append(str(exc))
+
+    thread = threading.Thread(target=failing_run, daemon=True)
+    t0 = time.monotonic()
+    thread.start()
+    thread.join(30)
+    stalled = thread.is_alive()
+    if stalled:  # free the pool's manager thread, so this test fails rather than hangs
+        pools[0]._result_queue._writer.close()
+        thread.join()
+    assert not stalled and time.monotonic() - t0 < 10
+    assert started.exists() and outcome == ["the run failed"]
     assert multiprocessing.active_children() == []
 
 
