@@ -8,7 +8,7 @@ configuration reproduces the CSV files byte for byte; --threads changes
 wall time only, never values.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical error,
-143 terminated by SIGTERM.
+130 interrupted by SIGINT (Ctrl-C), 143 terminated by SIGTERM.
 """
 from __future__ import annotations
 
@@ -414,6 +414,14 @@ def _pool_size(tasks: int, workers: int | str) -> int:
     return min(cpus if workers == "auto" else workers, cpus, tasks)
 
 
+def _worker_signals() -> None:
+    """Pool worker set-up. A Ctrl-C reaches the whole process group: the
+    workers ignore SIGINT and the interrupted main process ends them. They
+    keep the default SIGTERM: main's handler is for the main process."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 @contextlib.contextmanager
 def _pool(size: int, settings: dict):
     """A process pool of size workers (None for 0); settings records its
@@ -429,9 +437,7 @@ def _pool(size: int, settings: dict):
         yield None
         return
     context = multiprocessing.get_context(START_METHOD)
-    # workers keep the default SIGTERM: main's handler is for this process
-    executor = ProcessPoolExecutor(max_workers=size, mp_context=context, initializer=signal.signal,
-                                   initargs=(signal.SIGTERM, signal.SIG_DFL))
+    executor = ProcessPoolExecutor(max_workers=size, mp_context=context, initializer=_worker_signals)
     settings["start_method"] = context.get_start_method()
     try:
         yield executor
@@ -453,8 +459,7 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
     oracle's settings.
     workers is "auto" or a count; the manifest records it as given, and the
     start method of the pool when one started. oracle-check starts a
-    one-worker pool for its no-control reference when two processes are
-    allowed.
+    one-worker pool for its pulsed check when two processes are allowed.
 
     Points with pool tasks run their first pass on the pool, submitted
     ahead in point order while fewer than twice the pool size of tasks are
@@ -469,7 +474,7 @@ def run_experiment(spec: ExperimentSpec, *, workers: int | str = "auto") -> list
         step = float(spec.overrides.get("sim.step", SimConfig.step))
         seed = int(spec.overrides.get("sim.master_seed", SimConfig.master_seed))
         oracle_configs(step, seed)  # a bad step exits 3 before a pool starts
-        # two checks run at once: the no-control one on the worker, the pulsed one here
+        # two checks run at once: the pulsed one on the worker, the longer no-control one here
         with _pool(1 if _pool_size(2, workers) > 1 else 0, settings) as executor:
             report = run_oracle_check(step=step, seed=seed, executor=executor)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -705,7 +710,7 @@ def main(argv=None) -> int:
             for key, value in sorted(_snapshot(bundle).items()):
                 print(f"  {key} = {value}")
             return 0
-        # SIGTERM unwinds the run, so the pool is shut and its workers end
+        # SIGTERM and SIGINT unwind the run, so the pool is shut and its workers end
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
         try:
             files = run_experiment(spec, workers=workers)
@@ -714,6 +719,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # from SIGTERM
         print("terminated by SIGTERM", file=sys.stderr)
         return exc.code
+    except KeyboardInterrupt:
+        print("interrupted by SIGINT", file=sys.stderr)
+        return 128 + signal.SIGINT
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3

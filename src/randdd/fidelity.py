@@ -40,8 +40,8 @@ class FidelityCurve:
         se = self.stderr if self.stderr is not None else np.zeros_like(self.values)
         with open(path, "w", newline="\n") as f:
             f.write("t,fidelity,stderr\n")
-            f.writelines(map("{:.12g},{:.12g},{:.12g}\n".format,
-                             self.grid.tolist(), self.values.tolist(), se.tolist()))
+            f.writelines(map("%.12g,%.12g,%.12g\n".__mod__,
+                             zip(self.grid.tolist(), self.values.tolist(), se.tolist())))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import Executor, Future
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -156,7 +156,9 @@ def pseudomode_evolve(
     H(t) = (omega + c(t))/2 sz + lam (sm a+ + sp a), dissipator kappa D[a],
     lam = sqrt(Gamma gamma / 2), kappa = 2 gamma. Basis order: qubit excited
     block first, mode number within a block. Trace, hermiticity, and
-    positivity are checked at every output sample.
+    positivity are checked at every output sample, over all of them once
+    the run has ended: the error is that of the first failing sample, in
+    that check order.
 
     The equation is linear in rho and c is constant on each segment, so one
     RK4 step of size h is exactly vec(rho) <- P(hL) vec(rho) with L the
@@ -186,24 +188,6 @@ def pseudomode_evolve(
     rho = np.outer(psi, psi.conj())
 
     grid, pts, cs, gi = _breakpoints(schedule, sim)
-    want = {}
-    for out_i, bp in enumerate(gi):
-        want.setdefault(int(bp), []).append(out_i)
-
-    rhos = np.empty((len(grid), d, d), dtype=complex)
-
-    def record(bp_index: int, rho_now: np.ndarray, t_now: float):
-        for out_i in want.get(bp_index, ()):
-            tr = np.trace(rho_now)
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise IntegrationQualityError(f"trace drift {abs(tr - 1.0):.2e} at t = {t_now:.6g}")
-            asym = np.max(np.abs(rho_now - rho_now.conj().T))
-            if asym > HERM_TOL:
-                raise IntegrationQualityError(f"hermiticity drift {asym:.2e} at t = {t_now:.6g}")
-            evals = np.linalg.eigvalsh(0.5 * (rho_now + rho_now.conj().T))
-            if evals.min() < -EIG_TOL:
-                raise IntegrationQualityError(f"negative eigenvalue {evals.min():.2e} at t = {t_now:.6g}")
-            rhos[out_i] = rho_now
 
     # L vec(rho) = vec(G rho + rho G~ + kappa a rho a~), G = -iH - (kappa/2) n,
     # in row-major vec where vec(A X B) = (A kron B^T) vec(X)
@@ -218,16 +202,42 @@ def pseudomode_evolve(
         hL = h * (np.kron(G, eye_d) + np.kron(eye_d, G.conj()) + jump_part)
         return hL @ (eye_l + hL @ (eye_l / 2.0 + hL @ (eye_l / 6.0 + hL / 24.0)))
 
-    vec = rho.reshape(-1)
-    record(0, rho, 0.0)
-    for seg in range(len(pts) - 1):
-        h_full = pts[seg + 1] - pts[seg]
-        n_steps = _steps_for(h_full, sim.step)
-        inc = increment(cs[seg], h_full / n_steps)
-        for _ in range(n_steps):
-            vec = vec + inc @ vec
-        record(seg + 1, vec.reshape(d, d), float(pts[seg + 1]))
+    # vec(rho) at every breakpoint; the output samples are those at gi. A
+    # diverging run goes on to t_max: its overflow is the checks' to report
+    vecs = np.empty((len(pts), d * d), dtype=complex)
+    vecs[0] = rho.reshape(-1)
+    vec, dvec = vecs[0].copy(), np.empty(d * d, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg in range(len(pts) - 1):
+            h_full = pts[seg + 1] - pts[seg]
+            n_steps = _steps_for(h_full, sim.step)
+            inc = increment(cs[seg], h_full / n_steps)
+            for _ in range(n_steps):  # vec += inc @ vec, with no temporaries
+                np.dot(inc, vec, out=dvec)
+                np.add(vec, dvec, out=vec)
+            vecs[seg + 1] = vec
+        rhos = vecs[gi].reshape(-1, d, d)
+        _check_samples(rhos, pts[gi])
     return PseudomodeResult(grid, rhos, n_max)
+
+
+def _check_samples(rhos: np.ndarray, times: np.ndarray) -> None:
+    """Raise IntegrationQualityError for the first sample out of tolerance
+    in trace drift, hermiticity drift or negative eigenvalue, checked in
+    that order. A non-finite sample fails a drift check, so the eigenvalues
+    are taken only before the first drift failure, where rho is finite."""
+    herm = rhos.conj().transpose(0, 2, 1)
+    drift = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
+    asym = np.abs(rhos - herm).max(axis=(1, 2))
+    drifted = ~((drift <= TRACE_TOL) & (asym <= HERM_TOL))
+    n = int(np.argmax(drifted)) if drifted.any() else len(rhos)
+    low = np.linalg.eigvalsh(0.5 * (rhos[:n] + herm[:n])).min(axis=1)
+    if (low < -EIG_TOL).any():
+        k = int(np.argmax(low < -EIG_TOL))
+        raise IntegrationQualityError(f"negative eigenvalue {low[k]:.2e} at t = {times[k]:.6g}")
+    if n < len(rhos):
+        name, value = ("trace drift", drift[n]) if not drift[n] <= TRACE_TOL else ("hermiticity drift", asym[n])
+        raise IntegrationQualityError(f"{name} {value:.2e} at t = {times[n]:.6g}")
 
 
 def compare_frames(
@@ -272,6 +282,21 @@ def _nocontrol_dev(system: SystemParams, sim: SimConfig) -> float:
     return float(np.max(np.abs(np.exp(-traj.j) - closed_form_barQ(system, traj.grid))))
 
 
+def _pulsed_devs(system: SystemParams, pulses: PulseParams, sim: SimConfig, init: InitialState) -> dict:
+    """Largest deviations of the mode oracle from the RK4 pipeline under a
+    regular train: of the population and of the coherence, in modulus and
+    de-rotated."""
+    schedule = generate_regular(pulses, sim.t_max)
+    traj = integrate(schedule, system, sim)
+    pm = pseudomode_evolve(schedule, system, init, sim)
+    pop_pipeline = init.mu2 * traj.decay_factor()
+    coh_pipeline = init.mu * np.conj(init.nu) * traj.coherence_factor()
+    return {
+        "max_pop_dev": float(np.max(np.abs(pm.qubit_population() - pop_pipeline))),
+        **compare_frames(traj.grid, coh_pipeline, pm.qubit_coherence(), schedule, system),
+    }
+
+
 def run_oracle_check(
     *,
     step: float = SimConfig.step,
@@ -285,30 +310,19 @@ def run_oracle_check(
        width 0.008: mode-oracle populations and coherences vs the
        Riccati/fidelity pipeline on [0, 3].
 
-    Both configurations are validated before either runs. With an
-    executor, check 1 runs on it while check 2 runs here; an error in
-    check 2 waits for check 1, so a failing run reports the error the
-    serial order would.
+    Both configurations are validated before either runs. Check 1, the
+    longer, runs here; with an executor, check 2 runs on it meanwhile,
+    else after check 1. Check 2's result is read only once check 1 has
+    passed, so a failing run reports the error the serial order would.
     """
-    (sys_nc, sim_nc), (system, pulses, sim, init) = oracle_configs(step, seed)
-    if executor is None:
-        nocontrol = Future()
-        nocontrol.set_result(_nocontrol_dev(sys_nc, sim_nc))
-    else:
-        nocontrol = executor.submit(_nocontrol_dev, sys_nc, sim_nc)
-    try:
-        schedule = generate_regular(pulses, sim.t_max)
-        traj = integrate(schedule, system, sim)
-        pm = pseudomode_evolve(schedule, system, init, sim)
-    except Exception:
-        nocontrol.result()
-        raise
-    pop_pipeline = init.mu2 * traj.decay_factor()
-    coh_pipeline = init.mu * np.conj(init.nu) * traj.coherence_factor()
+    (sys_nc, sim_nc), pulsed = oracle_configs(step, seed)
+    future = executor.submit(_pulsed_devs, *pulsed) if executor is not None else None
+    max_nocontrol = _nocontrol_dev(sys_nc, sim_nc)
+    devs = _pulsed_devs(*pulsed) if future is None else future.result()
+    system, pulses, sim, init = pulsed
     return {
-        "max_nocontrol_dev": nocontrol.result(),
-        "max_pop_dev": float(np.max(np.abs(pm.qubit_population() - pop_pipeline))),
-        **compare_frames(traj.grid, coh_pipeline, pm.qubit_coherence(), schedule, system),
+        "max_nocontrol_dev": max_nocontrol,
+        **devs,
         "params": {
             "nocontrol": {"gamma": sys_nc.gamma, "t_max": sim_nc.t_max, "step": sim_nc.step},
             "pulsed": {"gamma": system.gamma, "tau": pulses.tau, "delta": pulses.delta, "phi": pulses.phi,

@@ -65,8 +65,8 @@ class QTrajectory:
     def save(self, path) -> None:
         with open(path, "w", newline="\n") as f:
             f.write("t,re_q,im_q,re_j,im_j\n")
-            f.writelines(map("{!r},{!r},{!r},{!r},{!r}\n".format, self.grid.tolist(), self.q.real.tolist(),
-                             self.q.imag.tolist(), self.j.real.tolist(), self.j.imag.tolist()))
+            f.writelines(map("%r,%r,%r,%r,%r\n".__mod__, zip(self.grid.tolist(), self.q.real.tolist(),
+                             self.q.imag.tolist(), self.j.real.tolist(), self.j.imag.tolist())))
 
 
 def _abs2(u: np.ndarray) -> np.ndarray:
@@ -102,12 +102,16 @@ def _breakpoints(schedule: PulseSchedule, sim: SimConfig, pieces=None, grid: np.
 def integrate(schedule: PulseSchedule, system: SystemParams, sim: SimConfig) -> QTrajectory:
     """Fixed-step RK4 for (Q, J), edge-aligned, sampled on the output grid.
 
-    The loop runs on Python floats and complexes: numpy scalars give the
-    same bits through the same textbook formulas, at twice the cost per op.
+    The loop runs on Python complexes: numpy scalars give the same bits
+    through the same textbook formulas, at twice the cost per op. Its real
+    constants are held as complex, as CPython converts a float operand of
+    a complex op to (x, 0.0) anyway: the same bits, without first trying
+    float's own op.
     """
     grid, pts, cs, gi = _breakpoints(schedule, sim)
     pts, cs = pts.tolist(), cs.tolist()
-    k0 = 0.5 * system.Gamma * system.gamma
+    k0 = complex(0.5 * system.Gamma * system.gamma)
+    two = 2.0 + 0.0j
     base = -system.gamma + 1j * system.omega
 
     q = 0.0 + 0.0j
@@ -121,18 +125,17 @@ def integrate(schedule: PulseSchedule, system: SystemParams, sim: SimConfig) -> 
         length = pts[seg + 1] - pts[seg]
         n = _steps_for(length, sim.step)
         h = length / n
-        h2 = 0.5 * h
-        h6 = h / 6.0
+        hc, h2, h6 = complex(h), complex(0.5 * h), complex(h / 6.0)
         for i in range(n):
             k1 = k0 + lin * q + q * q
             q2 = q + h2 * k1
             k2 = k0 + lin * q2 + q2 * q2
             q3 = q + h2 * k2
             k3 = k0 + lin * q3 + q3 * q3
-            q4 = q + h * k3
+            q4 = q + hc * k3
             k4 = k0 + lin * q4 + q4 * q4
-            j = j + h6 * (q + 2.0 * (q2 + q3) + q4)
-            q = q + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+            j = j + h6 * (q + two * (q2 + q3) + q4)
+            q = q + h6 * (k1 + two * (k2 + k3) + k4)
             aq = abs(q)
             if not aq <= DEFAULT_BLOWUP:
                 raise BlowUpError(pts[seg] + (i + 1) * h, aq)

@@ -119,6 +119,17 @@ MUTANTS = [
     Mutant("Horner 1/24 -> 1/25", "oracle.py",
            "hL / 24.0", "hL / 25.0",
            ("tests/test_oracle.py::test_transfer_matrix_matches_stepwise_rk4",)),
+    Mutant("no-control check back on the worker", "oracle.py",
+           "    max_nocontrol = _nocontrol_dev(sys_nc, sim_nc)\n",
+           "    max_nocontrol = (_nocontrol_dev(sys_nc, sim_nc) if executor is None\n"
+           "                     else executor.submit(_nocontrol_dev, sys_nc, sim_nc).result())\n",
+           (EXPCLI + "test_oracle_check_pool_is_one_worker_and_byte_identical[2]",)),
+    Mutant("pulsed result taken before the no-control check", "oracle.py",
+           "    max_nocontrol = _nocontrol_dev(sys_nc, sim_nc)\n"
+           "    devs = _pulsed_devs(*pulsed) if future is None else future.result()\n",
+           "    devs = _pulsed_devs(*pulsed) if future is None else future.result()\n"
+           "    max_nocontrol = _nocontrol_dev(sys_nc, sim_nc)\n",
+           (EXPCLI + "test_oracle_check_failure_reports_the_serial_error",)),
     Mutant("SIGTERM does not terminate the pool's workers", "expcli.py",
            "            process.terminate()\n",
            "            pass\n",
@@ -126,6 +137,9 @@ MUTANTS = [
     Mutant("a failing run keeps its end of the result pipe", "expcli.py",
            "        executor._result_queue._writer.close()\n", "",
            (EXPCLI + "test_a_failing_run_ends_while_a_result_is_half_sent",)),
+    Mutant("workers keep the default SIGINT", "expcli.py",
+           "    signal.signal(signal.SIGINT, signal.SIG_IGN)\n", "",
+           (EXPCLI + "test_ctrl_c_exits_130_with_one_line_and_no_worker_left",)),
     Mutant("lane-group cap on the pool dropped", "expcli.py",
            "    return min(cpus if workers == \"auto\" else workers, cpus, tasks)\n",
            "    return min(cpus if workers == \"auto\" else workers, cpus)\n",

@@ -1,10 +1,12 @@
 import contextlib
+import functools
 import io
 import json
 import multiprocessing
 import os
 import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -757,17 +759,23 @@ def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
 
 
 class PoolSpy(expcli.ProcessPoolExecutor):
-    """A real process pool that records each one created, its size and
-    whether its shutdown cancelled the tasks not yet started."""
+    """A real process pool that records each one created, its size, each
+    callable submitted to it and whether its shutdown cancelled the tasks
+    not yet started."""
 
     pools: list = []
     sizes: list = []
+    submits: list = []
     cancels: list = []
 
     def __init__(self, max_workers, **kwargs):
         PoolSpy.pools.append(self)
         PoolSpy.sizes.append(max_workers)
         super().__init__(max_workers=max_workers, **kwargs)
+
+    def submit(self, fn, /, *args, **kwargs):
+        PoolSpy.submits.append(fn)
+        return super().submit(fn, *args, **kwargs)
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         PoolSpy.cancels.append(cancel_futures)
@@ -778,6 +786,7 @@ class PoolSpy(expcli.ProcessPoolExecutor):
 def pool_spy(monkeypatch):
     monkeypatch.setattr(PoolSpy, "pools", [])
     monkeypatch.setattr(PoolSpy, "sizes", [])
+    monkeypatch.setattr(PoolSpy, "submits", [])
     monkeypatch.setattr(PoolSpy, "cancels", [])
     monkeypatch.setattr(expcli, "ProcessPoolExecutor", PoolSpy)
     return PoolSpy.sizes
@@ -1094,6 +1103,63 @@ def test_sigterm_ends_a_running_pool_task(tmp_path, monkeypatch, capsys, pool_sp
     assert multiprocessing.active_children() == []
 
 
+def _children(pid):
+    """The pids of the child processes of pid, from /proc."""
+    children = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as f:
+            children.update(map(int, f.read().split()))
+    return children
+
+
+def _alive(pid):
+    """Whether pid names a process that has not ended (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _ignored_signals(pid):
+    """The signals pid ignores, from the SigIgn mask in /proc."""
+    with open(f"/proc/{pid}/status") as f:
+        mask = int(next(line for line in f if line.startswith("SigIgn:")).split()[1], 16)
+    return {signum for signum in range(1, 65) if mask >> (signum - 1) & 1}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or expcli.usable_cpus() < 2,
+                    reason="reads the workers from /proc; a pool needs two CPUs")
+def test_ctrl_c_exits_130_with_one_line_and_no_worker_left(tmp_path):
+    # Ctrl-C sends SIGINT to the whole process group: the workers ignore it
+    # and the main process ends them, then reports it in one line
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(expcli.__file__))}
+    proc = subprocess.Popen([sys.executable, "-m", "randdd", "sweep", "--param", "tau", "--gammas", "0.2",
+                             "--out", str(tmp_path / "out")],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not _children(proc.pid) and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)  # a pool starts its workers together, and each sets its signals first
+        workers = _children(proc.pid)
+        assert workers and proc.poll() is None
+        assert all(signal.SIGINT in _ignored_signals(pid) for pid in workers)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    deadline = time.monotonic() + 10
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert proc.returncode == 130
+    assert err == "interrupted by SIGINT\n" and out == ""
+    assert not any(map(_alive, workers))
+
+
 def _half_send_and_sleep(fd, path):
     """A pool task that writes the head of a 1 MiB result message to the
     result pipe, as a worker ended mid-send leaves it, then marks its start
@@ -1135,11 +1201,25 @@ def test_a_failing_run_ends_while_a_result_is_half_sent(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+NOCONTROL_DEV = oracle._nocontrol_dev
+
+
+def _nocontrol_dev_noting_pid(path, *args):
+    """oracle._nocontrol_dev that first appends the pid running it to path;
+    a pool can run it too."""
+    with open(path, "a") as f:
+        f.write(f"{os.getpid()}\n")
+    return NOCONTROL_DEV(*args)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_oracle_check_pool_is_one_worker_and_byte_identical(tmp_path, monkeypatch, pool_spy, cpus):
-    # the no-control reference runs on a one-worker pool whenever two
-    # processes are allowed; the report keeps its bytes either way
+    # the pulsed check runs on a one-worker pool whenever two processes are
+    # allowed, and the longer no-control check in this process; the report
+    # keeps its bytes either way
     monkeypatch.setattr(expcli, "usable_cpus", lambda: cpus)
+    pids = tmp_path / "pids"
+    monkeypatch.setattr(oracle, "_nocontrol_dev", functools.partial(_nocontrol_dev_noting_pid, str(pids)))
     reports, methods = {}, {}
     for threads in (["--threads", "1"], ["--threads", "2"], []):
         out = tmp_path / "-".join(["t", *threads[1:]])
@@ -1151,13 +1231,16 @@ def test_oracle_check_pool_is_one_worker_and_byte_identical(tmp_path, monkeypatc
     started = pool if cpus > 1 else None
     assert methods == {"t-1": None, "t-2": started, "t": started}
     assert pool_spy == ([1, 1] if cpus > 1 else [])
+    assert PoolSpy.submits == [oracle._pulsed_devs] * len(pool_spy)
+    assert pids.read_text().split() == [str(os.getpid())] * 3
     assert PoolSpy.cancels == [True] * len(pool_spy)
     assert multiprocessing.active_children() == []
 
 
 def test_oracle_check_failure_reports_the_serial_error(tmp_path, monkeypatch, capsys, pool_spy):
     # both RK4 runs leave the bound at their first step; the serial order
-    # reports the no-control run's error, which the pool runs elsewhere
+    # reports the no-control run's error, raised here while the pool holds
+    # the pulsed run's
     monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", 1e-5)
     monkeypatch.setattr(expcli, "usable_cpus", lambda: 2)
     (sys_nc, sim_nc), _ = oracle.oracle_configs(1e-3)
@@ -1174,17 +1257,17 @@ def test_oracle_check_failure_reports_the_serial_error(tmp_path, monkeypatch, ca
 
 
 def test_oracle_check_sigterm_shuts_the_pool_and_exits_143(tmp_path, monkeypatch, capsys, pool_spy):
-    # SIGTERM while the pulsed check runs here unwinds through the pool's
-    # shutdown while the worker holds the no-control check
+    # SIGTERM while the no-control check runs here unwinds through the
+    # pool's shutdown while the worker holds the pulsed check
     monkeypatch.setattr(expcli, "usable_cpus", lambda: 2)
-    evolve, handlers = oracle.pseudomode_evolve, []
+    nocontrol, handlers = oracle._nocontrol_dev, []
 
-    def evolve_then_sigterm(*args, **kwargs):
+    def nocontrol_then_sigterm(*args):
         handlers.append(PoolSpy.pools[-1].submit(signal.getsignal, signal.SIGTERM).result(timeout=60))
         signal.raise_signal(signal.SIGTERM)
-        return evolve(*args, **kwargs)
+        return nocontrol(*args)
 
-    monkeypatch.setattr(oracle, "pseudomode_evolve", evolve_then_sigterm)
+    monkeypatch.setattr(oracle, "_nocontrol_dev", nocontrol_then_sigterm)
     code = run_cli(["oracle-check", "--step", "1e-3", "--out", str(tmp_path / "oracle")])
     assert code == 143
     assert capsys.readouterr().err == "terminated by SIGTERM\n"

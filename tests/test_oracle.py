@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,19 +224,46 @@ def test_transfer_matrix_matches_stepwise_rk4(case):
 
 
 def test_pseudomode_quality_guard_fires_on_unstable_step():
+    # the first sample after t = 0 fails, and the error names its time
     system = SystemParams(gamma=20.0)
     sim = SimConfig(t_max=2.0, step=0.5, grid_dt=0.5, ensemble_n=1)
-    with pytest.raises(IntegrationQualityError):
+    with pytest.raises(IntegrationQualityError, match=" at t = 0.5$"):
         pseudomode_evolve(empty_schedule(2.0), system, InitialState(1.0, 0.0), sim)
 
 
-@pytest.mark.parametrize("tol,drift", [("TRACE_TOL", "trace drift"), ("HERM_TOL", "hermiticity drift")])
-def test_pseudomode_drift_guards_fire_below_a_negative_tolerance(monkeypatch, tol, drift):
-    # the initial rho has no drift; a tolerance below zero fails it at t = 0
+@pytest.mark.parametrize("grid_dt,error", [(0.5, "negative eigenvalue \\S+ at t = 0.5"), (200.0, "trace drift nan at t = 200")],
+                         ids=["first-failure", "overflowed-sample"])
+def test_pseudomode_diverging_run_reports_its_first_failing_sample(grid_dt, error):
+    # the run goes on to t_max and overflows, silently; its first failing
+    # sample is reported, and a non-finite one fails the trace check
+    sim = SimConfig(t_max=200.0, step=0.5, grid_dt=grid_dt, ensemble_n=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationQualityError, match=f"^{error}$"):
+            pseudomode_evolve(empty_schedule(200.0), SystemParams(gamma=20.0), InitialState(1.0, 0.0), sim)
+
+
+@pytest.mark.parametrize("tol,check", [("TRACE_TOL", "trace drift"), ("HERM_TOL", "hermiticity drift"),
+                                       ("EIG_TOL", "negative eigenvalue")])
+def test_pseudomode_drift_guards_fire_below_a_negative_tolerance(monkeypatch, tol, check):
+    # the initial rho, |1><1|, has no drift and eigenvalues 1 and 0 exactly;
+    # a tolerance below zero fails it at t = 0
     monkeypatch.setattr(oracle, tol, -1.0)
     sim = SimConfig(t_max=0.1, step=0.01, grid_dt=0.05, ensemble_n=1)
-    with pytest.raises(IntegrationQualityError, match=f"^{drift} 0.00e\\+00 at t = 0$"):
-        pseudomode_evolve(empty_schedule(0.1), SystemParams(), InitialState(0.6, 0.8), sim)
+    with pytest.raises(IntegrationQualityError, match=f"^{check} 0.00e\\+00 at t = 0$"):
+        pseudomode_evolve(empty_schedule(0.1), SystemParams(), InitialState(1.0, 0.0), sim)
+
+
+@pytest.mark.parametrize("tols,check", [(("TRACE_TOL", "HERM_TOL"), "trace drift"),
+                                        (("TRACE_TOL", "EIG_TOL"), "trace drift"),
+                                        (("HERM_TOL", "EIG_TOL"), "hermiticity drift")])
+def test_pseudomode_sample_failing_two_checks_reports_the_first(monkeypatch, tols, check):
+    # checks run in the order trace, hermiticity, eigenvalue
+    for tol in tols:
+        monkeypatch.setattr(oracle, tol, -1.0)
+    sim = SimConfig(t_max=0.1, step=0.01, grid_dt=0.05, ensemble_n=1)
+    with pytest.raises(IntegrationQualityError, match=f"^{check} 0.00e\\+00 at t = 0$"):
+        pseudomode_evolve(empty_schedule(0.1), SystemParams(), InitialState(1.0, 0.0), sim)
 
 
 def test_oracle_report_closure():

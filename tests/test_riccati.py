@@ -132,6 +132,52 @@ def test_segment_alignment_bit_identity():
     assert np.array_equal(fine.j[sel], coarse.j)
 
 
+def textbook_rk4(schedule, system, sim):
+    """integrate's edge-aligned RK4 with its real constants as Python floats:
+    (q, j, u) on the output grid."""
+    grid, pts, cs, gi = _breakpoints(schedule, sim)
+    k0 = 0.5 * system.Gamma * system.gamma
+    q = j = 0j
+    qs, js = [q], [j]
+    for seg in range(len(pts) - 1):
+        lin = -system.gamma + 1j * system.omega + 1j * float(cs[seg])
+        length = float(pts[seg + 1]) - float(pts[seg])
+        n = riccati._steps_for(length, sim.step)
+        h = length / n
+        for _ in range(n):
+            k1 = k0 + lin * q + q * q
+            q2 = q + 0.5 * h * k1
+            k2 = k0 + lin * q2 + q2 * q2
+            q3 = q + 0.5 * h * k2
+            k3 = k0 + lin * q3 + q3 * q3
+            q4 = q + h * k3
+            k4 = k0 + lin * q4 + q4 * q4
+            j = j + h / 6.0 * (q + 2.0 * (q2 + q3) + q4)
+            q = q + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        qs.append(q)
+        js.append(j)
+    q, j = np.array(qs)[gi], np.array(js)[gi]
+    return q, j, np.exp(-j)
+
+
+@pytest.mark.parametrize("case", ["empty", "regular", "clamped"])
+def test_rk4_is_bitwise_the_textbook_loop(case):
+    # integrate holds its real constants as complex: the same bits as floats
+    system = SystemParams(gamma=0.5)
+    sim = SimConfig(t_max=1.0, step=1e-3, grid_dt=0.01, ensemble_n=1)
+    if case == "empty":
+        schedule = empty_schedule(sim.t_max)
+    elif case == "regular":
+        schedule = generate_regular(PulseParams(0.02, 0.008, 0.2), sim.t_max)
+    else:
+        pulses = LANE_CASES["clamped"][1]
+        schedule = generate_random(pulses, sim.t_max, RandomStream.for_schedule(11, 0))
+        assert np.any(schedule.ends[:-1] == schedule.starts[1:])
+    traj = integrate(schedule, system, sim)
+    for got, want in zip((traj.q, traj.j, traj.u), textbook_rk4(schedule, system, sim)):
+        assert np.array_equal(got, want)
+
+
 def test_blowup_guard(system02, monkeypatch):
     sim = SimConfig(t_max=1.0, step=1e-3, grid_dt=0.1, ensemble_n=1)
     monkeypatch.setattr(riccati, "DEFAULT_BLOWUP", 1e-4)
