@@ -35,6 +35,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 from . import __version__, errors
 from .errors import NumericalError, ValidationError
 from .fidelity import (
+    CELL_FORMAT,
     EnsembleRun,
     bootstrap_threshold_ci,
     ensemble_functionals,
@@ -91,7 +92,7 @@ def fmt(x) -> str:
         return str(int(x))
     if x is None:
         return ""
-    return f"{float(x):.12g}"
+    return CELL_FORMAT % float(x)
 
 
 def parse_config_file(path) -> dict:

@@ -25,9 +25,12 @@ import numpy as np
 
 from . import errors
 from .errors import BlowUpError, ValidationError
-from .model import InitialState, PulseParams, SimConfig, SystemParams
+from .model import MAX_ENSEMBLE_CELLS, InitialState, PulseParams, SimConfig, SystemParams
 from .pulsegen import RandomStream, generate_random
 from .riccati import QTrajectory, exact_factors, integrate_with, lane_groups
+
+
+CELL_FORMAT = "%.12g"  # every number cell of the CSVs
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,7 @@ class FidelityCurve:
         se = self.stderr if self.stderr is not None else np.zeros_like(self.values)
         with open(path, "w", newline="\n") as f:
             f.write("t,fidelity,stderr\n")
-            f.writelines(map("%.12g,%.12g,%.12g\n".__mod__,
+            f.writelines(map(f"{CELL_FORMAT},{CELL_FORMAT},{CELL_FORMAT}\n".__mod__,
                              zip(self.grid.tolist(), self.values.tolist(), se.tolist())))
 
 
@@ -176,10 +179,13 @@ def _decided_column(below: list[np.ndarray], width: int) -> tuple[int, list[int]
     return col, [g for g, m in enumerate(below) if len(m) <= col and len(m) < width]
 
 
-# a point's factor rows, samples times grid points, checked before they are
-# allocated; the largest default runs stack ~1e6. Joining the groups' blocks
-# holds up to 1.5 times them: the e2 blocks go before e1 is joined.
-MAX_ENSEMBLE_CELLS = 2 * 10**7
+def _mean_margin(n: int) -> float:
+    """2 n eps, the room for rounding in a float mean of n values. Rounded addition and
+    division are monotone and within a factor (1 +- eps), so with n - 1 additions and a
+    division a mean of values <= b is at most b (1 + eps)^n, one of values >= a at least
+    a (1 - eps)^n: values below theta (1 - 2 n eps) average below theta (EnsembleRun's
+    level), values at or above theta (1 + 2 n eps) at or above it (bootstrap_threshold_ci)."""
+    return 2.0 * n * np.finfo(float).eps
 
 
 class EnsembleRun:
@@ -201,13 +207,7 @@ class EnsembleRun:
         if cells > MAX_ENSEMBLE_CELLS:
             raise ValidationError(errors.ENSEMBLE_TOO_LARGE,
                                   f"ensemble_n x output samples = {cells}, limit {MAX_ENSEMBLE_CELLS}")
-        # Rounded addition and division are monotone, and each rounding is within a
-        # factor (1 +- eps), so a float mean of n values each <= b is at most
-        # b (1 + eps)^n and one of n values each >= a is at least a (1 - eps)^n
-        # (n - 1 additions and a division). So a mean of n values below
-        # theta (1 - 2 n eps) stays below theta, and one of n values at or above
-        # theta (1 + 2 n eps) stays at or above theta (bootstrap_threshold_ci).
-        self.level = None if until is None else until * (1.0 - 2.0 * n * np.finfo(float).eps)
+        self.level = None if until is None else until * (1.0 - _mean_margin(n))
         self.groups = lane_groups(n, system, pulses, sim)
         self.pool_tasks = len(self.groups) if len(self.groups) > 1 else 0
         self.futures: list = []
@@ -323,10 +323,10 @@ def bootstrap_threshold_ci(
     rng = stream.generator()
     idx = rng.integers(0, n, size=(n_boot, n))
     # before j0, the first column where some sample is below theta (1 + 2 n eps),
-    # every resample mean is at or above theta (see the level in
-    # ensemble_functionals), so no bracket starts before j0 - 1; each column's
-    # mean is the same sum however many columns are taken
-    dips = (curves < theta * (1.0 + 2.0 * n * np.finfo(float).eps)).any(axis=0)
+    # every resample mean is at or above theta (see _mean_margin), so no
+    # bracket starts before j0 - 1; each column's mean is the same sum however
+    # many columns are taken
+    dips = (curves < theta * (1.0 + _mean_margin(n))).any(axis=0)
     j = max((int(np.argmax(dips)) if dips.any() else len(factors.grid)) - 1, 0)
     curves, grid = curves[:, j:], factors.grid[j:]
     ts = np.empty(n_boot)

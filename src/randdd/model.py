@@ -150,13 +150,33 @@ class PulseParams:
 
 _INTEGRATORS = ("exact", "rk4")
 
+# Relative tolerance for comparing times assembled from sums of products of inputs.
+REL_TOL = 1e-12
+PIECE_RAD = 1.5  # exp(-J)'s phase per piece of the exact kernel's tables, well below pi
+
+
+def merge_tol(t: float) -> float:
+    """Times closer than this on a horizon t are merged into one breakpoint."""
+    return REL_TOL * max(1.0, t)
+
+
+def phase_pieces(system: SystemParams, lengths, c):
+    """Pieces of at most ~PIECE_RAD of exp(-J)'s phase over lengths at field c,
+    from the rate bound omega + |c| + gamma + sqrt(2 Gamma gamma)."""
+    rate = system.omega + abs(c) + system.gamma + math.sqrt(2.0 * system.Gamma * system.gamma)
+    return lengths * rate / PIECE_RAD
+
+
 # size limits checked before anything is allocated or run; the largest
 # default runs use ~9e3 samples, ~4.5e3 pulses, 1e5 RK4 steps and ~3e4
-# table segments per trajectory (~3.5e7 at the grid and pulse limits)
+# table segments per trajectory (~3.5e7 at the grid and pulse limits), and stack
+# ~1e6 factor cells (samples x grid points) a point: fidelity.EnsembleRun checks
+# those, and joining its groups' blocks holds up to 1.5 times them
 MAX_GRID_POINTS = 10**7
 MAX_PULSES = 10**7
 MAX_RK4_STEPS = 10**7
 MAX_TABLE_SEGMENTS = 5 * 10**7
+MAX_ENSEMBLE_CELLS = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -198,7 +218,6 @@ class SimConfig:
                 errors.GRID_TOO_LARGE,
                 f"t_max / grid_dt = {self.t_max / self.grid_dt:.6g}, limit {MAX_GRID_POINTS} output samples",
             )
-        from .pulsegen import merge_tol  # pulsegen imports this module
         if not self.grid_dt > 2.0 * merge_tol(self.t_max):  # closer output times would share breakpoints
             raise ValidationError(errors.GRID_DT_BELOW_MERGE, f"grid_dt = {self.grid_dt} must exceed "
                                   f"twice the breakpoint merge tolerance {merge_tol(self.t_max)}")
@@ -211,22 +230,17 @@ class SimConfig:
         return self
 
     def _grid_intervals(self) -> int:
-        return int(math.floor(self.t_max / self.grid_dt * (1 + 1e-12)))
+        return int(math.floor(self.t_max / self.grid_dt * (1 + REL_TOL)))
 
     def grid_size(self) -> int:
         """len(output_grid()), counted without building it."""
         n = self._grid_intervals()
-        return n + 1 + (n * self.grid_dt < self.t_max * (1 - 1e-12))
+        return n + 1 + (n * self.grid_dt < self.t_max * (1 - REL_TOL))
 
     def output_grid(self) -> np.ndarray:
-        """Canonical output times: multiples of grid_dt plus the horizon."""
-        n = self._grid_intervals()
-        grid = np.arange(n + 1, dtype=float) * self.grid_dt
-        if grid[-1] < self.t_max * (1 - 1e-12):
-            grid = np.append(grid, self.t_max)
-        else:
-            grid[-1] = min(grid[-1], self.t_max)
-        return grid
+        """Canonical output times: multiples of grid_dt plus the horizon, that is the
+        grid_size() multiples from 0 with the last cut to t_max."""
+        return np.minimum(np.arange(self.grid_size(), dtype=float) * self.grid_dt, self.t_max)
 
 
 # the configuration schema: key "section.field" for every field of these
@@ -264,12 +278,11 @@ def validate(
             errors.PULSES_TOO_MANY, f"t_max / tau = {sim.t_max / pulses.tau:.6g} pulses, limit {MAX_PULSES}"
         )
     # a train's exact table, which lane_groups sizes for either integrator: the grid, two
-    # edges a pulse, 0, t_max and the phase pieces of riccati._phase_pieces, at most one
-    # more per interval; a pulse adds at most |phi| + d_phi to length * |c|. inf fails.
+    # edges a pulse, 0, t_max and the phase pieces, at most one more per interval; a
+    # pulse adds at most |phi| + d_phi to length * |c|. inf fails.
     pulse_count = sim.t_max / (pulses.tau - pulses.d_tau) + 1
-    rate = system.omega + system.gamma + math.sqrt(2.0 * system.Gamma * system.gamma)
-    segments = (sim.grid_size() + 2 * pulse_count + 2 + sim.t_max * rate / 1.5
-                + pulse_count * (abs(pulses.phi) + pulses.d_phi) / 1.5)
+    segments = (sim.grid_size() + 2 * pulse_count + 2 + phase_pieces(system, sim.t_max, 0.0)
+                + pulse_count * (abs(pulses.phi) + pulses.d_phi) / PIECE_RAD)
     if not segments <= MAX_TABLE_SEGMENTS:
         raise ValidationError(errors.SEGMENTS_TOO_MANY, f"exact table of up to {segments:.6g} segments, "
                                                         f"limit {MAX_TABLE_SEGMENTS}")

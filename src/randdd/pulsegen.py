@@ -31,10 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import errors
-from .model import PulseParams
-
-# Relative tolerance for comparing times assembled from sums of products of inputs.
-_REL_TOL = 1e-12
+from .model import REL_TOL, PulseParams, merge_tol
 
 # Triples drawn per block beyond the mean-gap count of the pulses left.
 _BLOCK_MARGIN = 16
@@ -133,8 +130,8 @@ class PulseSchedule:
             raise errors.ValidationError(errors.SCHEDULE_HORIZON_INVALID, f"horizon {self.horizon}")
         with np.errstate(divide="ignore", invalid="ignore"):
             degenerate = ~((self.widths > 0) & np.isfinite(self.strengths))
-        overlap = np.append(False, self.starts[1:] < self.ends[:-1] - _REL_TOL * max(1.0, self.horizon))
-        outside = ~(self.starts >= 0.0) | (self.ends > self.horizon * (1 + _REL_TOL) + 1e-300)
+        overlap = np.append(False, self.starts[1:] < self.ends[:-1] - merge_tol(self.horizon))
+        outside = ~(self.starts >= 0.0) | (self.ends > self.horizon * (1 + REL_TOL) + 1e-300)
         for code, bad in ((errors.SCHEDULE_PULSE_DEGENERATE, degenerate),
                           (errors.SCHEDULE_PULSE_OVERLAP, overlap), (errors.SCHEDULE_PULSE_OUTSIDE, outside)):
             if bad.any():
@@ -146,7 +143,7 @@ class PulseSchedule:
 
 def generate_regular(params: PulseParams, horizon: float) -> PulseSchedule:
     """Evenly spaced train: starts i*tau, width delta, area phi."""
-    cut = horizon - _REL_TOL * max(1.0, horizon)
+    cut = horizon - merge_tol(horizon)
     starts = np.arange(math.ceil(cut / params.tau) + 2) * params.tau
     starts = starts[: np.searchsorted(starts, cut)]
     widths = np.full(len(starts), params.delta, dtype=float)
@@ -169,7 +166,7 @@ def generate_random(params: PulseParams, horizon: float, stream: RandomStream) -
     if params.is_regular:
         return generate_regular(params, horizon)
     rng = stream.generator()
-    cut = horizon - _REL_TOL * max(1.0, horizon)
+    cut = horizon - merge_tol(horizon)
     # pulse i uses triple i: draw blocks until the start after the last drawn
     # pulse reaches the horizon (cumsum adds in order, as a running start would)
     draws, starts = np.empty((0, 3)), np.zeros(1)
@@ -205,11 +202,6 @@ def control_integral(schedule: PulseSchedule, t) -> np.ndarray | float:
         li = last[inside]
         out[inside] -= areas[li] * (ends[li] - tq[inside]) / (ends[li] - starts[li])
     return out if np.ndim(t) else float(out[0])
-
-
-def merge_tol(t: float) -> float:
-    """Times closer than this on a horizon t are merged into one breakpoint."""
-    return _REL_TOL * max(1.0, t)
 
 
 def breakpoint_table(schedule: PulseSchedule, times: np.ndarray, t_max: float | None = None,
@@ -255,7 +247,7 @@ def breakpoint_table(schedule: PulseSchedule, times: np.ndarray, t_max: float | 
     keep = np.append(True, np.diff(merged) > tol)
     pts = merged[keep]
     lo = np.searchsorted(pts, -tol)
-    hi = np.searchsorted(pts, h * (1 + _REL_TOL), side="right")
+    hi = np.searchsorted(pts, h * (1 + REL_TOL), side="right")
     if t_max is not None:
         hi = min(hi, np.searchsorted(pts, t_max + merge_tol(t_max)))
     pts = pts[lo:hi]

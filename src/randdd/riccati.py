@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowUpError, ValidationError, HORIZON_SHORT
-from .model import PulseParams, SimConfig, SystemParams
+from .model import REL_TOL, PulseParams, SimConfig, SystemParams, phase_pieces
 from .pulsegen import PulseSchedule, breakpoint_table
 
 DEFAULT_BLOWUP = 1e6
@@ -76,14 +76,7 @@ def _abs2(u: np.ndarray) -> np.ndarray:
 
 def _steps_for(length: float, step: float) -> int:
     """Smallest n with length/n <= step, robust to last-ulp ratios."""
-    return max(1, int(math.ceil(length / step * (1.0 - 1e-12))))
-
-
-def _phase_pieces(system: SystemParams, lengths, c):
-    """Pieces of at most ~1.5 rad of exp(-J)'s phase over lengths at field c,
-    from the rate bound omega + |c| + gamma + sqrt(2 Gamma gamma)."""
-    rate = system.omega + np.abs(c) + system.gamma + math.sqrt(2.0 * system.Gamma * system.gamma)
-    return lengths * rate / 1.5
+    return max(1, int(math.ceil(length / step * (1.0 - REL_TOL))))
 
 
 def _breakpoints(schedule: PulseSchedule, sim: SimConfig, pieces=None, grid: np.ndarray | None = None):
@@ -91,9 +84,9 @@ def _breakpoints(schedule: PulseSchedule, sim: SimConfig, pieces=None, grid: np.
     every table of RK4, the exact kernel and the pseudomode oracle.
 
     pieces splits intervals as in pulsegen.breakpoint_table (the exact
-    kernel passes _phase_pieces). grid, if given, is sim.output_grid().
+    kernel passes model.phase_pieces). grid, if given, is sim.output_grid().
     """
-    if schedule.horizon < sim.t_max * (1.0 - 1e-12):
+    if schedule.horizon < sim.t_max * (1.0 - REL_TOL):
         raise ValidationError(HORIZON_SHORT, f"schedule horizon {schedule.horizon} < t_max {sim.t_max}")
     grid = sim.output_grid() if grid is None else grid
     return (grid, *breakpoint_table(schedule, grid, sim.t_max, pieces))
@@ -207,7 +200,7 @@ def lane_groups(n: int, system: SystemParams, pulses: PulseParams, sim: SimConfi
     the phase subdivisions at the mean field |phi|/tau.
     """
     segments = (sim.grid_size() + 2 * math.ceil(sim.t_max / pulses.tau)
-                + math.ceil(_phase_pieces(system, sim.t_max, pulses.phi / pulses.tau)))
+                + math.ceil(phase_pieces(system, sim.t_max, pulses.phi / pulses.tau)))
     lanes = max(1, min(MAX_LANES, LANE_TABLE_BYTES // (16 * segments)))
     size = -(-n // -(-n // lanes))
     return [range(k, min(k + size, n)) for k in range(0, n, size)]
@@ -225,8 +218,7 @@ class _LaneTables:
 
     def __init__(self, schedules: list, system: SystemParams, sim: SimConfig):
         self.grid = sim.output_grid()
-        pieces = partial(_phase_pieces, system)
-        tables = [_breakpoints(s, sim, pieces, self.grid)[1:] for s in schedules]
+        tables = [_breakpoints(s, sim, partial(phase_pieces, system), self.grid)[1:] for s in schedules]
         self.gi = np.array([gi for _, _, gi in tables])
         rows = max(len(c) for _, c, _ in tables)
         self.pts = np.empty((rows + 1, len(tables)))

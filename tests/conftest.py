@@ -7,8 +7,9 @@ settings.register_profile(
     max_examples=30,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# a deeper run: pytest --hypothesis-profile=thorough (a test that sets its
-# own example count takes the larger of its count and this one)
+# a deeper run: pytest --hypothesis-profile=thorough. A test's own
+# @settings(max_examples=n) wins over any profile; a test that should go
+# deeper here sets max(n, settings.default.max_examples)
 settings.register_profile("thorough", parent=settings.get_profile("randdd"), max_examples=3000)
 settings.load_profile("randdd")
 

@@ -113,9 +113,12 @@ MUTANTS = [
            (FIDELITY + "test_bootstrap_window_keeps_an_early_dip_that_recovers",
             FIDELITY + "test_bootstrap_window_sees_a_mean_rounded_below_theta")),
     Mutant("2n eps room dropped", "fidelity.py",
-           "    dips = (curves < theta * (1.0 + 2.0 * n * np.finfo(float).eps)).any(axis=0)\n",
+           "    dips = (curves < theta * (1.0 + _mean_margin(n))).any(axis=0)\n",
            "    dips = (curves < theta).any(axis=0)\n",
            (FIDELITY + "test_bootstrap_window_sees_a_mean_rounded_below_theta",)),
+    Mutant("validate's bound drops the pulse-area pieces", "model.py",
+           "\n                + pulse_count * (abs(pulses.phi) + pulses.d_phi) / PIECE_RAD)", ")",
+           ("tests/test_model.py::test_table_segment_bound_holds_for_validated_trains",)),
     Mutant("Horner 1/24 -> 1/25", "oracle.py",
            "hL / 24.0", "hL / 25.0",
            ("tests/test_oracle.py::test_transfer_matrix_matches_stepwise_rk4",)),

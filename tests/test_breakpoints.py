@@ -15,16 +15,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from randdd.model import PulseParams, SimConfig, SystemParams
+from randdd.model import REL_TOL, PulseParams, SimConfig, SystemParams, merge_tol
 from randdd.pulsegen import (
-    _REL_TOL,
     PulseSchedule,
     RandomStream,
     breakpoint_table,
     empty_schedule,
     generate_random,
     generate_regular,
-    merge_tol,
     segment_table,
 )
 from randdd.riccati import _breakpoints, _LaneTables
@@ -37,11 +35,11 @@ def ref_merge_times(times, tol):
 
 def ref_segment_table(schedule, extra_times=()):
     h = schedule.horizon
-    tol = _REL_TOL * max(1.0, h)
+    tol = REL_TOL * max(1.0, h)
     starts, ends = schedule.starts, schedule.ends
     edges = ref_merge_times(np.concatenate([[0.0, h], starts, ends[ends < h]]), tol)
     pts = ref_merge_times(np.concatenate([edges, np.asarray(extra_times, dtype=float)]), tol)
-    pts = pts[(pts >= -tol) & (pts <= h * (1 + _REL_TOL))]
+    pts = pts[(pts >= -tol) & (pts <= h * (1 + REL_TOL))]
     mids = 0.5 * (pts[:-1] + pts[1:])
     c = np.zeros(len(mids))
     if len(schedule):

@@ -8,6 +8,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -714,6 +715,34 @@ def test_validate_fuzz_every_key_exits_cleanly(sets):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["validate", *(arg for key, value in sets for arg in ("--set", f"{key}={value}"))])
     assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+# each control of the three run paths, with an ensemble small enough for many calls
+RUN_PATHS = (["run"], ["run", "--regular"], ["run", "--no-control"], ["run", "--mu2", "0.3"],
+             ["threshold", "--gammas", "0.9"], ["threshold", "--regular", "--gammas", "0.2,0.9"],
+             ["threshold", "--random", "--gammas", "0.9"], ["curves", "--family", "delta"],
+             ["curves", "--family", "deltatau"], ["curves", "--family", "mu"])
+# extreme physical scales: at --tmax 0.1 to 1, a 1e9 rate, area or step count
+# exceeds a size limit, so every call stays short
+SCALES = ("1e-9", "1e-3", "1e9", "-1e9")
+
+
+@pytest.mark.filterwarnings("ignore")
+@given(path=st.sampled_from(RUN_PATHS), tmax=st.sampled_from(("1e-9", "0.1", "1")),
+       sets=st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KEYS)), st.sampled_from(FUZZ_VALUES + SCALES)),
+                     max_size=3, unique_by=lambda kv: kv[0]))
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)  # thorough: the profile's
+def test_run_path_fuzz_exits_cleanly(path, tmax, sets):
+    # a run, threshold or curves call with bad or extreme values exits with a
+    # documented code (0, 2 usage, 3 validation, 4 numerics) and no traceback
+    argv = [*path, "--tmax", tmax, "--ensemble", "3", "--threads", "1",
+            *(arg for key, value in sets for arg in ("--set", f"{key}={value}"))]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", tmp])
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 

@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randdd import errors
+from randdd import errors, model
 from randdd.errors import (
     ENSEMBLE_TOO_LARGE,
     GRID_DT_BELOW_MERGE,
@@ -26,14 +27,17 @@ from randdd.errors import (
 from randdd.fidelity import EnsembleRun
 from randdd.model import (
     MAX_TABLE_SEGMENTS,
+    PIECE_RAD,
     InitialState,
     PulseParams,
     SimConfig,
     SystemParams,
+    merge_tol,
+    phase_pieces,
     validate,
 )
-from randdd.riccati import lane_groups
-from randdd.pulsegen import merge_tol
+from randdd.pulsegen import RandomStream, generate_random
+from randdd.riccati import _LaneTables, lane_groups
 
 
 def test_validate_accepts_figure_parameters():
@@ -140,7 +144,7 @@ def test_grid_size_counts_output_grid(t_max, grid_dt):
 
 
 def test_grid_dt_must_exceed_twice_the_merge_tolerance():
-    # the tolerance is pulsegen's merge_tol(t_max): 1e-12 for t_max <= 1
+    # the tolerance is model.merge_tol(t_max), the breakpoints' merge rule: 1e-12 for t_max <= 1
     assert merge_tol(1e-9) == 1e-12
     SimConfig(t_max=1e-9, step=1e-13, grid_dt=np.nextafter(2e-12, 1.0)).check()
     for grid_dt in (2e-12, 1e-12, 2e-13):
@@ -173,12 +177,11 @@ def test_size_limits_are_inclusive():
 
 
 def test_table_segment_limit_is_inclusive():
-    # t_max 1, 101 grid points and pulses counted as t_max / tau + 1 = 2: the
-    # bound is 107 + rate / 1.5 + 2 |phi| / 1.5, one segment below or above the limit
+    # t_max 1, 101 grid points and pulses counted as t_max / tau + 1 = 2: the bound is
+    # 107 + phase_pieces(t_max, c = 0) + 2 |phi| / PIECE_RAD, one segment below or above the limit
     system, sim = SystemParams(), SimConfig(t_max=1.0, grid_dt=0.01, ensemble_n=1)
-    rate = system.omega + system.gamma + math.sqrt(2.0 * system.Gamma * system.gamma)
     for extra, passes in ((-1.0, True), (1.0, False)):
-        phi = (MAX_TABLE_SEGMENTS + extra - 107 - rate / 1.5) * 1.5 / 2
+        phi = (MAX_TABLE_SEGMENTS + extra - 107 - phase_pieces(system, sim.t_max, 0.0)) * PIECE_RAD / 2
         pulses = PulseParams(tau=1.0, delta=0.5, phi=phi)
         if passes:
             validate(system, pulses, sim)
@@ -187,6 +190,30 @@ def test_table_segment_limit_is_inclusive():
             with pytest.raises(ValidationError) as err:
                 validate(system, pulses, sim)
             assert err.value.code == SEGMENTS_TOO_MANY
+
+
+@pytest.mark.filterwarnings("ignore")  # d_phi past |phi| and clamped widths warn
+@settings(max_examples=max(200, settings.default.max_examples))  # thorough: the profile's count
+@given(tau=st.floats(0.05, 1.0), share=st.floats(0.05, 0.95), d_delta=st.floats(0.0, 0.99),
+       phi=st.floats(-100.0, 100.0), d_phi=st.floats(0.0, 2.0), d_tau=st.floats(0.0, 0.95),
+       omega=st.floats(1e-3, 300.0), Gamma=st.floats(1e-3, 1e4), gamma=st.floats(1e-3, 10.0),
+       t_max=st.floats(0.05, 5.0), grid_points=st.integers(1, 200), seed=st.integers(0, 2**32))
+def test_table_segment_bound_holds_for_validated_trains(tau, share, d_delta, phi, d_phi, d_tau, omega,
+                                                        Gamma, gamma, t_max, grid_points, seed):
+    # strong, sign-flipping areas (d_phi up to 2 |phi|), gaps down to 0.05 tau and
+    # widths clamped to the gap: a train's table has at most validate's bound of rows
+    system = SystemParams(omega, Gamma, gamma)
+    pulses = PulseParams(tau=tau, delta=share * tau, phi=phi, d_tau=d_tau * tau,
+                         d_delta=d_delta * share * tau, d_phi=d_phi * abs(phi))
+    sim = SimConfig(t_max=t_max, step=1e-4, grid_dt=t_max / grid_points, ensemble_n=1, master_seed=seed)
+    validate(system, pulses, sim, allow_overlap=True)
+    schedule = generate_random(pulses, t_max, RandomStream.for_schedule(seed, 0))
+    rows = len(_LaneTables([schedule], system, sim).cs)
+    # the bound is at least rows exactly when a limit just below rows fails it
+    with patch.object(model, "MAX_TABLE_SEGMENTS", math.nextafter(rows, 0.0)):
+        with pytest.raises(ValidationError) as err:
+            validate(system, pulses, sim, allow_overlap=True)
+    assert err.value.code == SEGMENTS_TOO_MANY
 
 
 SCALES = st.floats(1e-300, 1e308) | st.sampled_from([1e-12, 1e-6, 1.0, 1e6, 1e12, 1e300, 1e308])

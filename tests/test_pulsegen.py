@@ -13,10 +13,9 @@ from randdd.errors import (
     SCHEDULE_PULSE_OVERLAP,
     ValidationError,
 )
-from randdd.model import PulseParams
+from randdd.model import REL_TOL, PulseParams, merge_tol
 from randdd.pulsegen import (
     _BLOCK_MARGIN,
-    _REL_TOL,
     PulseSchedule,
     RandomStream,
     breakpoint_table,
@@ -25,7 +24,6 @@ from randdd.pulsegen import (
     generate_random,
     generate_regular,
     load_schedule,
-    merge_tol,
     save_schedule,
     segment_table,
 )
@@ -251,7 +249,7 @@ def test_load_schedule_rejects_a_horizon_header_that_is_not_finite_and_non_negat
 def loop_generate_regular(params, horizon):
     """Per-pulse reference for generate_regular."""
     starts, widths, areas = [], [], []
-    tol = _REL_TOL * max(1.0, horizon)
+    tol = REL_TOL * max(1.0, horizon)
     i = 0
     while i * params.tau < horizon - tol:
         start, width, area = i * params.tau, params.delta, params.phi
@@ -280,7 +278,7 @@ def loop_generate_random(params, horizon, stream):
     """Per-pulse reference for generate_random: one triple per pulse, running start."""
     rng = stream.generator()
     starts, widths, areas = [], [], []
-    tol = _REL_TOL * max(1.0, horizon)
+    tol = REL_TOL * max(1.0, horizon)
     start = 0.0
     while start < horizon - tol:
         u, v, w = rng.uniform(-1.0, 1.0, 3)
@@ -299,7 +297,7 @@ def loop_generate_random(params, horizon, stream):
 
 
 def _first_block(params, horizon):
-    return math.ceil((horizon - _REL_TOL * max(1.0, horizon)) / params.tau) + _BLOCK_MARGIN
+    return math.ceil((horizon - REL_TOL * max(1.0, horizon)) / params.tau) + _BLOCK_MARGIN
 
 
 @pytest.mark.parametrize("params,horizon", [
